@@ -373,6 +373,14 @@ _FWD_OP = {"fc": "fc_forward", "conv": "conv2d_forward", "relu": "relu_forward",
            "flatten": "flatten_forward"}
 
 
+def _step_output_name(step: _Step) -> str:
+    """The activation a forward step writes: ``a{pos}``, or for an inserted
+    flatten (which shares its consumer's pos) ``a{pos-1}_flat`` / ``x_flat``."""
+    if step.kind != "flatten":
+        return f"a{step.pos}"
+    return "x_flat" if step.pos == 1 else f"a{step.pos - 1}_flat"
+
+
 def _add_forward(g, steps, suffix, loc, thread):
     """Add sources and the forward chain; returns the tape of
     (step, in_name, out_name) plus the logits tensor name."""
@@ -384,12 +392,7 @@ def _add_forward(g, steps, suffix, loc, thread):
     tape = []
     cur = f"x{suffix}"
     for step in steps:
-        out = (
-            f"a{step.pos - 1}_flat{suffix}" if step.kind == "flatten"
-            else f"a{step.pos}{suffix}"
-        )
-        if step.kind == "flatten" and step.pos == 1:
-            out = f"x_flat{suffix}"
+        out = _step_output_name(step) + suffix
         g.add_tensor(out, step.out_shape, loc)
         ins = [g.tensor_id(cur)]
         if step.w_shape is not None:
@@ -687,10 +690,11 @@ def build_model_parallel_pipeline(net: NetSpec, plan: ParallelPlan) -> GraphSequ
             template.add_tensor(f"w{step.pos}", step.w_shape, loc)
             template.add_tensor(f"b{step.pos}", step.b_shape, loc)
 
-    # per-stage output shapes (for the gate tokens)
-    stage_out_shape: dict[int, tuple[int, ...]] = {}
+    # each stage's last step: its output shapes the stage's gate token and
+    # feeds the next replica's token
+    stage_last: dict[int, _Step] = {}
     for step in steps:
-        stage_out_shape[stage_of(step)] = step.out_shape
+        stage_last[stage_of(step)] = step
 
     cur = "x"
     cur_stage = -1
@@ -708,7 +712,7 @@ def build_model_parallel_pipeline(net: NetSpec, plan: ParallelPlan) -> GraphSequ
                 )
                 cur = moved
             token = f"token_s{s}"
-            template.add_tensor(token, stage_out_shape[s], loc)
+            template.add_tensor(token, stage_last[s].out_shape, loc)
             gated = f"{cur}_gate{s}"
             template.add_tensor(gated, template.tensor_named(cur).shape, loc)
             template.add_operator(
@@ -718,11 +722,7 @@ def build_model_parallel_pipeline(net: NetSpec, plan: ParallelPlan) -> GraphSequ
             )
             cur = gated
             cur_stage = s
-        out = (
-            f"a{step.pos - 1}_flat" if step.kind == "flatten" else f"a{step.pos}"
-        )
-        if step.kind == "flatten" and step.pos == 1:
-            out = "x_flat"
+        out = _step_output_name(step)
         template.add_tensor(out, step.out_shape, loc)
         ins = [template.tensor_id(cur)]
         if step.w_shape is not None:
@@ -740,27 +740,18 @@ def build_model_parallel_pipeline(net: NetSpec, plan: ParallelPlan) -> GraphSequ
 
     # serialize each stage across replicas: replica r's gate token comes from
     # a copy of replica r-1's output of the same stage
-    stage_last_out: dict[int, str] = {}
-    walk_cur, walk_stage = "x", -1
-    for step in steps:
-        s = stage_of(step)
-        out = (
-            f"a{step.pos - 1}_flat" if step.kind == "flatten" else f"a{step.pos}"
-        )
-        if step.kind == "flatten" and step.pos == 1:
-            out = "x_flat"
-        stage_last_out[s] = out
     for s in range(len(plan.stages)):
         loc = plan.stages[s].location
+        last_out = _step_output_name(stage_last[s])
         for r in range(1, plan.replicas):
             g.add_operator(
                 f"token_s{s}_r{r}_feed", "copy",
-                [g.tensor_id(f"{stage_last_out[s]}_r{r - 1}")],
+                [g.tensor_id(f"{last_out}_r{r - 1}")],
                 [g.tensor_id(f"token_s{s}_r{r}")],
                 loc, thread=base + 1,
             )
 
-    final = stage_last_out[len(plan.stages) - 1]
+    final = _step_output_name(stage_last[len(plan.stages) - 1])
     layout = Layout(
         scheme="model",
         data_names=tuple(f"x_r{r}" for r in range(plan.replicas)),

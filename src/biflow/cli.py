@@ -8,12 +8,13 @@ Training metrics stream to stdout as one JSON object per line.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .profiler import export_trace
 from .transport import (
     Transport,
     TransportError,
+    owned_sources,
     partition_sequence,
     run_distributed,
 )
@@ -219,13 +221,8 @@ def _loopback_plan(plan: ParallelPlan) -> ParallelPlan:
     peers = tuple(
         Location(f"proc{k}", loc.device) for k, loc in enumerate(plan.peers)
     )
-    return ParallelPlan(
-        scheme=plan.scheme,
-        peers=peers,
-        server=Location("proc0", plan.server.device),
-        stages=plan.stages,
-        replicas=plan.replicas,
-        copy_thread_base=plan.copy_thread_base,
+    return replace(
+        plan, peers=peers, server=Location("proc0", plan.server.device)
     )
 
 
@@ -234,33 +231,37 @@ def _mean_loss(store: TensorStore, layout) -> float:
     return sum(vals) / len(vals)
 
 
-def train_local(cfg: ExperimentConfig, seq, *, trace_out=None, emit=print):
-    """In-process training loop; returns (store, per-iteration mean losses)."""
+def _train(
+    cfg: ExperimentConfig, seq, *, transport, copy_latency_s, trace_out, emit
+) -> TensorStore:
+    """Initialize, feed and run ``seq``; returns the final store.
+
+    ``seq`` is either a whole sequence run in this process or one host's
+    partition of it, with the ``transport`` that carries its channels.
+    Only the data sources ``seq`` holds are fed.  ``emit``, when given,
+    receives one JSON line per iteration.
+    """
     layout = seq.layout
     store = TensorStore()
     init_params(cfg.net, store, cfg.seed, layout)
     feed = cfg.make_feed(len(layout.data_names))
-    feed_hook = feeder(feed, layout)
+    feed_hook = feeder(feed, layout, only=owned_sources(seq, layout.data_names))
     marks = {}
 
     def before(it, store):
         marks["t"] = time.monotonic()
         feed_hook(it, store)
 
-    losses = []
-
     def after(rep, store):
         if rep.graph_index != len(seq.graphs) - 1:
             return
         dt = time.monotonic() - marks["t"]
-        loss = _mean_loss(store, layout)
-        losses.append(loss)
         images = cfg.net.batch * len(layout.data_names)
         emit(
             json.dumps(
                 {
                     "iteration": rep.iteration,
-                    "loss": loss,
+                    "loss": _mean_loss(store, layout),
                     "images_per_sec": images / dt if dt > 0 else None,
                 }
             )
@@ -269,27 +270,56 @@ def train_local(cfg: ExperimentConfig, seq, *, trace_out=None, emit=print):
     reports = run_sequence(
         seq,
         store,
+        transport=transport,
+        copy_latency_s=copy_latency_s,
         before_iteration=before,
-        after_graph=after,
+        after_graph=None if emit is None else after,
         iterations=cfg.iterations,
     )
     if trace_out:
         export_trace(merged_trace(reports), trace_out)
-    return store, losses
+    return store
+
+
+def _train_loopback(cfg: ExperimentConfig, procs: int, args, trace_out, dump) -> int:
+    """One process per peer over loopback; prints the mean final loss."""
+    if cfg.plan.scheme != "data":
+        raise GraphError("--peers N needs a data-parallel plan")
+    if procs != len(cfg.plan.peers):
+        raise ConfigError(
+            f"--peers {procs} does not match the plan's "
+            f"{len(cfg.plan.peers)} peers"
+        )
+    if trace_out:
+        raise ConfigError(
+            "--trace-out is not supported with --peers N: the host "
+            "processes do not return their traces"
+        )
+    seq = build_data_parallel(cfg.net, _loopback_plan(cfg.plan))
+    layout = seq.layout
+    collect = {f"proc{k}": [f"loss_p{k}"] for k in range(procs)}
+    collect["proc0"].extend(layout.canonical_params)
+    got = run_distributed(
+        seq,
+        iterations=cfg.iterations,
+        setup=TrainingSetup(cfg.net, cfg.seed, layout),
+        feed=cfg.make_feed(len(layout.data_names)),
+        collect={h: tuple(v) for h, v in collect.items()},
+        timeout=args.net_timeout,
+    )
+    final = sum(float(got[f"loss_p{k}"][0]) for k in range(procs)) / procs
+    print(json.dumps({"final_loss": final, "iterations": cfg.iterations}))
+    if dump:
+        np.savez(dump, **{n: got[n] for n in layout.canonical_params})
+    return 0
 
 
 def cmd_train(args) -> int:
     cfg = ExperimentConfig.from_file(args.config)
     if args.iterations is not None:
-        cfg = ExperimentConfig(
-            cfg.net, cfg.plan, args.iterations, cfg.seed, cfg.data,
-            cfg.trace_out, cfg.dump_tensors,
-        )
+        cfg = replace(cfg, iterations=args.iterations)
     if args.seed is not None:
-        cfg = ExperimentConfig(
-            cfg.net, cfg.plan, cfg.iterations, args.seed, cfg.data,
-            cfg.trace_out, cfg.dump_tensors,
-        )
+        cfg = replace(cfg, seed=args.seed)
     trace_out = args.trace_out or cfg.trace_out
     dump = args.dump_tensors or cfg.dump_tensors
 
@@ -297,87 +327,41 @@ def cmd_train(args) -> int:
         raise GraphError("the pipeline scheme is forward-only; nothing to train")
 
     peer_entries = args.peers or []
-    loopback_n = None
     if len(peer_entries) == 1 and peer_entries[0].isdigit():
-        loopback_n = int(peer_entries[0])
+        return _train_loopback(cfg, int(peer_entries[0]), args, trace_out, dump)
 
-    # -- one process per peer over loopback
-    if loopback_n is not None:
-        if cfg.plan.scheme != "data":
-            raise GraphError("--peers N needs a data-parallel plan")
-        if loopback_n != len(cfg.plan.peers):
-            raise ConfigError(
-                f"--peers {loopback_n} does not match the plan's "
-                f"{len(cfg.plan.peers)} peers"
-            )
-        seq = build_data_parallel(cfg.net, _loopback_plan(cfg.plan))
-        layout = seq.layout
-        feed = cfg.make_feed(len(layout.data_names))
-        hosts = sorted({f"proc{k}" for k in range(loopback_n)} | {"proc0"})
-        collect = {h: [] for h in hosts}
-        for k in range(loopback_n):
-            collect[f"proc{k}"].append(f"loss_p{k}")
-        collect["proc0"].extend(layout.canonical_params)
-        got = run_distributed(
-            seq,
-            iterations=cfg.iterations,
-            setup=TrainingSetup(cfg.net, cfg.seed, layout),
-            feed=feed,
-            collect={h: tuple(v) for h, v in collect.items()},
-            timeout=args.net_timeout,
-        )
-        final = sum(
-            float(got[f"loss_p{k}"][0]) for k in range(loopback_n)
-        ) / loopback_n
-        print(json.dumps({"final_loss": final, "iterations": cfg.iterations}))
-        if dump:
-            np.savez(dump, **{n: got[n] for n in layout.canonical_params})
-        return 0
-
-    # -- one named host of a multi-machine run
-    if args.host_id is not None:
-        table = _parse_peer_table(peer_entries)
-        if args.host_id not in table:
-            raise ConfigError(f"--host-id {args.host_id!r} not in --peers table")
-        seq = build_sequence(cfg)
-        parts = partition_sequence(seq)
-        if args.host_id not in parts:
-            raise ConfigError(
-                f"host {args.host_id!r} owns no vertices; hosts are "
-                f"{sorted(parts)}"
-            )
-        part = parts[args.host_id]
-        layout = seq.layout
-        feed = cfg.make_feed(len(layout.data_names))
-        owned = {
-            n for g in part.sequence.graphs for n in layout.data_names
-            if g.has_tensor(n)
-        }
-        with Transport(
-            args.host_id, table, part.channels, timeout=args.net_timeout
-        ) as transport:
-            transport.start()
-            store = TensorStore()
-            init_params(cfg.net, store, cfg.seed, layout)
-            run_sequence(
-                part.sequence,
-                store,
-                transport=transport,
-                before_iteration=feeder(feed, layout, only=owned),
-                iterations=cfg.iterations,
-                copy_latency_s=args.copy_latency_us * 1e-6,
-            )
-        line = {"host": args.host_id, "iterations": cfg.iterations}
-        if any(n in store for n in layout.loss_names):
-            line["final_loss"] = _mean_loss(store, layout)
-        print(json.dumps(line))
-        if dump:
-            np.savez(dump, **{n: store.array(n) for n in store.names()})
-        return 0
-
-    # -- plain in-process run
+    # In process, or one named host of a multi-machine run: the same path,
+    # over the whole sequence or over the host's partition of it.
     seq = build_sequence(cfg)
-    store, losses = train_local(cfg, seq, trace_out=trace_out)
+    host = args.host_id
+    transport = None
+    if host is not None:
+        table = _parse_peer_table(peer_entries)
+        if host not in table:
+            raise ConfigError(f"--host-id {host!r} not in --peers table")
+        parts = partition_sequence(seq)
+        if host not in parts:
+            raise ConfigError(
+                f"host {host!r} owns no vertices; hosts are {sorted(parts)}"
+            )
+        seq = parts[host].sequence
+        transport = Transport(
+            host, table, parts[host].channels, timeout=args.net_timeout
+        ).start()
+    with transport or contextlib.nullcontext():
+        store = _train(
+            cfg,
+            seq,
+            transport=transport,
+            copy_latency_s=args.copy_latency_us * 1e-6,
+            trace_out=trace_out,
+            emit=print if host is None else None,
+        )
+    if host is not None:
+        line = {"host": host, "iterations": cfg.iterations}
+        if any(n in store for n in seq.layout.loss_names):
+            line["final_loss"] = _mean_loss(store, seq.layout)
+        print(json.dumps(line))
     if dump:
         np.savez(dump, **{n: store.array(n) for n in store.names()})
     return 0

@@ -123,9 +123,6 @@ def simulate(
         {op.id: costs.duration_of(op, g) for op in g.operators_in_order()}
         for g in seq.graphs
     ]
-    order_index = [
-        {oid: i for i, oid in enumerate(g.insertion_order)} for g in seq.graphs
-    ]
 
     trace: list[TraceRecord] = []
     lane_free: dict[WorkerLane, float] = {}
@@ -133,7 +130,7 @@ def simulate(
 
     for it in range(seq.iterations):
         for gi, g in enumerate(seq.graphs):
-            state, durs, ordidx = states[gi], durations[gi], order_index[gi]
+            state, durs, ordidx = states[gi], durations[gi], states[gi].order_index
             state.reset()
             ready = state.arm()
             if not g.operators:

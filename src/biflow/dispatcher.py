@@ -101,6 +101,9 @@ class ReadinessState:
     tensor id to remaining producers.  ``completed_sinks`` counts reached
     sink vertices of either class.  The counters only ever decrease between
     resets, which is what makes exactly-once dispatch a structural property.
+    ``order_index`` maps operator id to its graph insertion position, the
+    tie break that the dispatcher and the simulator both order ready
+    operators by.
     """
 
     def __init__(self, graph: BiGraph) -> None:
@@ -113,7 +116,7 @@ class ReadinessState:
         self._armed = False
         self._executed = 0
         self._in_flight = 0
-        self._order_index = {oid: i for i, oid in enumerate(graph.insertion_order)}
+        self.order_index = {oid: i for i, oid in enumerate(graph.insertion_order)}
         for tid, t in graph.tensors.items():
             if not graph.consumers_of(tid):
                 self._tensor_sinks.add(tid)
@@ -156,7 +159,7 @@ class ReadinessState:
                 ready.extend(self._tensor_ready(tid))
         seen: set[int] = set()
         ordered = []
-        for oid in sorted(ready, key=self._order_index.__getitem__):
+        for oid in sorted(ready, key=self.order_index.__getitem__):
             if oid not in seen:
                 seen.add(oid)
                 ordered.append(oid)
@@ -186,7 +189,7 @@ class ReadinessState:
             self.pending_producers[tid] -= 1
             if self.pending_producers[tid] == 0:
                 newly.extend(self._tensor_ready(tid))
-        newly.sort(key=self._order_index.__getitem__)
+        newly.sort(key=self.order_index.__getitem__)
         self._in_flight += len(newly)
         return newly
 

@@ -260,9 +260,6 @@ class BiGraph:
     def operators_in_order(self) -> list[OperatorVertex]:
         return [self.operators[i] for i in self.insertion_order]
 
-    def insertion_index(self, op_id: int) -> int:
-        return self.insertion_order.index(op_id)
-
     # --- analysis ---------------------------------------------------------
 
     def toposort(self) -> list[int]:

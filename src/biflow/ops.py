@@ -7,9 +7,9 @@ verifies the shapes it is given and that everything it produces is finite;
 violations raise :class:`KernelError`.
 
 The registry (`KINDS`) maps an operator-kind name to an :class:`OpKindSpec`
-carrying arity bounds, a shape checker used at graph-construction time, and
-an ``execute`` hook used by the dispatcher.  Custom kinds can be added by
-passing an extended mapping to the dispatcher.
+carrying a shape checker used at graph-construction time (it also enforces
+arity) and an ``execute`` hook used by the dispatcher.  Custom kinds can be
+added by passing an extended mapping to the dispatcher.
 """
 
 from __future__ import annotations
@@ -179,7 +179,11 @@ def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def fc_backward(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of the dense layer: dx = dy.w^T, dw = x^T.dy, db = colsum(dy)."""
+    """Gradients of the dense layer: dx = dy.w^T, dw = x^T.dy, db = colsum(dy).
+
+    The composition of :func:`fc_backward_data`, :func:`fc_backward_weight`
+    and :func:`fc_backward_bias`.
+    """
     x, w, dy = _f32(x), _f32(w), _f32(dy)
     _require(
         x.ndim == 2 and w.ndim == 2 and dy.ndim == 2,
@@ -189,11 +193,11 @@ def fc_backward(
         dy.shape == (x.shape[0], w.shape[1]) and x.shape[1] == w.shape[0],
         f"fc_backward: shapes do not conform: x{x.shape} w{w.shape} dy{dy.shape}",
     )
-    dx = dy @ w.T
-    dw = x.T @ dy
-    db = dy.sum(axis=0)
-    _finite("fc_backward", dx, dw, db)
-    return dx, dw, db
+    return (
+        fc_backward_data(w, dy),
+        fc_backward_weight(x, dy),
+        fc_backward_bias(dy),
+    )
 
 
 def fc_backward_data(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
@@ -297,50 +301,69 @@ def conv2d_forward(
     return y
 
 
-def conv2d_backward(
-    x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv2d_forward with respect to input, filters, and bias."""
-    x, w, dy = _f32(x), _f32(w), _f32(dy)
+def _conv_backward_dims(
+    kind: str, x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int, pad: int
+) -> tuple[int, int]:
+    """Shape-check a backward call; returns the output spatial dims (ho, wo)."""
     _check_conv_shapes(x, w, None)
     k, c, r, s = w.shape
     ho = _conv_out_dim(x.shape[2], r, stride, pad, "height")
     wo = _conv_out_dim(x.shape[3], s, stride, pad, "width")
     _require(
         dy.shape == (x.shape[0], k, ho, wo),
-        f"conv2d_backward: dy shape {dy.shape} does not match expected "
+        f"{kind}: dy shape {dy.shape} does not match expected "
         f"{(x.shape[0], k, ho, wo)}",
     )
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, r, s, stride, ho, wo)
-    dw = np.einsum("ncijhw,nkhw->kcij", cols, dy, dtype=np.float32)
-    db = dy.sum(axis=(0, 2, 3))
-    dcols = np.einsum("nkhw,kcij->ncijhw", dy, w, dtype=np.float32)
-    dxp = np.zeros_like(xp)
-    for i in range(r):
-        for j in range(s):
-            dxp[
-                :, :, i : i + stride * ho : stride, j : j + stride * wo : stride
-            ] += dcols[:, :, i, j]
-    h, wd = x.shape[2], x.shape[3]
-    dx = _f32(dxp[:, :, pad : pad + h, pad : pad + wd])
-    dw, db = _f32(dw), _f32(db)
-    _finite("conv2d_backward", dx, dw, db)
-    return dx, dw, db
+    return ho, wo
+
+
+def conv2d_backward(
+    x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients of conv2d_forward with respect to input, filters, and bias.
+
+    The composition of the three split kernels below.
+    """
+    x, w, dy = _f32(x), _f32(w), _f32(dy)
+    _conv_backward_dims("conv2d_backward", x, w, dy, stride, pad)
+    return (
+        conv2d_backward_data(x, w, dy, stride=stride, pad=pad),
+        conv2d_backward_weight(x, w, dy, stride=stride, pad=pad),
+        conv2d_backward_bias(dy),
+    )
 
 
 def conv2d_backward_data(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
 ) -> np.ndarray:
-    """Input gradient only (finer-grained scheduling unit)."""
-    return conv2d_backward(x, w, dy, stride=stride, pad=pad)[0]
+    """Input gradient: col2im of dy.w (``x`` supplies only its shape)."""
+    x, w, dy = _f32(x), _f32(w), _f32(dy)
+    ho, wo = _conv_backward_dims("conv2d_backward_data", x, w, dy, stride, pad)
+    n, c, h, wd = x.shape
+    r, s = w.shape[2], w.shape[3]
+    dcols = np.einsum("nkhw,kcij->ncijhw", dy, w, dtype=np.float32)
+    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float32)
+    for i in range(r):
+        for j in range(s):
+            dxp[
+                :, :, i : i + stride * ho : stride, j : j + stride * wo : stride
+            ] += dcols[:, :, i, j]
+    dx = _f32(dxp[:, :, pad : pad + h, pad : pad + wd])
+    _finite("conv2d_backward_data", dx)
+    return dx
 
 
 def conv2d_backward_weight(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
 ) -> np.ndarray:
-    """Filter gradient only."""
-    return conv2d_backward(x, w, dy, stride=stride, pad=pad)[1]
+    """Filter gradient: im2col(x) contracted with dy."""
+    x, w, dy = _f32(x), _f32(w), _f32(dy)
+    ho, wo = _conv_backward_dims("conv2d_backward_weight", x, w, dy, stride, pad)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = _im2col(xp, w.shape[2], w.shape[3], stride, ho, wo)
+    dw = _f32(np.einsum("ncijhw,nkhw->kcij", cols, dy, dtype=np.float32))
+    _finite("conv2d_backward_weight", dw)
+    return dw
 
 
 def conv2d_backward_bias(dy: np.ndarray) -> np.ndarray:
@@ -507,9 +530,6 @@ class OpKindSpec:
     """
 
     kind: str
-    min_in: int
-    max_in: int | None
-    n_out: int | None
     check_shapes: Callable[[list, list, dict], None]
     execute: Callable[[object, object], None]
     crosses_location: bool = False
@@ -750,57 +770,49 @@ def _check_gate(ins, outs, attrs):
 KINDS: dict[str, OpKindSpec] = {}
 
 
-def _register(
-    kind: str,
-    min_in: int,
-    max_in: int | None,
-    n_out: int | None,
-    check,
-    execute,
-    crosses_location: bool = False,
-) -> None:
-    KINDS[kind] = OpKindSpec(kind, min_in, max_in, n_out, check, execute, crosses_location)
+def _register(kind: str, check, execute, crosses_location: bool = False) -> None:
+    KINDS[kind] = OpKindSpec(kind, check, execute, crosses_location)
 
 
-_register("fc_forward", 3, 3, 1, _check_fc_forward,
+_register("fc_forward", _check_fc_forward,
           _plain(lambda ins, a: [fc_forward(*ins)]))
-_register("fc_backward", 3, 3, 3, _check_fc_backward,
+_register("fc_backward", _check_fc_backward,
           _plain(lambda ins, a: list(fc_backward(*ins))))
-_register("fc_backward_data", 2, 2, 1, _check_fc_backward_data,
+_register("fc_backward_data", _check_fc_backward_data,
           _plain(lambda ins, a: [fc_backward_data(*ins)]))
-_register("fc_backward_weight", 2, 2, 1, _check_fc_backward_weight,
+_register("fc_backward_weight", _check_fc_backward_weight,
           _plain(lambda ins, a: [fc_backward_weight(*ins)]))
-_register("fc_backward_bias", 1, 1, 1, _check_fc_backward_bias,
+_register("fc_backward_bias", _check_fc_backward_bias,
           _plain(lambda ins, a: [fc_backward_bias(*ins)]))
-_register("conv2d_forward", 3, 3, 1, _check_conv_forward,
+_register("conv2d_forward", _check_conv_forward,
           _plain(lambda ins, a: [conv2d_forward(*ins, *_conv_attrs(a))]))
-_register("conv2d_backward", 3, 3, 3, _check_conv_backward,
+_register("conv2d_backward", _check_conv_backward,
           _plain(lambda ins, a: list(conv2d_backward(*ins, *_conv_attrs(a)))))
-_register("conv2d_backward_data", 3, 3, 1, _check_conv_backward_data,
+_register("conv2d_backward_data", _check_conv_backward_data,
           _plain(lambda ins, a: [conv2d_backward_data(*ins, *_conv_attrs(a))]))
-_register("conv2d_backward_weight", 3, 3, 1, _check_conv_backward_weight,
+_register("conv2d_backward_weight", _check_conv_backward_weight,
           _plain(lambda ins, a: [conv2d_backward_weight(*ins, *_conv_attrs(a))]))
-_register("conv2d_backward_bias", 1, 1, 1, _check_conv_backward_bias,
+_register("conv2d_backward_bias", _check_conv_backward_bias,
           _plain(lambda ins, a: [conv2d_backward_bias(ins[0])]))
-_register("relu_forward", 1, 1, 1, _check_relu_forward,
+_register("relu_forward", _check_relu_forward,
           _plain(lambda ins, a: [relu_forward(*ins)]))
-_register("relu_backward", 2, 2, 1, _check_relu_backward,
+_register("relu_backward", _check_relu_backward,
           _plain(lambda ins, a: [relu_backward(*ins)]))
-_register("flatten_forward", 1, 1, 1, _check_flatten_forward,
+_register("flatten_forward", _check_flatten_forward,
           _plain(lambda ins, a: [flatten_forward(*ins)]))
-_register("flatten_backward", 2, 2, 1, _check_flatten_backward,
+_register("flatten_backward", _check_flatten_backward,
           _plain(lambda ins, a: [flatten_backward(*ins)]))
-_register("softmax_xent", 2, 2, 2, _check_softmax_xent,
+_register("softmax_xent", _check_softmax_xent,
           _plain(lambda ins, a: list(softmax_xent(*ins))))
-_register("sgd_update", 2, 2, 1, _check_sgd_update,
+_register("sgd_update", _check_sgd_update,
           _plain(lambda ins, a: [sgd_update(ins[0], ins[1], float(a["lr"]))]))
-_register("aggregate", 1, None, 1, _check_aggregate,
+_register("aggregate", _check_aggregate,
           _plain(lambda ins, a: [aggregate(ins, a.get("mode", "mean"))]))
-_register("swap", 0, 0, 2, _check_swap, _execute_swap)
-_register("copy", 1, 1, 1, _check_copy, _execute_copy, crosses_location=True)
-_register("send", 1, 1, 0, _check_send, _execute_send)
-_register("recv", 0, 0, 1, _check_recv, _execute_recv)
-_register("gate", 2, 2, 1, _check_gate,
+_register("swap", _check_swap, _execute_swap)
+_register("copy", _check_copy, _execute_copy, crosses_location=True)
+_register("send", _check_send, _execute_send)
+_register("recv", _check_recv, _execute_recv)
+_register("gate", _check_gate,
           _plain(lambda ins, a: [ins[0].copy()]))
 
 

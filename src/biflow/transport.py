@@ -33,6 +33,7 @@ __all__ = [
     "TransportError",
     "decode_frame",
     "encode_frame",
+    "owned_sources",
     "partition_by_host",
     "partition_sequence",
     "recompose",
@@ -366,6 +367,8 @@ class Transport:
         except TransportError:
             if not self._closing.is_set():
                 self._fault = "peer connection closed"
+        except FrameError as e:
+            self._fault = f"malformed frame: {e}"
         except OSError:
             pass
         finally:
@@ -453,11 +456,10 @@ class Transport:
 # multi-process driver
 
 
-def _collect_sources(part: SequencePartition, names) -> set[str]:
-    present = set()
-    for g in part.sequence.graphs:
-        present |= {n for n in names if g.has_tensor(n)}
-    return present
+def owned_sources(seq: GraphSequence, names) -> set[str]:
+    """The subset of ``names`` that some graph of ``seq`` holds: the data
+    sources a host partition (or a whole in-process sequence) must feed."""
+    return {n for n in names if any(g.has_tensor(n) for g in seq.graphs)}
 
 
 def _host_main(
@@ -479,7 +481,7 @@ def _host_main(
         before = None
         if feed is not None:
             layout = part.sequence.layout
-            owned = _collect_sources(part, layout.data_names)
+            owned = owned_sources(part.sequence, layout.data_names)
             from .builders import feeder  # local import: avoid cycle at module load
 
             before = feeder(feed, layout, only=owned)

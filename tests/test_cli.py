@@ -238,6 +238,42 @@ def test_train_loopback_peer_count_must_match_plan(tmp_path):
     assert r.returncode == 2
 
 
+def test_train_loopback_rejects_trace_out(tmp_path):
+    path = write_config(tmp_path, DP_CONFIG)
+    trace_path = tmp_path / "trace.json"
+    r = cli("train", "--config", path, "--peers", "2",
+            "--trace-out", str(trace_path))
+    assert r.returncode == 2
+    assert "--trace-out" in r.stderr
+    assert not trace_path.exists()
+
+
+def test_train_host_id_single_host_matches_in_process(tmp_path):
+    path = write_config(tmp_path, DP_CONFIG)
+    r1 = cli("train", "--config", path)
+    assert r1.returncode == 0, r1.stderr
+    final_local = json_lines(r1.stdout)[-1]["loss"]
+
+    r2 = cli("train", "--config", path, "--host-id", "local",
+             "--peers", "local=127.0.0.1:0")
+    assert r2.returncode == 0, r2.stderr
+    (line,) = json_lines(r2.stdout)
+    assert line["host"] == "local"
+    assert line["iterations"] == DP_CONFIG["iterations"]
+    assert line["final_loss"] == final_local
+
+
+def test_train_host_id_writes_its_trace(tmp_path):
+    path = write_config(tmp_path, MLP_CONFIG)
+    trace_path = tmp_path / "trace.json"
+    r = cli("train", "--config", path, "--iterations", "3", "--host-id", "local",
+            "--peers", "local=127.0.0.1:0", "--trace-out", str(trace_path))
+    assert r.returncode == 0, r.stderr
+    events = json.loads(trace_path.read_text())
+    assert {ev["args"]["iteration"] for ev in events} == {0, 1, 2}
+    assert all(ev["ph"] == "X" for ev in events)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

@@ -176,13 +176,27 @@ def test_conv_gradients_match_finite_differences():
 
 def test_conv_split_backward_matches_fused():
     rng = np.random.default_rng(24)
-    x = f32(rng.standard_normal((2, 3, 5, 5)))
+    x = f32(rng.standard_normal((2, 3, 5, 7)))
     w = f32(rng.standard_normal((4, 3, 3, 3)))
-    dy = f32(rng.standard_normal((2, 4, 5, 5)))
-    dx, dw, db = conv2d_backward(x, w, dy, stride=1, pad=1)
-    assert np.array_equal(conv2d_backward_data(x, w, dy, stride=1, pad=1), dx)
-    assert np.array_equal(conv2d_backward_weight(x, w, dy, stride=1, pad=1), dw)
-    assert np.array_equal(conv2d_backward_bias(dy), db)
+    for stride, pad in [(1, 0), (1, 1), (2, 0), (2, 1)]:
+        ho = (5 + 2 * pad - 3) // stride + 1
+        wo = (7 + 2 * pad - 3) // stride + 1
+        dy = f32(rng.standard_normal((2, 4, ho, wo)))
+        dx, dw, db = conv2d_backward(x, w, dy, stride=stride, pad=pad)
+        assert dx.shape == x.shape and dw.shape == w.shape
+        assert np.array_equal(
+            conv2d_backward_data(x, w, dy, stride=stride, pad=pad), dx
+        )
+        assert np.array_equal(
+            conv2d_backward_weight(x, w, dy, stride=stride, pad=pad), dw
+        )
+        assert np.array_equal(conv2d_backward_bias(dy), db)
+        # adjoint identity against the loop oracle: <conv(x, w), dy> equals
+        # both <x, dx> and <w, dw>, which pins the col2im scatter per stride
+        y = conv2d_loops(x, w, np.zeros(4), stride=stride, pad=pad)
+        ref = float(np.sum(y * dy))
+        assert math.isclose(float(np.sum(x.astype(np.float64) * dx)), ref, rel_tol=1e-5)
+        assert math.isclose(float(np.sum(w.astype(np.float64) * dw)), ref, rel_tol=1e-5)
 
 
 def test_conv_non_integral_output_raises():

@@ -1,5 +1,8 @@
 """Frame codec, host partitioning, and the TCP transport."""
 
+import socket
+import struct
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from biflow.dispatcher import run_sequence
 from biflow.graph import BiGraph, GraphError, Location
 from biflow.ops import TensorStore
 from biflow.transport import (
+    HEADER,
     FrameError,
     Transport,
     TransportError,
@@ -259,6 +263,19 @@ def test_recv_times_out_instead_of_hanging():
     finally:
         ta.close()
         tb.close()
+
+
+def test_malformed_frame_is_named_in_recv_error():
+    t = Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))], timeout=0.05)
+    ours, theirs = socket.socketpair()
+    try:
+        ours.sendall(struct.pack("<I", 1) + b"a" + HEADER.pack(1, 0, 6) + bytes(6))
+        t._reader(theirs)  # returns once the bad frame is read
+        with pytest.raises(TransportError, match="not a multiple of 4"):
+            t.recv(1, 0)
+    finally:
+        ours.close()
+        theirs.close()
 
 
 def test_send_to_dead_peer_times_out():
