@@ -85,6 +85,11 @@ class ExperimentConfig:
     trace_out: str | None = None
     dump_tensors: str | None = None
 
+    def __post_init__(self) -> None:
+        # also guards the command-line override, applied with replace()
+        if self.iterations < 1:
+            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         try:
@@ -108,8 +113,6 @@ class ExperimentConfig:
             raise
         except (KeyError, TypeError, ValueError) as e:
             raise ConfigError(f"bad config field: {e!r}") from None
-        if iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {iterations}")
         kind = data.get("kind", "synthetic")
         if kind == "file":
             for key in ("x", "labels"):

@@ -1,9 +1,10 @@
 """Virtual-time twin of the dispatcher plus an analytic throughput model.
 
-The discrete-event simulator drives the *same* readiness bookkeeping as
-the real dispatcher (:class:`~biflow.dispatcher.ReadinessState`), so lane
-serialization, FIFO-by-readiness ordering, and sequence sync points are
-shared with real execution rather than re-derived.  Durations come from a
+The discrete-event simulator drives the *same* compiled plan and readiness
+counters as the real dispatcher (:class:`~biflow.dispatcher.GraphPlan`,
+:class:`~biflow.dispatcher.ReadinessState`), so lane serialization,
+FIFO-by-readiness ordering, and sequence sync points are shared with real
+execution rather than re-derived.  Durations come from a
 :class:`CostModel` instead of the wall clock, which makes runs exactly
 reproducible and lets one machine predict schedules for many.
 """
@@ -16,7 +17,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dispatcher import ReadinessState, TraceRecord, WorkerLane, lane_of
+from .dispatcher import GraphPlan, ReadinessState, TraceRecord, WorkerLane
 from .graph import BiGraph, GraphSequence, OperatorVertex
 
 _WIRE_KINDS = ("copy", "send", "recv", "gate")
@@ -118,10 +119,10 @@ def simulate(
         if not report.ok:
             raise SimError("graph failed validation: " + "; ".join(report.violations))
 
-    states = [ReadinessState(g) for g in seq.graphs]
+    plans = [GraphPlan.compile(g) for g in seq.graphs]
+    states = [ReadinessState(p) for p in plans]
     durations = [
-        {op.id: costs.duration_of(op, g) for op in g.operators_in_order()}
-        for g in seq.graphs
+        [costs.duration_of(op, p.graph) for op in p.ops] for p in plans
     ]
 
     trace: list[TraceRecord] = []
@@ -129,35 +130,33 @@ def simulate(
     floor = 0.0
 
     for it in range(seq.iterations):
-        for gi, g in enumerate(seq.graphs):
-            state, durs, ordidx = states[gi], durations[gi], states[gi].order_index
+        for plan, state, durs in zip(plans, states, durations):
             state.reset()
             ready = state.arm()
-            if not g.operators:
+            if not plan.ops:
                 continue
+            lanes = plan.lanes
 
             lane_queue: dict[WorkerLane, list] = {}
             lane_busy: dict[WorkerLane, bool] = {}
-            events: list = []  # (end_time, order_index, op_id, start_time)
+            events: list = []  # (end_time, op index, start_time)
 
-            def enqueue(op_id: int, ready_t: float) -> None:
-                lane = lane_of(g.operators[op_id])
-                heapq.heappush(
-                    lane_queue.setdefault(lane, []), (ready_t, ordidx[op_id], op_id)
-                )
+            def enqueue(index: int, ready_t: float) -> None:
+                queue = lane_queue.setdefault(lanes[index], [])
+                heapq.heappush(queue, (ready_t, index))
 
             def start_idle_lanes() -> None:
                 for lane, queue in lane_queue.items():
                     if lane_busy.get(lane) or not queue:
                         continue
-                    ready_t, idx, op_id = heapq.heappop(queue)
+                    ready_t, index = heapq.heappop(queue)
                     start = max(ready_t, lane_free.get(lane, 0.0))
-                    end = start + durs[op_id]
+                    end = start + durs[index]
                     lane_busy[lane] = True
-                    heapq.heappush(events, (end, idx, op_id, start))
+                    heapq.heappush(events, (end, index, start))
 
-            for op_id in ready:
-                enqueue(op_id, floor)
+            for index in ready:
+                enqueue(index, floor)
             start_idle_lanes()
 
             last = floor
@@ -166,14 +165,14 @@ def simulate(
                 batch = []
                 while events and events[0][0] == now:
                     batch.append(heapq.heappop(events))
-                for end, _idx, op_id, start in batch:
-                    op = g.operators[op_id]
-                    lane = lane_of(op)
+                for end, index, start in batch:
+                    op = plan.ops[index]
+                    lane = lanes[index]
                     lane_busy[lane] = False
                     lane_free[lane] = end
                     trace.append(
                         TraceRecord(
-                            op_id,
+                            op.id,
                             op.name,
                             lane,
                             int(round(start * 1e9)),
@@ -181,7 +180,7 @@ def simulate(
                             it,
                         )
                     )
-                    for newly in state.complete(op_id):
+                    for newly in state.complete(index):
                         enqueue(newly, end)
                 start_idle_lanes()
                 last = now

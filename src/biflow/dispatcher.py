@@ -9,14 +9,25 @@ different lanes.
 A lane is the (host, device, thread) triple of an operator; each lane
 executes its operators one at a time in FIFO order of readiness (ties broken
 by graph insertion order), while distinct lanes run concurrently on worker
-threads.  The environment variable ``BIFLOW_LANES`` caps how many OS threads
-serve the lanes (``1`` gives the fully serial reference mode); the cap never
+threads.  ``max_workers`` or, when it is not given, the environment variable
+``BIFLOW_LANES`` caps how many workers serve a graph's lanes: lane ``k`` of
+its sorted lanes goes to worker ``k mod min(lanes, cap)``.  The cap never
 changes which lane an operator belongs to, only how much true parallelism
 the lanes get.
 
-The readiness bookkeeping lives in :class:`ReadinessState`, which the
-virtual-time cost simulator reuses verbatim so both executors share one
-source of scheduling truth.
+Each graph is compiled once, on its first run, into a :class:`GraphPlan`:
+the int-indexed scheduling facts of the graph.  Every run then resets the
+plan's counters (:class:`ReadinessState`) instead of rebuilding them.
+:func:`run_sequence` keeps one pool of worker threads for the whole
+sequence, grown on first use to the largest ``min(lanes, cap)`` of its
+graphs and shut down when the sequence returns or raises.  A graph whose
+lanes all map to one worker (every single-lane graph, and every graph under
+``BIFLOW_LANES=1`` or ``max_workers=1``) runs inline in the calling thread
+and starts no thread; it keeps the same order, trace records and errors.
+:func:`run` is the same machinery over one graph, run once.
+
+The virtual-time cost simulator drives the same plan and counters, so both
+executors share one source of scheduling truth.
 """
 
 from __future__ import annotations
@@ -25,13 +36,15 @@ import os
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 
 from .graph import BiGraph, GraphSequence, OperatorVertex
 from .ops import KINDS, TensorStore
 
 __all__ = [
     "DispatchError",
+    "GraphPlan",
     "LANES_ENV",
     "ReadinessState",
     "RunContext",
@@ -93,37 +106,93 @@ def merged_trace(reports: list[RunReport]) -> list[TraceRecord]:
     return records
 
 
-class ReadinessState:
-    """Pending-count bookkeeping for one graph.
+@dataclass(frozen=True)
+class GraphPlan:
+    """One graph compiled for repeated runs.
 
-    ``pending_inputs`` maps operator id to its remaining unsatisfied input
-    edges (repeated inputs count once per edge); ``pending_producers`` maps
-    tensor id to remaining producers.  ``completed_sinks`` counts reached
-    sink vertices of either class.  The counters only ever decrease between
-    resets, which is what makes exactly-once dispatch a structural property.
-    ``order_index`` maps operator id to its graph insertion position, the
-    tie break that the dispatcher and the simulator both order ready
-    operators by.
+    Operators are numbered by graph insertion position, which is also the
+    tie break among operators that become ready together.  Per operator:
+    ``ops`` holds the vertex, ``lanes`` its lane, ``workers`` the worker
+    that serves its lane, ``consumers`` the operators whose input edges its
+    completion satisfies (one entry per edge, ascending), ``pending`` its
+    input edges not yet satisfied when a run is armed, and ``sinks_reached``
+    the sink vertices its completion reaches (itself when it has no outputs,
+    plus its outputs that nothing consumes).  ``source_sinks`` counts the
+    source tensors that nothing consumes, reached when a run is armed;
+    ``initial`` lists the operators ready then; ``sources`` holds the name
+    and shape of every consumed source tensor, which the store must hold
+    before each run.  ``worker_count`` is ``min(distinct lanes, cap)``.
     """
 
-    def __init__(self, graph: BiGraph) -> None:
-        self.graph = graph
-        self.pending_inputs: dict[int, int] = {}
-        self.pending_producers: dict[int, int] = {}
-        self.completed_sinks = 0
-        self._tensor_sinks: set[int] = set()
-        self._op_sinks: set[int] = set()
-        self._armed = False
-        self._executed = 0
+    graph: BiGraph
+    ops: tuple[OperatorVertex, ...]
+    lanes: tuple[WorkerLane, ...]
+    workers: tuple[int, ...]
+    worker_count: int
+    consumers: tuple[tuple[int, ...], ...]
+    pending: tuple[int, ...]
+    sinks_reached: tuple[int, ...]
+    source_sinks: int
+    sink_count: int
+    initial: tuple[int, ...]
+    sources: tuple[tuple[str, tuple[int, ...]], ...]
+
+    @classmethod
+    def compile(cls, graph: BiGraph, cap: int | None = None) -> "GraphPlan":
+        """Plan ``graph`` with at most ``cap`` workers (no cap when None)."""
+        ops = tuple(graph.operators_in_order())
+        index = {op.id: i for i, op in enumerate(ops)}
+        lanes = tuple(lane_of(op) for op in ops)
+        distinct = sorted(set(lanes))
+        count = len(distinct) if cap is None else min(len(distinct), cap)
+        slot = {lane: k % count for k, lane in enumerate(distinct)} if count else {}
+        consumed = {tid: graph.consumers_of(tid) for tid in graph.tensors}
+        produced = {tid for tid in graph.tensors if graph.producer_of(tid) is not None}
+        sources = [tid for tid in graph.tensors if tid not in produced]
+        reached = tuple(
+            (not op.outputs) + sum(1 for tid in op.outputs if not consumed[tid])
+            for op in ops
+        )
+        pending = tuple(sum(1 for tid in op.inputs if tid in produced) for op in ops)
+        source_sinks = sum(1 for tid in sources if not consumed[tid])
+        return cls(
+            graph=graph,
+            ops=ops,
+            lanes=lanes,
+            workers=tuple(slot[lane] for lane in lanes),
+            worker_count=count,
+            consumers=tuple(
+                tuple(sorted(
+                    index[oid] for tid in op.outputs for oid, _pos in consumed[tid]
+                ))
+                for op in ops
+            ),
+            pending=pending,
+            sinks_reached=reached,
+            source_sinks=source_sinks,
+            sink_count=source_sinks + sum(reached),
+            initial=tuple(i for i, p in enumerate(pending) if p == 0),
+            sources=tuple(
+                (graph.tensors[tid].name, graph.tensors[tid].shape)
+                for tid in sources
+                if consumed[tid]
+            ),
+        )
+
+
+class ReadinessState:
+    """The mutable counters of one :class:`GraphPlan`, reset for every run.
+
+    Operators are named by their plan index.  ``pending`` holds each
+    operator's remaining unsatisfied input edges (repeated inputs count once
+    per edge) and ``completed_sinks`` the sink vertices of either class
+    reached so far.  The counters only ever decrease between resets, which
+    is what makes exactly-once dispatch a structural property.
+    """
+
+    def __init__(self, plan: GraphPlan) -> None:
+        self.plan = plan
         self._in_flight = 0
-        self.order_index = {oid: i for i, oid in enumerate(graph.insertion_order)}
-        for tid, t in graph.tensors.items():
-            if not graph.consumers_of(tid):
-                self._tensor_sinks.add(tid)
-        for oid, op in graph.operators.items():
-            if not op.outputs:
-                self._op_sinks.add(oid)
-        self.sink_count = len(self._tensor_sinks) + len(self._op_sinks)
         self.reset()
 
     def reset(self) -> None:
@@ -133,64 +202,36 @@ class ReadinessState:
         """
         if self._in_flight:
             raise DispatchError("reset() while operators are in flight")
-        g = self.graph
-        self.pending_inputs = {
-            oid: len(op.inputs) for oid, op in g.operators.items()
-        }
-        self.pending_producers = {
-            tid: (1 if g.producer_of(tid) is not None else 0) for tid in g.tensors
-        }
+        self.pending = list(self.plan.pending)
         self.completed_sinks = 0
         self._executed = 0
         self._armed = False
 
     def arm(self) -> list[int]:
-        """Mark source tensors ready; returns initially-ready operator ids."""
+        """Mark source tensors ready; returns the initially ready operators
+        in insertion order."""
         if self._armed:
             raise DispatchError("arm() on an already armed state")
         self._armed = True
-        g = self.graph
-        ready: list[int] = []
-        for oid in g.insertion_order:
-            if self.pending_inputs[oid] == 0:
-                ready.append(oid)
-        for tid in sorted(g.tensors):
-            if self.pending_producers[tid] == 0:
-                ready.extend(self._tensor_ready(tid))
-        seen: set[int] = set()
-        ordered = []
-        for oid in sorted(ready, key=self.order_index.__getitem__):
-            if oid not in seen:
-                seen.add(oid)
-                ordered.append(oid)
-        self._in_flight += len(ordered)
-        return ordered
+        self.completed_sinks = self.plan.source_sinks
+        self._in_flight += len(self.plan.initial)
+        return list(self.plan.initial)
 
-    def _tensor_ready(self, tid: int) -> list[int]:
-        newly: list[int] = []
-        if tid in self._tensor_sinks:
-            self.completed_sinks += 1
-        for oid, _pos in self.graph.consumers_of(tid):
-            self.pending_inputs[oid] -= 1
-            if self.pending_inputs[oid] == 0:
-                newly.append(oid)
-        return newly
-
-    def complete(self, op_id: int) -> list[int]:
-        """Record an operator completion; returns newly ready operator ids
-        in graph insertion order."""
-        op = self.graph.operators[op_id]
+    def complete(self, index: int) -> list[int]:
+        """Record an operator completion; returns the newly ready operators
+        in insertion order."""
+        plan = self.plan
         self._executed += 1
-        self._in_flight -= 1
-        if op_id in self._op_sinks:
-            self.completed_sinks += 1
+        self.completed_sinks += plan.sinks_reached[index]
+        pending = self.pending
         newly: list[int] = []
-        for tid in op.outputs:
-            self.pending_producers[tid] -= 1
-            if self.pending_producers[tid] == 0:
-                newly.extend(self._tensor_ready(tid))
-        newly.sort(key=self.order_index.__getitem__)
-        self._in_flight += len(newly)
+        # consumers are ascending, so each operator reaches zero at its last
+        # entry and ``newly`` comes out in insertion order
+        for i in plan.consumers[index]:
+            pending[i] -= 1
+            if not pending[i]:
+                newly.append(i)
+        self._in_flight += len(newly) - 1
         return newly
 
     def abandon(self, count: int = 1) -> None:
@@ -204,8 +245,8 @@ class ReadinessState:
     @property
     def done(self) -> bool:
         return (
-            self._executed == len(self.graph.operators)
-            and self.completed_sinks == self.sink_count
+            self._executed == len(self.plan.ops)
+            and self.completed_sinks == self.plan.sink_count
         )
 
 
@@ -220,135 +261,171 @@ class RunContext:
     copy_latency_s: float = 0.0
 
 
-_SENTINEL = None
+def _serve(lane_queue: queue.SimpleQueue) -> None:  # pragma: no cover - worker
+    while True:
+        item = lane_queue.get()
+        if item is None:
+            return
+        runner, index = item
+        runner.execute(index)
 
 
-class _Worker(threading.Thread):
-    def __init__(self, dispatcher: "_Dispatcher", index: int) -> None:
-        super().__init__(name=f"biflow-lane-{index}", daemon=True)
-        self.queue: "queue.Queue[int | None]" = queue.Queue()
-        self.dispatcher = dispatcher
+class _LanePool:
+    """Worker threads shared by every graph of one sequence run.
 
-    def run(self) -> None:  # pragma: no cover - exercised via dispatcher runs
-        d = self.dispatcher
-        while True:
-            item = self.queue.get()
-            if item is _SENTINEL:
-                break
-            d.execute(item)
+    Worker ``k`` serves queue ``k``; an item is ``(runner, operator index)``
+    and ``None`` stops the worker.
+    """
+
+    def __init__(self) -> None:
+        self.queues: list[queue.SimpleQueue] = []
+        self._threads: list[threading.Thread] = []
+
+    def grow(self, count: int) -> None:
+        while len(self._threads) < count:
+            lane_queue: queue.SimpleQueue = queue.SimpleQueue()
+            t = threading.Thread(
+                target=_serve, args=(lane_queue,),
+                name=f"biflow-lane-{len(self._threads)}", daemon=True,
+            )
+            t.start()
+            self.queues.append(lane_queue)
+            self._threads.append(t)
+
+    def close(self) -> None:
+        for lane_queue in self.queues:
+            lane_queue.put(None)
+        for t in self._threads:
+            t.join()
 
 
-class _Dispatcher:
-    """One graph run: owns the workers, the lock, and the trace."""
+class _GraphRunner:
+    """Runs one compiled graph, once per :meth:`run` call: inline in the
+    calling thread when its lanes share one worker, otherwise on the pool.
+    Owns the run's counters, lock and trace."""
 
-    def __init__(
-        self,
-        graph: BiGraph,
-        ctx: RunContext,
-        registry: dict,
-        max_workers: int | None,
-        t0: int,
-    ) -> None:
-        self.graph = graph
+    def __init__(self, plan: GraphPlan, ctx: RunContext, registry: dict,
+                 pool: _LanePool) -> None:
+        self.plan = plan
         self.ctx = ctx
-        self.registry = registry
-        self.t0 = t0
-        self.state = ReadinessState(graph)
+        self.state = ReadinessState(plan)
+        self.steps = []
+        for op in plan.ops:
+            spec = registry.get(op.kind)
+            delay = float(op.attrs.get("delay_s", 0.0) or 0.0)
+            self.steps.append((None if spec is None else spec.execute, op, delay))
+        self.queues = None
+        if plan.worker_count > 1:
+            pool.grow(plan.worker_count)
+            self.queues = pool.queues
         self.lock = threading.Lock()
+        self.finished = threading.Event()
+        self.zero = 0
         self.trace: list[TraceRecord] = []
         self.error: tuple[str, BaseException] | None = None
         self.aborting = False
-        self.finished = threading.Event()
-        self._sentinels_sent = False
 
-        lanes = sorted({lane_of(op) for op in graph.operators.values()})
-        cap = max_workers if max_workers is not None else _env_lane_cap()
-        n = max(1, min(len(lanes), cap)) if lanes else 0
-        self.workers = [_Worker(self, i) for i in range(n)]
-        self.lane_worker = {
-            lane: self.workers[i % n] for i, lane in enumerate(lanes)
-        } if n else {}
+    def run(self, iteration: int, zero: int) -> list[TraceRecord]:
+        plan = self.plan
+        _check_sources(plan, self.ctx.store)
+        self.state.reset()
+        self.ctx.iteration = iteration
+        self.zero = zero
+        self.trace = []
+        self.error = None
+        self.aborting = False
+        initial = self.state.arm()
+        if not plan.ops:
+            return []
+        if not initial:
+            raise DispatchError("no operator is initially ready; graph cannot start")
+        if self.queues is None:
+            self._run_inline(initial)
+        else:
+            self._run_pooled(initial)
+        if self.error is not None:
+            name, exc = self.error
+            raise DispatchError(f"operator {name!r} failed: {exc}") from exc
+        return self.trace
 
-    def dispatch(self, op_ids: list[int]) -> None:
-        for oid in op_ids:
-            op = self.graph.operators[oid]
-            self.lane_worker[lane_of(op)].queue.put(oid)
-
-    def execute(self, op_id: int) -> None:
-        op = self.graph.operators[op_id]
-        with self.lock:
-            if self.aborting:
-                self.state.abandon()
-                self._maybe_finish()
-                return
-        spec = self.registry.get(op.kind)
-        failure: BaseException | None = None
-        record: TraceRecord | None = None
-        if spec is None:
-            failure = DispatchError(
+    def _call(self, index: int) -> TraceRecord:
+        """Execute one operator; returns its trace record."""
+        execute, op, delay = self.steps[index]
+        if execute is None:
+            raise DispatchError(
                 f"operator kind {op.kind!r} unknown to registry (op {op.name!r})"
             )
-        else:
-            delay = float(op.attrs.get("delay_s", 0.0) or 0.0)
-            start = time.monotonic_ns() - self.t0
+        start = time.monotonic_ns() - self.zero
+        if delay > 0:
+            # injected cost counts as execution time, not queueing
+            time.sleep(delay)
+        execute(self.ctx, op)
+        end = time.monotonic_ns() - self.zero
+        if end <= start:
+            end = start + 1
+        return TraceRecord(
+            op.id, op.name, self.plan.lanes[index], start, end, self.ctx.iteration
+        )
+
+    def _run_inline(self, initial: list[int]) -> None:
+        state, trace = self.state, self.trace
+        ready = deque(initial)
+        while ready:
+            index = ready.popleft()
             try:
-                if delay > 0:
-                    # injected cost counts as execution time, not queueing
-                    time.sleep(delay)
-                spec.execute(self.ctx, op)
-            except BaseException as exc:  # noqa: BLE001 - first error wins, reported
-                failure = exc
-            else:
-                end = time.monotonic_ns() - self.t0
-                if end <= start:
-                    end = start + 1
-                record = TraceRecord(
-                    op_id, op.name, lane_of(op), start, end, self.ctx.iteration
-                )
+                trace.append(self._call(index))
+            except Exception as exc:  # first error wins; the queued rest is dropped
+                self.error = (self.plan.ops[index].name, exc)
+                state.abandon(1 + len(ready))
+                return
+            ready.extend(state.complete(index))
+
+    def _run_pooled(self, initial: list[int]) -> None:
+        self.finished.clear()
+        self._dispatch(initial)
+        try:
+            self.finished.wait()
+        except BaseException:
+            self.aborting = True  # interrupted: workers drop what is queued
+            raise
+        self.trace.sort(key=lambda r: (r.start, r.end))
+
+    def _dispatch(self, indices: list[int]) -> None:
+        queues, workers = self.queues, self.plan.workers
+        for index in indices:
+            queues[workers[index]].put((self, index))
+
+    def execute(self, index: int) -> None:
+        """Run one operator on a worker thread and propagate its completion."""
+        if self.aborting:
+            with self.lock:
+                self.state.abandon()
+                self._maybe_finish()
+            return
+        failure: BaseException | None = None
+        try:
+            record = self._call(index)
+        except BaseException as exc:  # noqa: BLE001 - first error wins, reported
+            failure = exc
         with self.lock:
             if failure is not None:
                 if self.error is None:
-                    self.error = (op.name, failure)
+                    self.error = (self.plan.ops[index].name, failure)
                 self.aborting = True
                 self.state.abandon()
             else:
                 self.trace.append(record)
-                newly = self.state.complete(op_id)
-                if not self.aborting:
-                    self.dispatch(newly)
-                else:
+                newly = self.state.complete(index)
+                if self.aborting:
                     self.state.abandon(len(newly))
+                else:
+                    self._dispatch(newly)
             self._maybe_finish()
 
     def _maybe_finish(self) -> None:
         # Caller holds the lock.
-        idle = self.state.in_flight == 0
-        if not idle or self._sentinels_sent:
-            return
-        if self.aborting or self.state.done:
-            self._sentinels_sent = True
-            for w in self.workers:
-                w.queue.put(_SENTINEL)
+        if self.state.in_flight == 0:
             self.finished.set()
-
-    def run(self) -> list[TraceRecord]:
-        initial = self.state.arm()
-        if not self.graph.operators:
-            return []
-        if not initial:
-            raise DispatchError("no operator is initially ready; graph cannot start")
-        for w in self.workers:
-            w.start()
-        with self.lock:
-            self.dispatch(initial)
-            self._maybe_finish()
-        for w in self.workers:
-            w.join()
-        if self.error is not None:
-            name, exc = self.error
-            raise DispatchError(f"operator {name!r} failed: {exc}") from exc
-        self.trace.sort(key=lambda r: (r.start, r.end))
-        return self.trace
 
 
 def _env_lane_cap() -> int:
@@ -364,18 +441,62 @@ def _env_lane_cap() -> int:
     return cap
 
 
-def _check_sources(graph: BiGraph, store: TensorStore) -> None:
-    for tid, t in graph.tensors.items():
-        if graph.producer_of(tid) is None and graph.consumers_of(tid):
-            if not store.has(t.name):
-                raise DispatchError(
-                    f"source tensor {t.name!r} has no buffer in the store"
-                )
-            if store.get(t.name).shape != t.shape:
-                raise DispatchError(
-                    f"source tensor {t.name!r}: store shape "
-                    f"{store.get(t.name).shape} != graph shape {t.shape}"
-                )
+def _check_sources(plan: GraphPlan, store: TensorStore) -> None:
+    for name, shape in plan.sources:
+        if not store.has(name):
+            raise DispatchError(f"source tensor {name!r} has no buffer in the store")
+        got = store.get(name).shape
+        if got != shape:
+            raise DispatchError(
+                f"source tensor {name!r}: store shape {got} != graph shape {shape}"
+            )
+
+
+def _validate(graphs) -> None:
+    for g in graphs:
+        report = g.validate()
+        if not report.ok:
+            raise DispatchError(
+                "graph failed validation: " + "; ".join(report.violations)
+            )
+
+
+class _Executor:
+    """The graphs of one sequence, each compiled on its first run, and the
+    lane pool they share; a context manager that shuts the pool down."""
+
+    def __init__(self, graphs, store, registry, max_workers, transport,
+                 copy_latency_s) -> None:
+        self.graphs = list(graphs)
+        self.store = store
+        self.registry = KINDS if registry is None else registry
+        self.cap = max_workers if max_workers is not None else _env_lane_cap()
+        self.transport = transport
+        self.copy_latency_s = copy_latency_s
+        self.runners: list[_GraphRunner | None] = [None] * len(self.graphs)
+        self.pool = _LanePool()
+
+    def __enter__(self) -> "_Executor":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.pool.close()
+
+    def run(self, index: int, iteration: int, t0: int | None) -> RunReport:
+        """Run graph ``index`` once; trace times count from ``t0``, or from
+        this run's start when ``t0`` is None."""
+        start_ns = time.monotonic_ns()
+        runner = self.runners[index]
+        if runner is None:
+            g = self.graphs[index]
+            ctx = RunContext(self.store, g, iteration, self.transport,
+                             self.copy_latency_s)
+            runner = _GraphRunner(GraphPlan.compile(g, self.cap), ctx,
+                                  self.registry, self.pool)
+            self.runners[index] = runner
+        trace = runner.run(iteration, start_ns if t0 is None else t0)
+        elapsed = time.monotonic_ns() - start_ns
+        return RunReport(trace, elapsed, iteration, index)
 
 
 def run(
@@ -385,10 +506,8 @@ def run(
     *,
     max_workers: int | None = None,
     iteration: int = 0,
-    t0: int | None = None,
     transport: object | None = None,
     copy_latency_s: float = 0.0,
-    validated: bool = False,
 ) -> RunReport:
     """Execute one graph to completion; returns the trace.
 
@@ -397,27 +516,10 @@ def run(
     registry, or a kernel fails (first error wins; operators already running
     are drained, queued ones discarded).
     """
-    if not validated:
-        report = graph.validate()
-        if not report.ok:
-            raise DispatchError(
-                "graph failed validation: " + "; ".join(report.violations)
-            )
-    _check_sources(graph, store)
-    registry = KINDS if registry is None else registry
-    start_ns = time.monotonic_ns()
-    zero = t0 if t0 is not None else start_ns
-    ctx = RunContext(
-        store=store,
-        graph=graph,
-        iteration=iteration,
-        transport=transport,
-        copy_latency_s=copy_latency_s,
-    )
-    d = _Dispatcher(graph, ctx, registry, max_workers, zero)
-    trace = d.run()
-    elapsed = time.monotonic_ns() - start_ns
-    return RunReport(trace=trace, elapsed=elapsed, iteration=iteration)
+    _validate([graph])
+    with _Executor([graph], store, registry, max_workers, transport,
+                   copy_latency_s) as ex:
+        return ex.run(0, iteration, None)
 
 
 def run_sequence(
@@ -439,34 +541,22 @@ def run_sequence(
     merged trace is directly comparable across iterations.  The optional
     ``before_iteration(iteration, store)`` hook runs before each iteration's
     first graph (data feeding); ``after_graph(report, store)`` runs after each
-    graph completes (metric sampling).
+    graph completes (metric sampling).  The graphs are validated once, before
+    the first iteration; the lane pool lives until this call returns or
+    raises.
     """
-    for g in seq.graphs:
-        report = g.validate()
-        if not report.ok:
-            raise DispatchError(
-                "graph failed validation: " + "; ".join(report.violations)
-            )
-    t0 = time.monotonic_ns()
+    _validate(seq.graphs)
     reports: list[RunReport] = []
     rounds = seq.iterations if iterations is None else iterations
-    for it in range(rounds):
-        if before_iteration is not None:
-            before_iteration(it, store)
-        for gi, g in enumerate(seq.graphs):
-            rep = run(
-                g,
-                store,
-                registry,
-                max_workers=max_workers,
-                iteration=it,
-                t0=t0,
-                transport=transport,
-                copy_latency_s=copy_latency_s,
-                validated=True,
-            )
-            rep.graph_index = gi
-            reports.append(rep)
-            if after_graph is not None:
-                after_graph(rep, store)
+    with _Executor(seq.graphs, store, registry, max_workers, transport,
+                   copy_latency_s) as ex:
+        t0 = time.monotonic_ns()
+        for it in range(rounds):
+            if before_iteration is not None:
+                before_iteration(it, store)
+            for gi in range(len(seq.graphs)):
+                rep = ex.run(gi, it, t0)
+                reports.append(rep)
+                if after_graph is not None:
+                    after_graph(rep, store)
     return reports

@@ -268,6 +268,9 @@ def _read_exact(sock: socket.socket, n: int) -> bytes:
 
 
 _HELLO = struct.Struct("<I")
+# Stands in for the iteration tag of a queue item that carries a reader
+# fault instead of a payload.
+_FAULT = object()
 
 
 class Transport:
@@ -277,6 +280,9 @@ class Transport:
     destination host, and fans incoming frames out to per-channel queues.
     ``recv`` checks the frame's iteration tag against the caller's and
     raises on mismatch — a desynchronized peer is an error, not a hang.
+    When the connection from a peer fails (a malformed frame, a reset, or
+    the peer closing it), ``recv`` on that peer's channels raises at once,
+    naming the fault, after the frames that arrived before it.
     """
 
     def __init__(
@@ -306,9 +312,15 @@ class Transport:
     def start(self) -> "Transport":
         addr, port = self.peers[self.host]
         srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        srv.bind((addr, port))
-        srv.listen()
+        try:
+            srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            srv.bind((addr, port))
+            srv.listen()
+        except OSError as e:
+            srv.close()
+            raise TransportError(
+                f"{self.host}: cannot listen on {addr}:{port} ({e})"
+            ) from None
         self._listener = srv
         t = threading.Thread(target=self._accept_loop, daemon=True,
                              name=f"transport-accept-{self.host}")
@@ -355,9 +367,10 @@ class Transport:
             self._threads.append(t)
 
     def _reader(self, conn: socket.socket) -> None:
+        peer = None
         try:
             (name_len,) = _HELLO.unpack(_read_exact(conn, _HELLO.size))
-            _read_exact(conn, name_len)  # sender's name; channels route alone
+            peer = _read_exact(conn, name_len).decode(errors="replace")
             while not self._closing.is_set():
                 header = _read_exact(conn, HEADER.size)
                 channel, iteration, length = HEADER.unpack(header)
@@ -366,16 +379,25 @@ class Transport:
                 self._queue_for(channel).put((iteration, arr))
         except TransportError:
             if not self._closing.is_set():
-                self._fault = "peer connection closed"
+                self._record_fault(peer, "peer connection closed")
         except FrameError as e:
-            self._fault = f"malformed frame: {e}"
-        except OSError:
-            pass
+            self._record_fault(peer, f"malformed frame: {e}")
+        except OSError as e:
+            if not self._closing.is_set():
+                self._record_fault(peer, f"peer connection failed: {e}")
         finally:
             try:
                 conn.close()
             except OSError:
                 pass
+
+    def _record_fault(self, peer: str | None, fault: str) -> None:
+        """Name the fault and, once the peer is known, end each channel from
+        it with a fault item queued behind the frames already received."""
+        self._fault = fault if peer is None else f"{fault} (from {peer})"
+        for spec in self._route.values():
+            if spec.src_host == peer:
+                self._queue_for(spec.channel).put((_FAULT, self._fault))
 
     def _queue_for(self, channel: int) -> queue.Queue:
         with self._queues_lock:
@@ -427,14 +449,18 @@ class Transport:
                 raise TransportError(f"send on channel {channel} failed: {e}") from e
 
     def recv(self, channel: int, iteration: int) -> np.ndarray:
+        q = self._queue_for(channel)
         try:
-            got_iter, arr = self._queue_for(channel).get(timeout=self.timeout)
+            got_iter, arr = q.get(timeout=self.timeout)
         except queue.Empty:
             detail = f" ({self._fault})" if self._fault else ""
             raise TransportError(
                 f"recv on channel {channel} timed out after "
                 f"{self.timeout}s{detail}"
             ) from None
+        if got_iter is _FAULT:
+            q.put((got_iter, arr))  # every later recv fails the same way
+            raise TransportError(f"recv on channel {channel} failed: {arr}")
         if got_iter != iteration:
             raise TransportError(
                 f"channel {channel} out of sync: got iteration {got_iter}, "

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, metric streams, throughput tables."""
 
 import json
+import socket
 import subprocess
 import sys
 
@@ -272,6 +273,28 @@ def test_train_host_id_writes_its_trace(tmp_path):
     events = json.loads(trace_path.read_text())
     assert {ev["args"]["iteration"] for ev in events} == {0, 1, 2}
     assert all(ev["ph"] == "X" for ev in events)
+
+
+def test_train_host_id_busy_port_exits_one(tmp_path):
+    path = write_config(tmp_path, MLP_CONFIG)
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        port = holder.getsockname()[1]
+        r = cli("train", "--config", path, "--host-id", "local",
+                "--peers", f"local=127.0.0.1:{port}")
+    assert r.returncode == 1
+    assert f"local: cannot listen on 127.0.0.1:{port}" in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_train_rejects_iterations_below_one(tmp_path, count):
+    path = write_config(tmp_path, MLP_CONFIG)
+    r = cli("train", "--config", path, "--iterations", count)
+    assert r.returncode == 2
+    assert f"iterations must be >= 1, got {count}" in r.stderr
+    assert r.stdout == ""
 
 
 # ---------------------------------------------------------------------------

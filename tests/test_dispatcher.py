@@ -1,10 +1,21 @@
 import random
+import threading
 
 import numpy as np
 import pytest
 
+from biflow.builders import (
+    LayerSpec,
+    NetSpec,
+    ParallelPlan,
+    SyntheticFeed,
+    build_data_parallel,
+    feeder,
+    init_params,
+)
 from biflow.dispatcher import (
     DispatchError,
+    GraphPlan,
     ReadinessState,
     WorkerLane,
     lane_of,
@@ -267,21 +278,21 @@ def test_random_dags_hold_invariants():
 
 
 def test_readiness_state_reset_allows_reuse():
-    g = diamond()
-    state = ReadinessState(g)
+    plan = GraphPlan.compile(diamond())
+    state = ReadinessState(plan)
     first = state.arm()
-    assert [g.operators[i].name for i in first] == ["branch_a", "branch_b"]
-    for oid in list(first):
-        state.complete(oid)
-    (join_id,) = [oid for oid in g.operators if g.operators[oid].name == "join"]
-    state.complete(join_id)
+    assert [plan.ops[i].name for i in first] == ["branch_a", "branch_b"]
+    for index in list(first):
+        state.complete(index)
+    (join,) = [i for i, op in enumerate(plan.ops) if op.name == "join"]
+    state.complete(join)
     assert state.done
     state.reset()
     assert state.arm() == first
 
 
 def test_readiness_state_double_arm_rejected():
-    state = ReadinessState(diamond())
+    state = ReadinessState(GraphPlan.compile(diamond()))
     state.arm()
     with pytest.raises(DispatchError):
         state.arm()
@@ -399,3 +410,109 @@ def test_lane_of_uses_host_device_thread():
     ops = {op.name: op for op in g.operators_in_order()}
     assert lane_of(ops["branch_a"]) == WorkerLane("local", 0, 0)
     assert lane_of(ops["branch_b"]) == WorkerLane("local", 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# inline runs and the lane pool
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """Names of the threads started while the test runs."""
+    names = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        names.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return names
+
+
+def lane_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("biflow-lane-")]
+
+
+def fan_graph(width):
+    """``width`` independent relu ops on threads 0..width-1."""
+    g = BiGraph()
+    x = g.add_tensor("x", (4, 4), LOC)
+    for k in range(width):
+        out = g.add_tensor(f"fan{k}", (4, 4), LOC)
+        g.add_operator(f"fan_op{k}", "relu_forward", [x], [out], LOC, thread=k)
+    return g
+
+
+def test_single_lane_runs_start_no_thread(started):
+    seq = GraphSequence([relu_graph(), swap_graph()], iterations=3)
+    store = fresh_store()
+    store.set("y", np.zeros((4, 4), dtype=np.float32))
+    run_sequence(seq, store)
+    rep = run(diamond(), fresh_store(), max_workers=1)
+    assert started == []
+    # FIFO by readiness, insertion order breaking the tie, as on one worker
+    assert trace_order(rep) == ["branch_a", "branch_b", "join"]
+
+
+@pytest.mark.parametrize("cap, most", [(None, 3), (2, 2)])
+def test_sequence_shares_one_lane_pool(started, cap, most):
+    seq = GraphSequence([diamond(), fan_graph(3)], iterations=5)
+    reports = run_sequence(seq, fresh_store(), max_workers=cap)
+    lanes = [n for n in started if n.startswith("biflow-lane-")]
+    assert 0 < len(lanes) <= most
+    assert len(reports) == 10
+    assert lane_threads() == []
+
+
+def test_failing_kernel_leaves_no_lane_thread():
+    g = BiGraph()
+    logits = g.add_tensor("logits", (2, 3), LOC)
+    labels = g.add_tensor("labels", (2,), LOC)
+    loss = g.add_tensor("loss", (1,), LOC)
+    dl = g.add_tensor("dlogits", (2, 3), LOC)
+    other = g.add_tensor("other", (2, 3), LOC)
+    g.add_operator("bad", "softmax_xent", [logits, labels], [loss, dl], LOC, thread=0)
+    g.add_operator("fine", "relu_forward", [logits], [other], LOC, thread=1)
+    store = TensorStore()
+    store.set("logits", np.zeros((2, 3), dtype=np.float32))
+    store.set("labels", f32([0.0, 9.0]))
+    with pytest.raises(DispatchError, match="bad"):
+        run_sequence(GraphSequence([g], iterations=3), store)
+    assert lane_threads() == []
+
+
+def test_inline_failure_is_the_same_dispatch_error():
+    g = BiGraph()
+    x = g.add_tensor("x", (4, 4), LOC)
+    y = g.add_tensor("y", (4, 4), LOC)
+    g.add_operator("mystery", "no_such_kind", [x], [y], LOC)
+    with pytest.raises(DispatchError, match="operator 'mystery' failed: .*unknown"):
+        run(g, fresh_store())
+
+
+def test_data_parallel_serial_matches_pooled_bitwise():
+    net = NetSpec(
+        input_shape=(12,),
+        layers=(LayerSpec("fc", 10), LayerSpec("relu"), LayerSpec("fc", 3)),
+        batch=4,
+        lr=0.05,
+    )
+    plan = ParallelPlan(
+        scheme="data",
+        peers=(Location("local", 0), Location("local", 1)),
+        server=Location("local", 2),
+    )
+    seq = build_data_parallel(net, plan, split_backward=True)
+    params = []
+    for cap in (None, 1):
+        store = TensorStore()
+        init_params(net, store, 5, seq.layout)
+        feed = SyntheticFeed.for_net(net, 5, peers=2)
+        run_sequence(seq, store, max_workers=cap,
+                     before_iteration=feeder(feed, seq.layout), iterations=6)
+        params.append({n: store.array(n).copy() for n in seq.layout.canonical_params})
+    assert params[0].keys() == params[1].keys()
+    for name in params[0]:
+        assert np.array_equal(params[0][name], params[1][name]), name

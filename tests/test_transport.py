@@ -266,16 +266,72 @@ def test_recv_times_out_instead_of_hanging():
 
 
 def test_malformed_frame_is_named_in_recv_error():
-    t = Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))], timeout=0.05)
+    t = Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))], timeout=5)
     ours, theirs = socket.socketpair()
     try:
         ours.sendall(struct.pack("<I", 1) + b"a" + HEADER.pack(1, 0, 6) + bytes(6))
         t._reader(theirs)  # returns once the bad frame is read
-        with pytest.raises(TransportError, match="not a multiple of 4"):
+        with pytest.raises(TransportError, match="not a multiple of 4") as err:
             t.recv(1, 0)
+        assert "timed out" not in str(err.value)
     finally:
         ours.close()
         theirs.close()
+
+
+def test_closed_peer_fails_only_its_own_channels():
+    # c receives channel 1 from a and channel 2 from b; a closes after one
+    # frame, b keeps its connection
+    peers = {h: ("127.0.0.1", 0) for h in "abc"}
+    channels = [spec(1, (2,), src="a", dst="c"), spec(2, (2,), src="b", dst="c")]
+    tc = Transport("c", peers, channels, timeout=5).start()
+    peers["c"] = ("127.0.0.1", tc.port)
+    ta = Transport("a", peers, channels, timeout=5).start()
+    tb = Transport("b", peers, channels, timeout=5).start()
+    try:
+        ta.send(1, 0, np.ones(2, dtype=np.float32))
+        ta.close()
+        # the frame queued before the close is still delivered
+        assert np.array_equal(tc.recv(1, 0), np.ones(2, dtype=np.float32))
+        with pytest.raises(TransportError, match="closed") as err:
+            tc.recv(1, 1)
+        assert "timed out" not in str(err.value) and "from a" in str(err.value)
+        tb.send(2, 1, np.full(2, 3.0, dtype=np.float32))
+        assert np.array_equal(tc.recv(2, 1), np.full(2, 3.0, dtype=np.float32))
+    finally:
+        ta.close()
+        tb.close()
+        tc.close()
+
+
+def test_reset_connection_is_named_in_recv_error():
+    t = Transport("c", {"c": ("127.0.0.1", 0)}, [spec(1, (2,), dst="c")],
+                  timeout=5).start()
+    try:
+        with socket.create_connection(("127.0.0.1", t.port)) as s:
+            s.sendall(struct.pack("<I", 1) + b"a"
+                      + encode_frame(1, 0, np.ones(2, dtype=np.float32)))
+            t.recv(1, 0)  # the reader now knows its peer
+            # linger 0: close sends a reset instead of a clean end of stream
+            s.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        with pytest.raises(TransportError, match="connection failed") as err:
+            t.recv(1, 1)
+        assert "timed out" not in str(err.value)
+    finally:
+        t.close()
+
+
+def test_port_clash_is_named():
+    holder = socket.socket()
+    try:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        port = holder.getsockname()[1]
+        t = Transport("a", {"a": ("127.0.0.1", port)})
+        with pytest.raises(TransportError, match=f"a: cannot listen on 127.0.0.1:{port}"):
+            t.start()
+    finally:
+        holder.close()
 
 
 def test_send_to_dead_peer_times_out():
