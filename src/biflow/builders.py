@@ -17,7 +17,7 @@ import numpy as np
 
 from .dispatcher import WorkerLane
 from .graph import BiGraph, GraphError, GraphSequence, Location, replicate
-from .ops import TensorStore
+from .ops import KernelError, TensorStore, output_shapes
 from .profiler import COMPUTE, COPY, TRANSPORT
 
 COMPUTE_THREAD = 0
@@ -99,30 +99,33 @@ class _Step:
     attrs: dict = field(default_factory=dict)
 
 
-def _conv_out(size: int, k: int, stride: int, pad: int, pos: int) -> int:
-    span = size + 2 * pad - k
-    if span < 0 or span % stride != 0:
-        raise GraphError(
-            f"layer {pos}: conv output size is not integral "
-            f"(size={size} kernel={k} stride={stride} pad={pad})"
-        )
-    return span // stride + 1
+_FWD_OP = {"fc": "fc_forward", "conv": "conv2d_forward", "relu": "relu_forward",
+           "flatten": "flatten_forward"}
 
 
 def plan_steps(net: NetSpec) -> list[_Step]:
     """Resolve the forward stack: every op, every shape, flattens inserted
-    where a 4-d activation meets a dense layer or the loss."""
+    where a 4-d activation meets a dense layer or the loss.  Each output
+    shape comes from the forward kind's shape rule in ``ops``."""
     steps: list[_Step] = []
     shape: tuple[int, ...] = (net.batch, *net.input_shape)
     if len(shape) not in (2, 4):
         raise GraphError(f"input must be 1-d or 3-d per sample, got {net.input_shape}")
 
-    def maybe_flatten(pos: int) -> None:
+    def add(kind: str, pos: int, layer: int, w=None, b=None, attrs=None) -> None:
         nonlocal shape
+        attrs = attrs or {}
+        ins = [shape] if w is None else [shape, w, b]
+        try:
+            (out,) = output_shapes(_FWD_OP[kind], ins, attrs)
+        except KernelError as exc:
+            raise GraphError(f"layer {pos}: {exc}") from None
+        steps.append(_Step(kind, pos, layer, shape, out, w, b, attrs))
+        shape = out
+
+    def maybe_flatten(pos: int) -> None:
         if len(shape) == 4:
-            flat = (shape[0], prod(shape[1:]))
-            steps.append(_Step("flatten", pos, -1, shape, flat))
-            shape = flat
+            add("flatten", pos, -1)
 
     for idx, layer in enumerate(net.layers):
         pos = idx + 1
@@ -130,28 +133,16 @@ def plan_steps(net: NetSpec) -> list[_Step]:
             if layer.out < 1:
                 raise GraphError(f"layer {pos}: fc needs out >= 1")
             maybe_flatten(pos)
-            w = (shape[1], layer.out)
-            out = (shape[0], layer.out)
-            steps.append(_Step("fc", pos, idx, shape, out, w, (layer.out,)))
-            shape = out
+            add("fc", pos, idx, (shape[1], layer.out), (layer.out,))
         elif layer.kind == "conv":
-            if len(shape) != 4:
-                raise GraphError(f"layer {pos}: conv needs a 4-d input, got {shape}")
             if layer.out < 1 or layer.kernel < 1:
                 raise GraphError(f"layer {pos}: conv needs out and kernel >= 1")
-            ho = _conv_out(shape[2], layer.kernel, layer.stride, layer.pad, pos)
-            wo = _conv_out(shape[3], layer.kernel, layer.stride, layer.pad, pos)
-            w = (layer.out, shape[1], layer.kernel, layer.kernel)
-            out = (shape[0], layer.out, ho, wo)
-            steps.append(
-                _Step(
-                    "conv", pos, idx, shape, out, w, (layer.out,),
-                    {"stride": layer.stride, "pad": layer.pad},
-                )
+            add(
+                "conv", pos, idx, (layer.out, shape[1], layer.kernel, layer.kernel),
+                (layer.out,), {"stride": layer.stride, "pad": layer.pad},
             )
-            shape = out
         elif layer.kind == "relu":
-            steps.append(_Step("relu", pos, idx, shape, shape))
+            add("relu", pos, idx)
         else:
             raise GraphError(f"layer {pos}: unknown kind {layer.kind!r}")
     maybe_flatten(len(net.layers) + 1)
@@ -367,10 +358,6 @@ def feeder(feed: SyntheticFeed, layout: Layout, *, only: set[str] | None = None)
 
 # ---------------------------------------------------------------------------
 # forward / backward assembly
-
-
-_FWD_OP = {"fc": "fc_forward", "conv": "conv2d_forward", "relu": "relu_forward",
-           "flatten": "flatten_forward"}
 
 
 def _step_output_name(step: _Step) -> str:

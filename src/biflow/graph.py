@@ -17,7 +17,7 @@ graph-local.
 
 from __future__ import annotations
 
-import json
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -35,7 +35,6 @@ __all__ = [
     "graph_to_json",
     "merge",
     "replicate",
-    "validate",
 ]
 
 HOST_CPU = -1
@@ -91,13 +90,6 @@ class ValidationReport:
     violations: list[str]
 
 
-def _check_tensor_shape(shape: Iterable[int]) -> tuple[int, ...]:
-    shape = tuple(int(d) for d in shape)
-    if not (1 <= len(shape) <= _ops.MAX_RANK) or any(d < 1 for d in shape):
-        raise GraphError(f"invalid tensor shape {shape!r}: need 1..4 dims, each >= 1")
-    return shape
-
-
 class BiGraph:
     """A directed acyclic bipartite graph of tensors and operators."""
 
@@ -126,7 +118,11 @@ class BiGraph:
             raise GraphError(f"duplicate tensor name {name!r}")
         if not isinstance(location, Location):
             raise GraphError(f"location must be a Location, got {location!r}")
-        shape = _check_tensor_shape(shape)
+        shape = tuple(int(d) for d in shape)
+        try:
+            _ops.check_shape(shape)
+        except _ops.KernelError as exc:
+            raise GraphError(str(exc)) from None
         vid = self._fresh_id()
         self.tensors[vid] = TensorVertex(vid, name, shape, location)
         self._tensor_by_name[name] = vid
@@ -196,12 +192,7 @@ class BiGraph:
 
         spec = _ops.KINDS.get(kind)
         if spec is not None:
-            in_shapes = [self.tensors[t].shape for t in inputs]
-            out_shapes = [self.tensors[t].shape for t in outputs]
-            try:
-                spec.check_shapes(in_shapes, out_shapes, attrs)
-            except _ops.KernelError as exc:
-                raise GraphError(f"operator {name!r}: {exc}") from None
+            self._check_shapes(spec, name, inputs, outputs, attrs)
 
         crosses = spec.crosses_location if spec is not None else False
         if not crosses:
@@ -227,6 +218,31 @@ class BiGraph:
         for tid in outputs:
             self._producer[tid] = vid
         return vid
+
+    def add_operator_from(
+        self, op: OperatorVertex, tensor_ids, name: str | None = None
+    ) -> int:
+        """Re-add ``op`` of another graph here, under ``name`` (default: its
+        own), with its tensor ids translated through ``tensor_ids``."""
+        return self.add_operator(
+            op.name if name is None else name,
+            op.kind,
+            [tensor_ids[i] for i in op.inputs],
+            [tensor_ids[o] for o in op.outputs],
+            op.location,
+            op.thread,
+            op.attrs,
+        )
+
+    def _check_shapes(self, spec, name, inputs, outputs, attrs) -> None:
+        try:
+            spec.check_shapes(
+                [self.tensors[t].shape for t in inputs],
+                [self.tensors[t].shape for t in outputs],
+                attrs,
+            )
+        except _ops.KernelError as exc:
+            raise GraphError(f"operator {name!r}: {exc}") from None
 
     # --- lookups ----------------------------------------------------------
 
@@ -269,9 +285,9 @@ class BiGraph:
             for oid, op in self.operators.items()
         }
         order: list[int] = []
-        ready = [oid for oid in self.insertion_order if pending[oid] == 0]
+        ready = deque(oid for oid in self.insertion_order if pending[oid] == 0)
         while ready:
-            oid = ready.pop(0)
+            oid = ready.popleft()
             order.append(oid)
             for tid in self.operators[oid].outputs:
                 for cid, _pos in self._consumers.get(tid, ()):
@@ -316,11 +332,13 @@ class BiGraph:
             op = self.operators[oid]
             spec = _ops.KINDS.get(op.kind)
             crosses = spec.crosses_location if spec is not None else False
-            if op.kind == "copy":
-                if len(op.inputs) != 1 or len(op.outputs) != 1:
-                    violations.append(f"copy {op.name!r} must have exactly one input and one output")
-                elif self.tensors[op.inputs[0]].shape != self.tensors[op.outputs[0]].shape:
-                    violations.append(f"copy {op.name!r} connects unequal shapes")
+            if spec is not None and all(
+                t in self.tensors for t in (*op.inputs, *op.outputs)
+            ):
+                try:
+                    self._check_shapes(spec, op.name, op.inputs, op.outputs, op.attrs)
+                except GraphError as exc:
+                    violations.append(str(exc))
             if not crosses:
                 for tid in (*op.inputs, *op.outputs):
                     if tid in self.tensors and self.tensors[tid].location != op.location:
@@ -329,10 +347,10 @@ class BiGraph:
                             f"{self.tensors[tid].name!r}"
                         )
 
-        for tid, t in self.tensors.items():
+        for t in self.tensors.values():
             try:
-                _check_tensor_shape(t.shape)
-            except GraphError as exc:
+                _ops.check_shape(t.shape)
+            except _ops.KernelError as exc:
                 violations.append(str(exc))
 
         try:
@@ -361,11 +379,6 @@ class BiGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"BiGraph(tensors={len(self.tensors)}, operators={len(self.operators)})"
-
-
-def validate(graph: BiGraph) -> ValidationReport:
-    """Module-level alias for :meth:`BiGraph.validate`."""
-    return graph.validate()
 
 
 @dataclass
@@ -406,15 +419,7 @@ def _copy_into(
             continue
         id_map[tid] = dst.add_tensor(tensor_name(t.name), t.shape, t.location)
     for op in src.operators_in_order():
-        dst.add_operator(
-            op_name(op.name),
-            op.kind,
-            tuple(id_map[i] for i in op.inputs),
-            tuple(id_map[o] for o in op.outputs),
-            op.location,
-            op.thread,
-            dict(op.attrs),
-        )
+        dst.add_operator_from(op, id_map, op_name(op.name))
     return id_map
 
 
@@ -468,15 +473,7 @@ def merge(a: BiGraph, b: BiGraph, bind: dict[str, str] | None = None) -> BiGraph
     for op in b.operators_in_order():
         name = _fresh_name(op.name, lambda n: n in out._op_names)
         try:
-            out.add_operator(
-                name,
-                op.kind,
-                tuple(id_map[i] for i in op.inputs),
-                tuple(id_map[o] for o in op.outputs),
-                op.location,
-                op.thread,
-                dict(op.attrs),
-            )
+            out.add_operator_from(op, id_map, name)
         except GraphError as exc:
             raise GraphError(f"merge: {exc}") from None
     return out
@@ -578,14 +575,3 @@ def graph_from_json(obj: dict) -> BiGraph:
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad operator entry {entry!r}: {exc}") from None
     return g
-
-
-def load_graph(path: str) -> BiGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_json(json.load(fh))
-
-
-def dump_graph(graph: BiGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_json(graph), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -2,21 +2,31 @@
 
 Every buffer is a row-major, C-contiguous float32 ndarray.  Kernels are pure
 functions of their inputs (plus scalar attributes) with fixed loop/reduction
-orders, so a rerun over identical inputs is bit-identical.  Each kernel
-verifies the shapes it is given and that everything it produces is finite;
-violations raise :class:`KernelError`.
+orders, so a rerun over identical inputs is bit-identical.
+
+Each operator kind has one shape rule, ``(input shapes, attrs) -> output
+shapes``, which raises :class:`KernelError` naming the kind and the shapes
+when the inputs do not conform.  Three callers read it, and nothing else
+decides a shape relation: the kind's ``check_shapes`` (arity, then the
+declared outputs must equal the rule's), which ``BiGraph.add_operator``
+runs; the kind's kernel, on the shapes of its arrays; and
+``builders.plan_steps``, through :func:`output_shapes`.  Only ``swap`` and
+``recv`` cannot infer their outputs from their inputs, so their checks are
+written by hand.  A rule also checks the attributes it reads (conv stride
+and pad, the aggregate mode, ``lr``, ``channel``); kernels then check what
+no shape fixes, label range and finite outputs, raising :class:`KernelError`.
 
 The registry (`KINDS`) maps an operator-kind name to an :class:`OpKindSpec`
-carrying a shape checker used at graph-construction time (it also enforces
-arity) and an ``execute`` hook used by the dispatcher.  Custom kinds can be
-added by passing an extended mapping to the dispatcher.
+carrying that shape check and an ``execute`` hook used by the dispatcher.
+Custom kinds can be added by passing an extended mapping to the dispatcher.
 """
 
 from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import prod
 from typing import Callable
 
 import numpy as np
@@ -30,9 +40,9 @@ __all__ = [
     "aggregate",
     "conv2d_backward",
     "conv2d_forward",
-    "default_registry",
     "fc_backward",
     "fc_forward",
+    "output_shapes",
     "read_tensor_file",
     "relu_backward",
     "relu_forward",
@@ -53,11 +63,6 @@ def _f32(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.float32)
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise KernelError(msg)
-
-
 def _finite(kind: str, *arrays: np.ndarray) -> None:
     for a in arrays:
         if not np.isfinite(a).all():
@@ -69,7 +74,9 @@ def check_shape(shape: tuple[int, ...]) -> None:
     if not (1 <= len(shape) <= MAX_RANK) or any(
         not isinstance(d, int) or d < 1 for d in shape
     ):
-        raise KernelError(f"invalid tensor shape {shape!r}")
+        raise KernelError(
+            f"invalid tensor shape {shape!r}: need 1..{MAX_RANK} dims, each >= 1"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +104,7 @@ def swap(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
     formerly held by ``b`` and vice versa.  Applying swap twice restores the
     original binding.
     """
-    _require(a.shape == b.shape, f"swap: shape mismatch {a.shape} vs {b.shape}")
+    _check_swap((), (a.shape, b.shape), {})
     a.data, b.data = b.data, a.data
     return a, b
 
@@ -147,14 +154,8 @@ class TensorStore:
     def swap(self, name_a: str, name_b: str) -> None:
         swap(self.get(name_a), self.get(name_b))
 
-    def remove(self, name: str) -> None:
-        self._tensors.pop(name, None)
-
     def __contains__(self, name: str) -> bool:
         return name in self._tensors
-
-    def __len__(self) -> int:
-        return len(self._tensors)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +165,7 @@ class TensorStore:
 def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """y[n,m] = sum_d x[n,d] * w[d,m] + b[m]."""
     x, w, b = _f32(x), _f32(w), _f32(b)
-    _require(x.ndim == 2, f"fc_forward: x must be 2-d, got {x.shape}")
-    _require(w.ndim == 2, f"fc_forward: w must be 2-d, got {w.shape}")
-    _require(b.ndim == 1, f"fc_forward: b must be 1-d, got {b.shape}")
-    _require(
-        x.shape[1] == w.shape[0] and w.shape[1] == b.shape[0],
-        f"fc_forward: shapes do not conform: x{x.shape} w{w.shape} b{b.shape}",
-    )
+    _fc_forward_shapes((x.shape, w.shape, b.shape), {})
     y = x @ w + b
     _finite("fc_forward", y)
     return y
@@ -185,14 +180,7 @@ def fc_backward(
     and :func:`fc_backward_bias`.
     """
     x, w, dy = _f32(x), _f32(w), _f32(dy)
-    _require(
-        x.ndim == 2 and w.ndim == 2 and dy.ndim == 2,
-        "fc_backward: x, w, dy must all be 2-d",
-    )
-    _require(
-        dy.shape == (x.shape[0], w.shape[1]) and x.shape[1] == w.shape[0],
-        f"fc_backward: shapes do not conform: x{x.shape} w{w.shape} dy{dy.shape}",
-    )
+    _fc_backward_shapes((x.shape, w.shape, dy.shape), {})
     return (
         fc_backward_data(w, dy),
         fc_backward_weight(x, dy),
@@ -202,10 +190,7 @@ def fc_backward(
 
 def fc_backward_data(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
     w, dy = _f32(w), _f32(dy)
-    _require(
-        w.ndim == 2 and dy.ndim == 2 and dy.shape[1] == w.shape[1],
-        f"fc_backward_data: shapes do not conform: w{w.shape} dy{dy.shape}",
-    )
+    _fc_backward_data_shapes((w.shape, dy.shape), {})
     dx = dy @ w.T
     _finite("fc_backward_data", dx)
     return dx
@@ -213,10 +198,7 @@ def fc_backward_data(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def fc_backward_weight(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     x, dy = _f32(x), _f32(dy)
-    _require(
-        x.ndim == 2 and dy.ndim == 2 and x.shape[0] == dy.shape[0],
-        f"fc_backward_weight: shapes do not conform: x{x.shape} dy{dy.shape}",
-    )
+    _fc_backward_weight_shapes((x.shape, dy.shape), {})
     dw = x.T @ dy
     _finite("fc_backward_weight", dw)
     return dw
@@ -224,7 +206,7 @@ def fc_backward_weight(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def fc_backward_bias(dy: np.ndarray) -> np.ndarray:
     dy = _f32(dy)
-    _require(dy.ndim == 2, f"fc_backward_bias: dy must be 2-d, got {dy.shape}")
+    _fc_backward_bias_shapes((dy.shape,), {})
     db = dy.sum(axis=0)
     _finite("fc_backward_bias", db)
     return db
@@ -234,21 +216,13 @@ def fc_backward_bias(dy: np.ndarray) -> np.ndarray:
 # Convolution kernels (direct cross-correlation, NCHW / KCRS)
 
 
-def _conv_out_dim(size: int, k: int, stride: int, pad: int, axis: str) -> int:
-    span = size + 2 * pad - k
-    if span < 0 or span % stride != 0:
-        raise KernelError(
-            f"conv2d: non-integral output {axis} dim for size={size} "
-            f"kernel={k} stride={stride} pad={pad}"
-        )
-    return span // stride + 1
-
-
 def _conv_attrs(attrs: dict) -> tuple[int, int]:
     stride = int(attrs.get("stride", 1))
     pad = int(attrs.get("pad", 0))
-    _require(stride >= 1, f"conv2d: stride must be >= 1, got {stride}")
-    _require(pad >= 0, f"conv2d: pad must be >= 0, got {pad}")
+    if stride < 1:
+        raise KernelError(f"conv2d: stride must be >= 1, got {stride}")
+    if pad < 0:
+        raise KernelError(f"conv2d: pad must be >= 0, got {pad}")
     return stride, pad
 
 
@@ -266,31 +240,15 @@ def _im2col(
     return cols
 
 
-def _check_conv_shapes(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray | None
-) -> None:
-    _require(x.ndim == 4, f"conv2d: x must be 4-d NCHW, got {x.shape}")
-    _require(w.ndim == 4, f"conv2d: w must be 4-d KCRS, got {w.shape}")
-    _require(
-        w.shape[1] == x.shape[1],
-        f"conv2d: channel mismatch: x has {x.shape[1]}, w expects {w.shape[1]}",
-    )
-    if b is not None:
-        _require(
-            b.ndim == 1 and b.shape[0] == w.shape[0],
-            f"conv2d: b must be 1-d of length {w.shape[0]}, got {b.shape}",
-        )
-
-
 def conv2d_forward(
     x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
 ) -> np.ndarray:
     """Cross-correlation of NCHW input with KCRS filters plus per-filter bias."""
     x, w, b = _f32(x), _f32(w), _f32(b)
-    _check_conv_shapes(x, w, b)
+    ((_, _, ho, wo),) = _conv2d_forward_shapes(
+        (x.shape, w.shape, b.shape), {"stride": stride, "pad": pad}
+    )
     k, c, r, s = w.shape
-    ho = _conv_out_dim(x.shape[2], r, stride, pad, "height")
-    wo = _conv_out_dim(x.shape[3], s, stride, pad, "width")
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     cols = _im2col(xp, r, s, stride, ho, wo)
     y = np.einsum("ncijhw,kcij->nkhw", cols, w, dtype=np.float32) + b[
@@ -301,22 +259,6 @@ def conv2d_forward(
     return y
 
 
-def _conv_backward_dims(
-    kind: str, x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int, pad: int
-) -> tuple[int, int]:
-    """Shape-check a backward call; returns the output spatial dims (ho, wo)."""
-    _check_conv_shapes(x, w, None)
-    k, c, r, s = w.shape
-    ho = _conv_out_dim(x.shape[2], r, stride, pad, "height")
-    wo = _conv_out_dim(x.shape[3], s, stride, pad, "width")
-    _require(
-        dy.shape == (x.shape[0], k, ho, wo),
-        f"{kind}: dy shape {dy.shape} does not match expected "
-        f"{(x.shape[0], k, ho, wo)}",
-    )
-    return ho, wo
-
-
 def conv2d_backward(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,7 +267,9 @@ def conv2d_backward(
     The composition of the three split kernels below.
     """
     x, w, dy = _f32(x), _f32(w), _f32(dy)
-    _conv_backward_dims("conv2d_backward", x, w, dy, stride, pad)
+    _conv2d_backward_shapes(
+        (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
+    )
     return (
         conv2d_backward_data(x, w, dy, stride=stride, pad=pad),
         conv2d_backward_weight(x, w, dy, stride=stride, pad=pad),
@@ -338,9 +282,12 @@ def conv2d_backward_data(
 ) -> np.ndarray:
     """Input gradient: col2im of dy.w (``x`` supplies only its shape)."""
     x, w, dy = _f32(x), _f32(w), _f32(dy)
-    ho, wo = _conv_backward_dims("conv2d_backward_data", x, w, dy, stride, pad)
+    _conv2d_backward_data_shapes(
+        (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
+    )
     n, c, h, wd = x.shape
     r, s = w.shape[2], w.shape[3]
+    ho, wo = dy.shape[2], dy.shape[3]
     dcols = np.einsum("nkhw,kcij->ncijhw", dy, w, dtype=np.float32)
     dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float32)
     for i in range(r):
@@ -358,9 +305,11 @@ def conv2d_backward_weight(
 ) -> np.ndarray:
     """Filter gradient: im2col(x) contracted with dy."""
     x, w, dy = _f32(x), _f32(w), _f32(dy)
-    ho, wo = _conv_backward_dims("conv2d_backward_weight", x, w, dy, stride, pad)
+    _conv2d_backward_weight_shapes(
+        (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
+    )
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, w.shape[2], w.shape[3], stride, ho, wo)
+    cols = _im2col(xp, w.shape[2], w.shape[3], stride, dy.shape[2], dy.shape[3])
     dw = _f32(np.einsum("ncijhw,nkhw->kcij", cols, dy, dtype=np.float32))
     _finite("conv2d_backward_weight", dw)
     return dw
@@ -369,7 +318,7 @@ def conv2d_backward_weight(
 def conv2d_backward_bias(dy: np.ndarray) -> np.ndarray:
     """Bias gradient only: dy summed over batch and spatial axes."""
     dy = _f32(dy)
-    _require(dy.ndim == 4, f"conv2d_backward_bias: dy must be 4-d, got {dy.shape}")
+    _conv2d_backward_bias_shapes((dy.shape,), {})
     db = _f32(dy.sum(axis=(0, 2, 3)))
     _finite("conv2d_backward_bias", db)
     return db
@@ -390,10 +339,7 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """dy gated by x > 0; the subgradient at exactly 0 is 0."""
     x, dy = _f32(x), _f32(dy)
-    _require(
-        x.shape == dy.shape,
-        f"relu_backward: shape mismatch x{x.shape} dy{dy.shape}",
-    )
+    _relu_backward_shapes((x.shape, dy.shape), {})
     dx = np.where(x > 0, dy, np.float32(0))
     _finite("relu_backward", dx)
     return dx
@@ -401,16 +347,13 @@ def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
 
 def flatten_forward(x: np.ndarray) -> np.ndarray:
     x = _f32(x)
-    _require(x.ndim >= 2, f"flatten_forward: need >= 2 dims, got {x.shape}")
-    return x.reshape(x.shape[0], -1)
+    ((n, flat),) = _flatten_forward_shapes((x.shape,), {})
+    return x.reshape(n, flat)
 
 
 def flatten_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     x, dy = _f32(x), _f32(dy)
-    _require(
-        dy.size == x.size and dy.shape[0] == x.shape[0],
-        f"flatten_backward: dy{dy.shape} does not match x{x.shape}",
-    )
+    _flatten_backward_shapes((x.shape, dy.shape), {})
     return dy.reshape(x.shape)
 
 
@@ -424,17 +367,11 @@ def softmax_xent(
     tensor of integral class indices in ``[0, K)``.
     """
     logits, labels = _f32(logits), _f32(labels)
-    _require(logits.ndim == 2, f"softmax_xent: logits must be 2-d, got {logits.shape}")
+    _softmax_xent_shapes((logits.shape, labels.shape), {})
     n, k = logits.shape
-    _require(
-        labels.shape == (n,),
-        f"softmax_xent: labels must have shape ({n},), got {labels.shape}",
-    )
     idx = labels.astype(np.int64)
-    _require(
-        bool((idx == labels).all() and (idx >= 0).all() and (idx < k).all()),
-        f"softmax_xent: labels must be integral and in [0, {k})",
-    )
+    if not ((idx == labels).all() and (idx >= 0).all() and (idx < k).all()):
+        raise KernelError(f"softmax_xent: labels must be integral and in [0, {k})")
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     denom = e.sum(axis=1, keepdims=True)
@@ -451,10 +388,7 @@ def softmax_xent(
 def sgd_update(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     """w - lr * grad, written to a fresh buffer (never in place)."""
     w, grad = _f32(w), _f32(grad)
-    _require(
-        w.shape == grad.shape,
-        f"sgd_update: shape mismatch w{w.shape} grad{grad.shape}",
-    )
+    _sgd_update_shapes((w.shape, grad.shape), {"lr": lr})
     out = w - np.float32(lr) * grad
     _finite("sgd_update", out)
     return out
@@ -462,15 +396,8 @@ def sgd_update(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
 
 def aggregate(parts: list[np.ndarray], mode: str = "mean") -> np.ndarray:
     """Sum equal-shaped tensors in the given (peer-rank) order; mean divides by k."""
-    _require(len(parts) >= 1, "aggregate: need at least one input")
-    _require(mode in ("sum", "mean"), f"aggregate: unknown mode {mode!r}")
     arrays = [_f32(p) for p in parts]
-    shape = arrays[0].shape
-    for i, a in enumerate(arrays[1:], start=1):
-        _require(
-            a.shape == shape,
-            f"aggregate: input {i} shape {a.shape} differs from {shape}",
-        )
+    _aggregate_shapes([a.shape for a in arrays], {"mode": mode})
     acc = arrays[0].copy()
     for a in arrays[1:]:
         acc += a
@@ -581,241 +508,234 @@ def _execute_recv(ctx, op) -> None:
     ctx.store.set(_out_names(ctx, op)[0], arr)
 
 
-def _expect_arity(kind: str, ins: list, outs: list, n_in: int, n_out: int) -> None:
-    _require(
-        len(ins) == n_in and len(outs) == n_out,
-        f"{kind}: expected {n_in} inputs / {n_out} outputs, "
-        f"got {len(ins)} / {len(outs)}",
-    )
+# ---------------------------------------------------------------------------
+# Shape rules: one per kind, (input shapes, attrs) -> output shapes
 
 
-def _eq(kind: str, got, want, what: str) -> None:
-    _require(got == want, f"{kind}: {what} is {got}, expected {want}")
+def _nonconforming(kind: str, ins, detail: str = "") -> KernelError:
+    return KernelError(f"{kind}: input shapes {list(ins)} do not conform{detail}")
 
 
-def _fc_out_shape(x, w, b):
-    _require(
-        len(x) == 2 and len(w) == 2 and len(b) == 1,
-        f"fc: bad ranks x{x} w{w} b{b}",
-    )
-    _require(
-        x[1] == w[0] and w[1] == b[0],
-        f"fc: shapes do not conform: x{x} w{w} b{b}",
-    )
-    return (x[0], w[1])
+def _equal_shapes(kind: str, ins) -> list:
+    if not ins or ins.count(ins[0]) != len(ins):
+        raise _nonconforming(kind, ins)
+    return [ins[0]]
 
 
-def _conv_out_shape(x, w, attrs):
-    _require(len(x) == 4 and len(w) == 4, f"conv2d: bad ranks x{x} w{w}")
-    _require(w[1] == x[1], f"conv2d: channel mismatch x{x} w{w}")
-    stride, pad = _conv_attrs(attrs)
-    ho = _conv_out_dim(x[2], w[2], stride, pad, "height")
-    wo = _conv_out_dim(x[3], w[3], stride, pad, "width")
-    return (x[0], w[0], ho, wo)
+def _first_shape(ins, attrs) -> list:
+    return [ins[0]]
 
 
-def _check_fc_forward(ins, outs, attrs):
-    _expect_arity("fc_forward", ins, outs, 3, 1)
-    _eq("fc_forward", outs[0], _fc_out_shape(*ins), "output shape")
-
-
-def _check_fc_backward(ins, outs, attrs):
-    _expect_arity("fc_backward", ins, outs, 3, 3)
-    x, w, dy = ins
-    _eq("fc_backward", dy, _fc_out_shape(x, w, (w[1],)), "dy shape")
-    _eq("fc_backward", outs[0], x, "dx shape")
-    _eq("fc_backward", outs[1], w, "dw shape")
-    _eq("fc_backward", outs[2], (w[1],), "db shape")
-
-
-def _check_fc_backward_data(ins, outs, attrs):
-    _expect_arity("fc_backward_data", ins, outs, 2, 1)
-    w, dy = ins
-    _require(len(w) == 2 and len(dy) == 2 and dy[1] == w[1], "fc_backward_data: shapes do not conform")
-    _eq("fc_backward_data", outs[0], (dy[0], w[0]), "dx shape")
-
-
-def _check_fc_backward_weight(ins, outs, attrs):
-    _expect_arity("fc_backward_weight", ins, outs, 2, 1)
-    x, dy = ins
-    _require(len(x) == 2 and len(dy) == 2 and x[0] == dy[0], "fc_backward_weight: shapes do not conform")
-    _eq("fc_backward_weight", outs[0], (x[1], dy[1]), "dw shape")
-
-
-def _check_fc_backward_bias(ins, outs, attrs):
-    _expect_arity("fc_backward_bias", ins, outs, 1, 1)
-    _require(len(ins[0]) == 2, "fc_backward_bias: dy must be 2-d")
-    _eq("fc_backward_bias", outs[0], (ins[0][1],), "db shape")
-
-
-def _check_conv_forward(ins, outs, attrs):
-    _expect_arity("conv2d_forward", ins, outs, 3, 1)
+def _fc_forward_shapes(ins, attrs):
     x, w, b = ins
-    _require(len(b) == 1 and b[0] == w[0], f"conv2d_forward: bad bias shape {b}")
-    _eq("conv2d_forward", outs[0], _conv_out_shape(x, w, attrs), "output shape")
+    if len(x) == len(w) == 2 and x[1] == w[0] and b == (w[1],):
+        return [(x[0], w[1])]
+    raise _nonconforming("fc_forward", ins)
 
 
-def _check_conv_backward(ins, outs, attrs):
-    _expect_arity("conv2d_backward", ins, outs, 3, 3)
+def _fc_backward_shapes(ins, attrs):
     x, w, dy = ins
-    _eq("conv2d_backward", dy, _conv_out_shape(x, w, attrs), "dy shape")
-    _eq("conv2d_backward", outs[0], x, "dx shape")
-    _eq("conv2d_backward", outs[1], w, "dw shape")
-    _eq("conv2d_backward", outs[2], (w[0],), "db shape")
+    if len(x) == len(w) == 2 and x[1] == w[0] and dy == (x[0], w[1]):
+        return [x, w, (w[1],)]
+    raise _nonconforming("fc_backward", ins)
 
 
-def _check_conv_backward_data(ins, outs, attrs):
-    _expect_arity("conv2d_backward_data", ins, outs, 3, 1)
-    x, w, dy = ins
-    _eq("conv2d_backward_data", dy, _conv_out_shape(x, w, attrs), "dy shape")
-    _eq("conv2d_backward_data", outs[0], x, "dx shape")
+def _fc_backward_data_shapes(ins, attrs):
+    w, dy = ins
+    if len(w) == len(dy) == 2 and dy[1] == w[1]:
+        return [(dy[0], w[0])]
+    raise _nonconforming("fc_backward_data", ins)
 
 
-def _check_conv_backward_weight(ins, outs, attrs):
-    _expect_arity("conv2d_backward_weight", ins, outs, 3, 1)
-    x, w, dy = ins
-    _eq("conv2d_backward_weight", dy, _conv_out_shape(x, w, attrs), "dy shape")
-    _eq("conv2d_backward_weight", outs[0], w, "dw shape")
-
-
-def _check_conv_backward_bias(ins, outs, attrs):
-    _expect_arity("conv2d_backward_bias", ins, outs, 1, 1)
-    _require(len(ins[0]) == 4, "conv2d_backward_bias: dy must be 4-d")
-    _eq("conv2d_backward_bias", outs[0], (ins[0][1],), "db shape")
-
-
-def _check_relu_forward(ins, outs, attrs):
-    _expect_arity("relu_forward", ins, outs, 1, 1)
-    _eq("relu_forward", outs[0], ins[0], "output shape")
-
-
-def _check_relu_backward(ins, outs, attrs):
-    _expect_arity("relu_backward", ins, outs, 2, 1)
-    _eq("relu_backward", ins[1], ins[0], "dy shape")
-    _eq("relu_backward", outs[0], ins[0], "dx shape")
-
-
-def _check_flatten_forward(ins, outs, attrs):
-    _expect_arity("flatten_forward", ins, outs, 1, 1)
-    x = ins[0]
-    _require(len(x) >= 2, "flatten_forward: input must have >= 2 dims")
-    flat = 1
-    for d in x[1:]:
-        flat *= d
-    _eq("flatten_forward", outs[0], (x[0], flat), "output shape")
-
-
-def _check_flatten_backward(ins, outs, attrs):
-    _expect_arity("flatten_backward", ins, outs, 2, 1)
+def _fc_backward_weight_shapes(ins, attrs):
     x, dy = ins
-    flat = 1
-    for d in x[1:]:
-        flat *= d
-    _eq("flatten_backward", dy, (x[0], flat), "dy shape")
-    _eq("flatten_backward", outs[0], x, "dx shape")
+    if len(x) == len(dy) == 2 and x[0] == dy[0]:
+        return [(x[1], dy[1])]
+    raise _nonconforming("fc_backward_weight", ins)
 
 
-def _check_softmax_xent(ins, outs, attrs):
-    _expect_arity("softmax_xent", ins, outs, 2, 2)
+def _fc_backward_bias_shapes(ins, attrs):
+    (dy,) = ins
+    if len(dy) == 2:
+        return [(dy[1],)]
+    raise _nonconforming("fc_backward_bias", ins)
+
+
+def _conv_y_shape(kind: str, ins, attrs) -> tuple[int, ...]:
+    """Output shape of the cross-correlation of x = ins[0] (NCHW) with
+    w = ins[1] (KCRS); the padded input must tile exactly by the stride."""
+    x, w = ins[0], ins[1]
+    stride, pad = _conv_attrs(attrs)
+    if len(x) == len(w) == 4 and w[1] == x[1]:
+        dh, dw = x[2] + 2 * pad - w[2], x[3] + 2 * pad - w[3]
+        if dh >= 0 and dw >= 0 and dh % stride == 0 and dw % stride == 0:
+            return (x[0], w[0], dh // stride + 1, dw // stride + 1)
+    raise _nonconforming(kind, ins, f" at stride={stride} pad={pad}")
+
+
+def _conv2d_forward_shapes(ins, attrs):
+    y = _conv_y_shape("conv2d_forward", ins, attrs)
+    if ins[2] != (y[1],):
+        raise _nonconforming("conv2d_forward", ins)
+    return [y]
+
+
+def _conv_grad_shapes(kind: str, ins, attrs) -> list:
+    """[dx, dw, db] shapes for inputs (x, w, dy), once dy is checked."""
+    x, w, dy = ins
+    if dy != _conv_y_shape(kind, ins, attrs):
+        raise _nonconforming(kind, ins)
+    return [x, w, (w[0],)]
+
+
+def _conv2d_backward_shapes(ins, attrs):
+    return _conv_grad_shapes("conv2d_backward", ins, attrs)
+
+
+def _conv2d_backward_data_shapes(ins, attrs):
+    return _conv_grad_shapes("conv2d_backward_data", ins, attrs)[:1]
+
+
+def _conv2d_backward_weight_shapes(ins, attrs):
+    return _conv_grad_shapes("conv2d_backward_weight", ins, attrs)[1:2]
+
+
+def _conv2d_backward_bias_shapes(ins, attrs):
+    (dy,) = ins
+    if len(dy) == 4:
+        return [(dy[1],)]
+    raise _nonconforming("conv2d_backward_bias", ins)
+
+
+def _relu_backward_shapes(ins, attrs):
+    return _equal_shapes("relu_backward", ins)
+
+
+def _flatten_forward_shapes(ins, attrs):
+    (x,) = ins
+    if len(x) >= 2:
+        return [(x[0], prod(x[1:]))]
+    raise _nonconforming("flatten_forward", ins)
+
+
+def _flatten_backward_shapes(ins, attrs):
+    x, dy = ins
+    if len(x) >= 2 and dy == (x[0], prod(x[1:])):
+        return [x]
+    raise _nonconforming("flatten_backward", ins)
+
+
+def _softmax_xent_shapes(ins, attrs):
     logits, labels = ins
-    _require(len(logits) == 2, "softmax_xent: logits must be 2-d")
-    _eq("softmax_xent", labels, (logits[0],), "labels shape")
-    _eq("softmax_xent", outs[0], (1,), "loss shape")
-    _eq("softmax_xent", outs[1], logits, "dlogits shape")
+    if len(logits) == 2 and labels == (logits[0],):
+        return [(1,), logits]
+    raise _nonconforming("softmax_xent", ins)
 
 
-def _check_sgd_update(ins, outs, attrs):
-    _expect_arity("sgd_update", ins, outs, 2, 1)
-    _eq("sgd_update", ins[1], ins[0], "grad shape")
-    _eq("sgd_update", outs[0], ins[0], "output shape")
-    _require("lr" in attrs, "sgd_update: missing required attr 'lr'")
+def _sgd_update_shapes(ins, attrs):
+    if "lr" not in attrs:
+        raise KernelError("sgd_update: missing required attr 'lr'")
+    return _equal_shapes("sgd_update", ins)
 
 
-def _check_aggregate(ins, outs, attrs):
-    _require(len(ins) >= 1, "aggregate: need at least one input")
-    _require(len(outs) == 1, "aggregate: exactly one output")
+def _aggregate_shapes(ins, attrs):
     mode = attrs.get("mode", "mean")
-    _require(mode in ("sum", "mean"), f"aggregate: unknown mode {mode!r}")
-    for i, s in enumerate(ins):
-        _eq("aggregate", s, ins[0], f"input {i} shape")
-    _eq("aggregate", outs[0], ins[0], "output shape")
+    if mode not in ("sum", "mean"):
+        raise KernelError(f"aggregate: unknown mode {mode!r}")
+    return _equal_shapes("aggregate", ins)
 
 
-def _check_swap(ins, outs, attrs):
-    _require(len(ins) == 0, "swap: takes no inputs")
-    _require(len(outs) == 2, "swap: exactly two outputs")
-    _eq("swap", outs[1], outs[0], "second buffer shape")
+def _send_shapes(ins, attrs):
+    if "channel" not in attrs:
+        raise KernelError("send: missing required attr 'channel'")
+    return []
 
 
-def _check_copy(ins, outs, attrs):
-    _expect_arity("copy", ins, outs, 1, 1)
-    _eq("copy", outs[0], ins[0], "output shape")
+def _check_swap(ins, outs, attrs) -> None:
+    if ins or len(outs) != 2 or outs[0] != outs[1]:
+        raise KernelError(
+            f"swap: needs no inputs and two equal-shaped outputs, "
+            f"got {list(ins)} -> {list(outs)}"
+        )
 
 
-def _check_send(ins, outs, attrs):
-    _require(len(ins) == 1 and len(outs) == 0, "send: one input, no outputs")
-    _require("channel" in attrs, "send: missing required attr 'channel'")
+def _check_recv(ins, outs, attrs) -> None:
+    if ins or len(outs) != 1:
+        raise KernelError(
+            f"recv: needs no inputs and one output, got {list(ins)} -> {list(outs)}"
+        )
+    if "channel" not in attrs:
+        raise KernelError("recv: missing required attr 'channel'")
 
 
-def _check_recv(ins, outs, attrs):
-    _require(len(ins) == 0 and len(outs) == 1, "recv: no inputs, one output")
-    _require("channel" in attrs, "recv: missing required attr 'channel'")
+def _check_by_rule(kind: str, n_in: int | None, rule):
+    """``check_shapes`` from a shape rule: ``n_in`` inputs (any number when
+    None), then the declared output shapes must equal the rule's."""
 
+    def check_shapes(ins, outs, attrs) -> None:
+        if n_in is not None and len(ins) != n_in:
+            raise KernelError(f"{kind}: expected {n_in} inputs, got {len(ins)}")
+        want = rule(ins, attrs)
+        if list(outs) != want:
+            raise KernelError(f"{kind}: output shapes {list(outs)}, expected {want}")
 
-def _check_gate(ins, outs, attrs):
-    _require(len(ins) == 2 and len(outs) == 1, "gate: two inputs, one output")
-    _eq("gate", outs[0], ins[0], "output shape")
+    return check_shapes
 
 
 KINDS: dict[str, OpKindSpec] = {}
+_RULES: dict[str, Callable[[list, dict], list]] = {}
 
 
-def _register(kind: str, check, execute, crosses_location: bool = False) -> None:
-    KINDS[kind] = OpKindSpec(kind, check, execute, crosses_location)
+def _register(kind, n_in, rule, execute, crosses_location: bool = False) -> None:
+    _RULES[kind] = rule
+    KINDS[kind] = OpKindSpec(
+        kind, _check_by_rule(kind, n_in, rule), execute, crosses_location
+    )
 
 
-_register("fc_forward", _check_fc_forward,
+def output_shapes(kind: str, in_shapes, attrs: dict) -> list[tuple[int, ...]]:
+    """The output shapes the shape rule of ``kind`` gives for ``in_shapes``
+    (``in_shapes`` must have the kind's arity)."""
+    return _RULES[kind](list(in_shapes), attrs)
+
+
+_register("fc_forward", 3, _fc_forward_shapes,
           _plain(lambda ins, a: [fc_forward(*ins)]))
-_register("fc_backward", _check_fc_backward,
+_register("fc_backward", 3, _fc_backward_shapes,
           _plain(lambda ins, a: list(fc_backward(*ins))))
-_register("fc_backward_data", _check_fc_backward_data,
+_register("fc_backward_data", 2, _fc_backward_data_shapes,
           _plain(lambda ins, a: [fc_backward_data(*ins)]))
-_register("fc_backward_weight", _check_fc_backward_weight,
+_register("fc_backward_weight", 2, _fc_backward_weight_shapes,
           _plain(lambda ins, a: [fc_backward_weight(*ins)]))
-_register("fc_backward_bias", _check_fc_backward_bias,
+_register("fc_backward_bias", 1, _fc_backward_bias_shapes,
           _plain(lambda ins, a: [fc_backward_bias(*ins)]))
-_register("conv2d_forward", _check_conv_forward,
+_register("conv2d_forward", 3, _conv2d_forward_shapes,
           _plain(lambda ins, a: [conv2d_forward(*ins, *_conv_attrs(a))]))
-_register("conv2d_backward", _check_conv_backward,
+_register("conv2d_backward", 3, _conv2d_backward_shapes,
           _plain(lambda ins, a: list(conv2d_backward(*ins, *_conv_attrs(a)))))
-_register("conv2d_backward_data", _check_conv_backward_data,
+_register("conv2d_backward_data", 3, _conv2d_backward_data_shapes,
           _plain(lambda ins, a: [conv2d_backward_data(*ins, *_conv_attrs(a))]))
-_register("conv2d_backward_weight", _check_conv_backward_weight,
+_register("conv2d_backward_weight", 3, _conv2d_backward_weight_shapes,
           _plain(lambda ins, a: [conv2d_backward_weight(*ins, *_conv_attrs(a))]))
-_register("conv2d_backward_bias", _check_conv_backward_bias,
+_register("conv2d_backward_bias", 1, _conv2d_backward_bias_shapes,
           _plain(lambda ins, a: [conv2d_backward_bias(ins[0])]))
-_register("relu_forward", _check_relu_forward,
+_register("relu_forward", 1, _first_shape,
           _plain(lambda ins, a: [relu_forward(*ins)]))
-_register("relu_backward", _check_relu_backward,
+_register("relu_backward", 2, _relu_backward_shapes,
           _plain(lambda ins, a: [relu_backward(*ins)]))
-_register("flatten_forward", _check_flatten_forward,
+_register("flatten_forward", 1, _flatten_forward_shapes,
           _plain(lambda ins, a: [flatten_forward(*ins)]))
-_register("flatten_backward", _check_flatten_backward,
+_register("flatten_backward", 2, _flatten_backward_shapes,
           _plain(lambda ins, a: [flatten_backward(*ins)]))
-_register("softmax_xent", _check_softmax_xent,
+_register("softmax_xent", 2, _softmax_xent_shapes,
           _plain(lambda ins, a: list(softmax_xent(*ins))))
-_register("sgd_update", _check_sgd_update,
+_register("sgd_update", 2, _sgd_update_shapes,
           _plain(lambda ins, a: [sgd_update(ins[0], ins[1], float(a["lr"]))]))
-_register("aggregate", _check_aggregate,
+_register("aggregate", None, _aggregate_shapes,
           _plain(lambda ins, a: [aggregate(ins, a.get("mode", "mean"))]))
-_register("swap", _check_swap, _execute_swap)
-_register("copy", _check_copy, _execute_copy, crosses_location=True)
-_register("send", _check_send, _execute_send)
-_register("recv", _check_recv, _execute_recv)
-_register("gate", _check_gate,
+KINDS["swap"] = OpKindSpec("swap", _check_swap, _execute_swap)
+_register("copy", 1, _first_shape, _execute_copy, crosses_location=True)
+_register("send", 1, _send_shapes, _execute_send)
+KINDS["recv"] = OpKindSpec("recv", _check_recv, _execute_recv)
+_register("gate", 2, _first_shape,
           _plain(lambda ins, a: [ins[0].copy()]))
-
-
-def default_registry() -> dict[str, OpKindSpec]:
-    """A fresh copy of the built-in kind table, safe to extend."""
-    return dict(KINDS)

@@ -126,20 +126,16 @@ def partition_by_host(
     )
     parts = {h: HostPartition(h, BiGraph()) for h in hosts}
 
-    for t in graph.tensors.values():
-        parts[t.location.host].graph.add_tensor(t.name, t.shape, t.location)
+    ids = {
+        t.id: parts[t.location.host].graph.add_tensor(t.name, t.shape, t.location)
+        for t in graph.tensors.values()
+    }
 
     channel = first_channel
     for op in sorted(graph.operators.values(), key=lambda o: o.id):
         spread = _vertex_hosts(graph, op)
         if len(spread) == 1:
-            g = parts[op.location.host].graph
-            g.add_operator(
-                op.name, op.kind,
-                [g.tensor_id(graph.tensors[i].name) for i in op.inputs],
-                [g.tensor_id(graph.tensors[i].name) for i in op.outputs],
-                op.location, thread=op.thread, attrs=dict(op.attrs),
-            )
+            parts[op.location.host].graph.add_operator_from(op, ids)
             continue
         if op.kind != "copy":
             raise GraphError(
@@ -152,15 +148,13 @@ def partition_by_host(
                            dst.location.host, src.shape,
                            op_location=op.location, op_thread=op.thread)
         channel += 1
-        sg = parts[spec.src_host].graph
-        sg.add_operator(
-            f"send_{op.name}", "send", [sg.tensor_id(src.name)], [],
+        parts[spec.src_host].graph.add_operator(
+            f"send_{op.name}", "send", [ids[src.id]], [],
             src.location, thread=op.thread, attrs={"channel": spec.channel},
         )
         parts[spec.src_host].sends.append(spec)
-        rg = parts[spec.dst_host].graph
-        rg.add_operator(
-            f"recv_{op.name}", "recv", [], [rg.tensor_id(dst.name)],
+        parts[spec.dst_host].graph.add_operator(
+            f"recv_{op.name}", "recv", [], [ids[dst.id]],
             dst.location, thread=op.thread, attrs={"channel": spec.channel},
         )
         parts[spec.dst_host].recvs.append(spec)
@@ -218,36 +212,33 @@ def recompose(partitions: dict[str, HostPartition]) -> BiGraph:
             specs[spec.channel] = spec
     halves: dict[int, dict] = {}
     pending: list[tuple] = []
-    for host in sorted(partitions):
-        g = partitions[host].graph
-        for t in g.tensors.values():
-            out.add_tensor(t.name, t.shape, t.location)
+    ids = {
+        host: {
+            t.id: out.add_tensor(t.name, t.shape, t.location)
+            for t in partitions[host].graph.tensors.values()
+        }
+        for host in sorted(partitions)
+    }
     for host in sorted(partitions):
         g = partitions[host].graph
         for op in sorted(g.operators.values(), key=lambda o: o.id):
             if op.kind in ("send", "recv"):
                 half = halves.setdefault(int(op.attrs["channel"]), {})
                 if op.kind == "send":
-                    half["src"] = g.tensors[op.inputs[0]].name
+                    half["src"] = ids[host][op.inputs[0]]
                 else:
-                    half["dst"] = g.tensors[op.outputs[0]].name
+                    half["dst"] = ids[host][op.outputs[0]]
             else:
-                pending.append((op, g))
-    for op, g in pending:
-        out.add_operator(
-            op.name, op.kind,
-            [out.tensor_id(g.tensors[i].name) for i in op.inputs],
-            [out.tensor_id(g.tensors[i].name) for i in op.outputs],
-            op.location, thread=op.thread, attrs=dict(op.attrs),
-        )
+                pending.append((op, host))
+    for op, host in pending:
+        out.add_operator_from(op, ids[host])
     for channel in sorted(halves):
         half = halves[channel]
         spec = specs.get(channel)
         if set(half) != {"src", "dst"} or spec is None or spec.op_location is None:
             raise GraphError(f"channel {channel} has an unmatched endpoint")
         out.add_operator(
-            spec.name, "copy",
-            [out.tensor_id(half["src"])], [out.tensor_id(half["dst"])],
+            spec.name, "copy", [half["src"]], [half["dst"]],
             spec.op_location, thread=spec.op_thread,
         )
     return out
@@ -301,7 +292,10 @@ class Transport:
         self._queues: dict[int, queue.Queue] = {}
         self._queues_lock = threading.Lock()
         self._out: dict[str, socket.socket] = {}
-        self._out_lock = threading.Lock()
+        self._out_lock = threading.Lock()  # guards the two dicts
+        # one per destination, held across connect and sendall, so a host
+        # that cannot be reached stalls only the sends addressed to it
+        self._send_locks: dict[str, threading.Lock] = {}
         self._listener: socket.socket | None = None
         self._threads: list[threading.Thread] = []
         self._closing = threading.Event()
@@ -440,9 +434,16 @@ class Transport:
             return
         frame = encode_frame(channel, iteration, array)
         with self._out_lock:
+            lock = self._send_locks.setdefault(spec.dst_host, threading.Lock())
+        with lock:
             sock = self._out.get(spec.dst_host)
             if sock is None:
-                sock = self._out[spec.dst_host] = self._connect(spec.dst_host)
+                sock = self._connect(spec.dst_host)
+                with self._out_lock:
+                    if self._closing.is_set():
+                        sock.close()
+                        raise TransportError(f"{self.host}: transport is closed")
+                    self._out[spec.dst_host] = sock
             try:
                 sock.sendall(frame)
             except OSError as e:

@@ -11,7 +11,6 @@ from biflow.graph import (
     graph_to_json,
     merge,
     replicate,
-    validate,
 )
 
 
@@ -36,7 +35,7 @@ def test_ids_shared_between_vertex_classes():
 
 def test_sources_and_sinks_cover_both_vertex_classes():
     g = make_chain(2)
-    rep = validate(g)
+    rep = g.validate()
     assert rep.ok
     assert rep.sources == [g.tensor_id("t0")]
     assert rep.sinks == [g.tensor_id("t2")]
@@ -47,7 +46,7 @@ def test_sources_and_sinks_cover_both_vertex_classes():
     a = g2.add_tensor("a", (1,), loc)
     b = g2.add_tensor("b", (1,), loc)
     g2.add_operator("mkswap", "swap", [], [a, b], loc)
-    rep2 = validate(g2)
+    rep2 = g2.validate()
     assert rep2.ok
     assert rep2.sources == [g2.operator_id("mkswap")]
     assert set(rep2.sinks) == {a, b}
@@ -123,7 +122,7 @@ def test_repeated_input_edge_allowed():
     x = g.add_tensor("x", (2, 2), loc)
     y = g.add_tensor("y", (2, 2), loc)
     g.add_operator("self_gate", "relu_backward", [x, x], [y], loc)
-    assert validate(g).ok
+    assert g.validate().ok
 
 
 def test_shape_check_applied_at_build_time():
@@ -146,7 +145,7 @@ def test_colocation_enforced_except_for_copy():
     with pytest.raises(GraphError):
         g.add_operator("r", "relu_forward", [x], [y], here)
     g.add_operator("c", "copy", [x], [y], here)  # copy may span locations
-    assert validate(g).ok
+    assert g.validate().ok
 
 
 def test_toposort_is_stable_and_complete():
@@ -157,7 +156,7 @@ def test_toposort_is_stable_and_complete():
 
 def test_validate_reports_instead_of_raising():
     g = make_chain(1)
-    rep = validate(g)
+    rep = g.validate()
     assert rep.ok and rep.violations == []
 
 
@@ -184,7 +183,7 @@ def test_merge_binds_named_tensors():
     # g2's source tensor is identified with g1's sink: one fewer tensor
     assert len(merged.tensors) == 5
     assert len(merged.operators) == 4
-    rep = validate(merged)
+    rep = merged.validate()
     assert rep.ok
     assert [merged.tensors[t].name for t in rep.sources] == ["a"]
     assert [merged.tensors[t].name for t in rep.sinks] == ["x_c"]
@@ -224,7 +223,7 @@ def test_replicate_with_shared_tensors():
     # shared tensors appear once, private ones per-replica
     names = {r.tensors[t].name for t in r.tensors}
     assert names == {"w", "b", "x_r0", "y_r0", "x_r1", "y_r1", "x_r2", "y_r2"}
-    assert validate(r).ok
+    assert r.validate().ok
 
 
 def test_replicate_zero_or_negative_rejected():
@@ -243,7 +242,7 @@ def test_json_round_trip(tmp_path):
     blob = graph_to_json(g)
     g2 = graph_from_json(json.loads(json.dumps(blob)))
     assert graph_to_json(g2) == blob
-    rep = validate(g2)
+    rep = g2.validate()
     assert rep.ok
 
 

@@ -1,9 +1,12 @@
 import hashlib
+import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from biflow.graph import BiGraph, GraphError, Location
 from biflow.ops import (
     KINDS,
     KernelError,
@@ -22,6 +25,7 @@ from biflow.ops import (
     fc_forward,
     flatten_backward,
     flatten_forward,
+    output_shapes,
     read_tensor_file,
     relu_backward,
     relu_forward,
@@ -466,3 +470,121 @@ def test_registry_shape_check_rejects_bad_wiring():
     spec = KINDS["fc_forward"]
     with pytest.raises(KernelError):
         spec.check_shapes([(1, 2), (3, 1), (1,)], [(1, 1)], {})
+
+
+# ---------------------------------------------------------------------------
+# one shape rule per kind, read by graph construction and by the kernels
+# ---------------------------------------------------------------------------
+
+CONV_ATTRS = {"stride": 2, "pad": 1}  # 5x7 input, 3x3 filter -> 3x4 output
+
+# kind -> (valid input shapes, attrs, {input index: a shape the rule rejects}).
+# relu_forward, copy, send and gate (whose token is only a dependency)
+# constrain no input shape, so they have nothing to perturb.
+RULE_CASES = {
+    "fc_forward": ([(3, 4), (4, 2), (2,)], {}, {0: (3, 5), 1: (5, 2), 2: (3,)}),
+    "fc_backward": ([(3, 4), (4, 2), (3, 2)], {}, {0: (3, 5), 1: (4, 3), 2: (2, 2)}),
+    "fc_backward_data": ([(4, 2), (3, 2)], {}, {0: (4, 3), 1: (3, 3)}),
+    "fc_backward_weight": ([(3, 4), (3, 2)], {}, {0: (2, 4), 1: (2, 2)}),
+    "fc_backward_bias": ([(3, 2)], {}, {0: (3, 2, 1)}),
+    "conv2d_forward": (
+        [(2, 3, 5, 7), (4, 3, 3, 3), (4,)], CONV_ATTRS,
+        {0: (2, 3, 6, 7), 1: (4, 2, 3, 3), 2: (3,)},
+    ),
+    "conv2d_backward": (
+        [(2, 3, 5, 7), (4, 3, 3, 3), (2, 4, 3, 4)], CONV_ATTRS,
+        {0: (2, 2, 5, 7), 1: (5, 3, 3, 3), 2: (2, 4, 3, 3)},
+    ),
+    "conv2d_backward_data": (
+        [(2, 3, 5, 7), (4, 3, 3, 3), (2, 4, 3, 4)], CONV_ATTRS,
+        {0: (2, 3, 6, 7), 1: (4, 3, 2, 3), 2: (2, 4, 4, 4)},
+    ),
+    "conv2d_backward_weight": (
+        [(2, 3, 5, 7), (4, 3, 3, 3), (2, 4, 3, 4)], CONV_ATTRS,
+        {0: (3, 3, 5, 7), 1: (4, 3, 3, 2), 2: (2, 5, 3, 4)},
+    ),
+    "conv2d_backward_bias": ([(2, 4, 3, 4)], {}, {0: (2, 4)}),
+    "relu_forward": ([(3, 4)], {}, {}),
+    "relu_backward": ([(3, 4), (3, 4)], {}, {0: (4, 3), 1: (3, 5)}),
+    "flatten_forward": ([(2, 3, 4)], {}, {0: (6,)}),
+    "flatten_backward": ([(2, 3, 4), (2, 12)], {}, {0: (2, 3, 5), 1: (2, 3, 4)}),
+    "softmax_xent": ([(4, 3), (4,)], {}, {0: (5, 3), 1: (3,)}),
+    "sgd_update": ([(3, 4), (3, 4)], {"lr": 0.1}, {0: (3, 5), 1: (4, 4)}),
+    "aggregate": (
+        [(2, 3), (2, 3), (2, 3)], {"mode": "sum"}, {0: (3, 2), 1: (2, 4), 2: (2,)},
+    ),
+    "copy": ([(2, 3)], {}, {}),
+    "send": ([(2, 3)], {"channel": 1}, {}),
+    "gate": ([(2, 3), (5,)], {}, {}),
+}
+
+HERE = Location("local", 0)
+
+
+def one_op_graph(kind, in_shapes, out_shapes, attrs):
+    g = BiGraph()
+    ins = [g.add_tensor(f"in{i}", s, HERE) for i, s in enumerate(in_shapes)]
+    outs = [g.add_tensor(f"out{i}", s, HERE) for i, s in enumerate(out_shapes)]
+    return g, g.operators[g.add_operator(kind, kind, ins, outs, HERE, attrs=attrs)]
+
+
+def execute(kind, g, op, arrays):
+    """Run ``kind``'s registered hook with ``arrays`` bound to its inputs."""
+    store = TensorStore()
+    for tid, a in zip(op.inputs, arrays):
+        store.set(g.tensors[tid].name, a)
+    sent = []
+    transport = SimpleNamespace(send=lambda ch, it, a: sent.append(a.shape))
+    ctx = SimpleNamespace(store=store, graph=g, iteration=0, transport=transport,
+                          copy_latency_s=0.0)
+    KINDS[kind].execute(ctx, op)
+    return [store.array(g.tensors[t].name).shape for t in op.outputs], sent
+
+
+def test_rule_cases_cover_every_kind_with_a_rule():
+    assert set(RULE_CASES) == set(KINDS) - {"swap", "recv"}
+    for kind in ("swap", "recv"):  # outputs not inferable from inputs
+        with pytest.raises(KeyError):
+            output_shapes(kind, [], {})
+
+
+@pytest.mark.parametrize("kind", sorted(RULE_CASES))
+def test_kernel_output_shapes_equal_the_rule(kind):
+    in_shapes, attrs, _ = RULE_CASES[kind]
+    want = output_shapes(kind, in_shapes, attrs)
+    g, op = one_op_graph(kind, in_shapes, want, attrs)
+    got, sent = execute(kind, g, op, [np.zeros(s, np.float32) for s in in_shapes])
+    assert got == want
+    assert sent == ([in_shapes[0]] if kind == "send" else [])
+
+
+PERTURBED = [
+    (kind, index, bad)
+    for kind, (_, _, bad_inputs) in sorted(RULE_CASES.items())
+    for index, bad in bad_inputs.items()
+]
+
+
+@pytest.mark.parametrize(
+    "kind,index,bad", PERTURBED, ids=[f"{k}-in{i}" for k, i, _ in PERTURBED]
+)
+def test_perturbed_input_is_rejected_by_graph_and_kernel(kind, index, bad):
+    in_shapes, attrs, _ = RULE_CASES[kind]
+    want = output_shapes(kind, in_shapes, attrs)
+    shapes = list(in_shapes)
+    shapes[index] = bad
+    with pytest.raises(GraphError, match=f"{kind}: input shapes"):
+        one_op_graph(kind, shapes, want, attrs)
+    # the kernel gets the perturbed array through the registry's hook
+    g, op = one_op_graph(kind, in_shapes, want, attrs)
+    with pytest.raises(KernelError, match=f"{kind}: input shapes"):
+        execute(kind, g, op, [np.zeros(s, np.float32) for s in shapes])
+
+
+@pytest.mark.parametrize(
+    "module",
+    ["biflow", "biflow.dispatcher", "biflow.graph", "biflow.ops", "biflow.transport"],
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
