@@ -56,15 +56,12 @@ class NetSpec:
     layers: tuple[LayerSpec, ...]
     batch: int = 1
     lr: float = 0.01
-    loss: str = "softmax_xent"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "input_shape", tuple(self.input_shape))
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.batch < 1:
             raise GraphError(f"batch must be >= 1, got {self.batch}")
-        if self.loss != "softmax_xent":
-            raise GraphError(f"unsupported loss {self.loss!r}")
         if not self.layers:
             raise GraphError("net needs at least one layer")
         plan_steps(self)  # shape-check the whole stack eagerly
@@ -75,12 +72,16 @@ class NetSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "NetSpec":
+        """Every net ends in a softmax cross-entropy loss; a config that
+        names another ``loss`` is rejected."""
+        loss = raw.get("loss", "softmax_xent")
+        if loss != "softmax_xent":
+            raise GraphError(f"unsupported loss {loss!r}")
         return cls(
             input_shape=tuple(raw["input_shape"]),
             layers=tuple(LayerSpec.from_config(l) for l in raw["layers"]),
             batch=int(raw.get("batch", 1)),
             lr=float(raw.get("lr", 0.01)),
-            loss=raw.get("loss", "softmax_xent"),
         )
 
 
@@ -225,7 +226,6 @@ class Layout:
     """What a built sequence's tensors and lanes mean, for feeding,
     metric sampling, and profiling."""
 
-    scheme: str
     data_names: tuple[str, ...]
     label_names: tuple[str, ...] = ()
     loss_names: tuple[str, ...] = ()
@@ -233,13 +233,10 @@ class Layout:
     peer_params: tuple[tuple[str, ...], ...] = ()
     token_names: tuple[str, ...] = ()
     output_names: tuple[str, ...] = ()
-    compute_threads: frozenset = frozenset({COMPUTE_THREAD})
     copy_threads: frozenset = frozenset()
-    classes: int = 0
-    batch: int = 0
 
     def lane_class(self, lane: WorkerLane) -> str:
-        if lane.thread in self.compute_threads:
+        if lane.thread == COMPUTE_THREAD:
             return COMPUTE
         if lane.thread in self.copy_threads:
             return COPY
@@ -519,15 +516,12 @@ def build_sgd_iteration(
         )
 
     layout = Layout(
-        scheme="single",
         data_names=("x",),
         label_names=("labels",),
         loss_names=("loss",),
         canonical_params=tuple(p for p, _g, _s in grads),
-        classes=net.classes,
-        batch=net.batch,
     )
-    return GraphSequence([g, swaps], iterations=1, layout=layout)
+    return GraphSequence([g, swaps], layout=layout)
 
 
 def build_data_parallel(
@@ -620,7 +614,6 @@ def build_data_parallel(
             )
 
     layout = Layout(
-        scheme="data",
         data_names=tuple(f"x_p{k}" for k in range(n_peers)),
         label_names=tuple(f"labels_p{k}" for k in range(n_peers)),
         loss_names=tuple(f"loss_p{k}" for k in range(n_peers)),
@@ -631,10 +624,8 @@ def build_data_parallel(
         copy_threads=frozenset(
             list(range(base, base + 2 * n_peers)) + [server_thread]
         ),
-        classes=net.classes,
-        batch=net.batch,
     )
-    return GraphSequence([g, swaps], iterations=1, layout=layout)
+    return GraphSequence([g, swaps], layout=layout)
 
 
 def build_model_parallel_pipeline(net: NetSpec, plan: ParallelPlan) -> GraphSequence:
@@ -740,16 +731,13 @@ def build_model_parallel_pipeline(net: NetSpec, plan: ParallelPlan) -> GraphSequ
 
     final = _step_output_name(stage_last[len(plan.stages) - 1])
     layout = Layout(
-        scheme="model",
         data_names=tuple(f"x_r{r}" for r in range(plan.replicas)),
         canonical_params=tuple(shared),
         token_names=tuple(f"token_s{s}_r0" for s in range(len(plan.stages))),
         output_names=tuple(f"{final}_r{r}" for r in range(plan.replicas)),
         copy_threads=frozenset({base, base + 1}),
-        classes=net.classes,
-        batch=net.batch,
     )
-    return GraphSequence([g], iterations=1, layout=layout)
+    return GraphSequence([g], layout=layout)
 
 
 def fill_tokens(store: TensorStore, seq: GraphSequence) -> None:

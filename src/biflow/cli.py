@@ -151,6 +151,20 @@ class ExperimentConfig:
         )
 
 
+def _add_copy_latency(seq, seconds: float) -> None:
+    """Set ``delay_s`` on every copy of ``seq`` between two locations: the
+    dispatcher sleeps it and the cost simulator counts it.  Nothing is set
+    for 0, since a ``delay_s`` outranks the simulator's per-kind costs."""
+    if seconds <= 0:
+        return
+    for g in seq.graphs:
+        for op in g.operators.values():
+            if op.kind == "copy":
+                (src,), (dst,) = op.inputs, op.outputs
+                if g.tensors[src].location != g.tensors[dst].location:
+                    op.attrs["delay_s"] = seconds
+
+
 def build_sequence(cfg: ExperimentConfig):
     if cfg.plan.scheme == "data":
         return build_data_parallel(cfg.net, cfg.plan)
@@ -234,9 +248,7 @@ def _mean_loss(store: TensorStore, layout) -> float:
     return sum(vals) / len(vals)
 
 
-def _train(
-    cfg: ExperimentConfig, seq, *, transport, copy_latency_s, trace_out, emit
-) -> TensorStore:
+def _train(cfg: ExperimentConfig, seq, *, transport, trace_out, emit) -> TensorStore:
     """Initialize, feed and run ``seq``; returns the final store.
 
     ``seq`` is either a whole sequence run in this process or one host's
@@ -274,7 +286,6 @@ def _train(
         seq,
         store,
         transport=transport,
-        copy_latency_s=copy_latency_s,
         before_iteration=before,
         after_graph=None if emit is None else after,
         iterations=cfg.iterations,
@@ -299,6 +310,7 @@ def _train_loopback(cfg: ExperimentConfig, procs: int, args, trace_out, dump) ->
             "processes do not return their traces"
         )
     seq = build_data_parallel(cfg.net, _loopback_plan(cfg.plan))
+    _add_copy_latency(seq, args.copy_latency_us * 1e-6)
     layout = seq.layout
     collect = {f"proc{k}": [f"loss_p{k}"] for k in range(procs)}
     collect["proc0"].extend(layout.canonical_params)
@@ -336,6 +348,7 @@ def cmd_train(args) -> int:
     # In process, or one named host of a multi-machine run: the same path,
     # over the whole sequence or over the host's partition of it.
     seq = build_sequence(cfg)
+    _add_copy_latency(seq, args.copy_latency_us * 1e-6)
     host = args.host_id
     transport = None
     if host is not None:
@@ -356,7 +369,6 @@ def cmd_train(args) -> int:
             cfg,
             seq,
             transport=transport,
-            copy_latency_s=args.copy_latency_us * 1e-6,
             trace_out=trace_out,
             emit=print if host is None else None,
         )

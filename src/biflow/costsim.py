@@ -29,33 +29,26 @@ class SimError(ValueError):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Operator durations in virtual seconds.
+    """Operator durations in virtual seconds, for the event simulation.
 
     ``kind_costs`` maps operator kinds to a constant duration or to a
     callable ``f(in_shapes, out_shapes) -> seconds``.  Data movement kinds
     (copy/send/recv) fall back to ``latency + bytes / bandwidth`` when they
     have no entry.  A per-operator ``delay_s`` attribute, when present,
     wins over both: graphs built with injected costs simulate as built.
-    ``per_image_compute`` (a) and ``overhead`` (c) feed the closed-form
-    throughput model; the event simulation does not read them.
+    The closed-form model's constants are arguments of
+    :func:`throughput_model`.
     """
 
     kind_costs: Mapping[str, float | Callable] = field(default_factory=dict)
     bandwidth: float = math.inf  # bytes per virtual second
     latency: float = 0.0  # virtual seconds per transfer
-    per_image_compute: float = 0.0
-    overhead: float = 0.0
 
     def __post_init__(self) -> None:
         if not self.bandwidth > 0:
             raise SimError(f"bandwidth must be > 0, got {self.bandwidth}")
-        for name, value in [
-            ("latency", self.latency),
-            ("per_image_compute", self.per_image_compute),
-            ("overhead", self.overhead),
-        ]:
-            if value < 0:
-                raise SimError(f"{name} must be >= 0, got {value}")
+        if self.latency < 0:
+            raise SimError(f"latency must be >= 0, got {self.latency}")
 
     def duration_of(self, op: OperatorVertex, graph: BiGraph) -> float:
         if "delay_s" in op.attrs:
@@ -91,35 +84,32 @@ class SimReport:
     throughput: float | None = None
 
 
-def _as_sequence(obj, iterations) -> GraphSequence:
-    if isinstance(obj, GraphSequence):
-        if iterations is None:
-            return obj
-        return GraphSequence(obj.graphs, iterations=iterations, layout=obj.layout)
-    return GraphSequence([obj], iterations=1 if iterations is None else iterations)
-
-
 def simulate(
     graph_or_sequence,
     costs: CostModel,
-    iterations: int | None = None,
+    iterations: int = 1,
     *,
     images_per_iteration: float | None = None,
 ) -> SimReport:
-    """Event-driven virtual-time execution of a graph or sequence.
+    """Event-driven virtual-time execution of a graph or sequence, run
+    ``iterations`` times.
 
-    Scheduling matches ``dispatcher.run``: every lane is a serial queue
-    ordered by readiness time with graph-insertion-order tie breaks, and
-    each graph of the sequence starts only after the previous completed.
-    Deterministic: equal inputs give equal traces.
+    Scheduling matches ``dispatcher.run_sequence``: every lane is a serial
+    queue ordered by readiness time with graph-insertion-order tie breaks,
+    and each graph of the sequence starts only after the previous completed.
+    Deterministic: equal inputs give equal traces.  Raises :class:`SimError`
+    when ``iterations`` is below 1.
     """
-    seq = _as_sequence(graph_or_sequence, iterations)
-    for g in seq.graphs:
+    if iterations < 1:
+        raise SimError(f"iterations must be >= 1, got {iterations}")
+    seq = graph_or_sequence
+    graphs = seq.graphs if isinstance(seq, GraphSequence) else [seq]
+    for g in graphs:
         report = g.validate()
         if not report.ok:
             raise SimError("graph failed validation: " + "; ".join(report.violations))
 
-    plans = [GraphPlan.compile(g) for g in seq.graphs]
+    plans = [GraphPlan.compile(g) for g in graphs]
     states = [ReadinessState(p) for p in plans]
     durations = [
         [costs.duration_of(op, p.graph) for op in p.ops] for p in plans
@@ -129,7 +119,7 @@ def simulate(
     lane_free: dict[WorkerLane, float] = {}
     floor = 0.0
 
-    for it in range(seq.iterations):
+    for it in range(iterations):
         for plan, state, durs in zip(plans, states, durations):
             state.reset()
             ready = state.arm()
@@ -188,7 +178,7 @@ def simulate(
 
     throughput = None
     if images_per_iteration is not None and floor > 0:
-        throughput = images_per_iteration * seq.iterations / floor
+        throughput = images_per_iteration * iterations / floor
     return SimReport(makespan=floor, trace=trace, throughput=throughput)
 
 

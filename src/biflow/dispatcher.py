@@ -15,16 +15,21 @@ its sorted lanes goes to worker ``k mod min(lanes, cap)``.  The cap never
 changes which lane an operator belongs to, only how much true parallelism
 the lanes get.
 
+Every operator runs its kind's ``execute`` hook from ``ops.KINDS``, after
+sleeping its ``delay_s`` attribute, if any, inside its traced span; the
+cost simulator reads the same attribute.
+
 Each graph is compiled once, on its first run, into a :class:`GraphPlan`:
 the int-indexed scheduling facts of the graph.  Every run then resets the
 plan's counters (:class:`ReadinessState`) instead of rebuilding them.
-:func:`run_sequence` keeps one pool of worker threads for the whole
-sequence, grown on first use to the largest ``min(lanes, cap)`` of its
-graphs and shut down when the sequence returns or raises.  A graph whose
-lanes all map to one worker (every single-lane graph, and every graph under
-``BIFLOW_LANES=1`` or ``max_workers=1``) runs inline in the calling thread
-and starts no thread; it keeps the same order, trace records and errors.
-:func:`run` is the same machinery over one graph, run once.
+:func:`run_sequence`, which takes the iteration count, keeps one pool of
+worker threads for the whole sequence, grown on first use to the largest
+``min(lanes, cap)`` of its graphs and shut down when the sequence returns
+or raises.  A graph whose lanes all map to one worker (every single-lane
+graph, and every graph under ``BIFLOW_LANES=1`` or ``max_workers=1``) runs
+inline in the calling thread and starts no thread; it keeps the same order,
+trace records and errors.  :func:`run` is :func:`run_sequence` over one
+graph, run once.
 
 The virtual-time cost simulator drives the same plan and counters, so both
 executors share one source of scheduling truth.
@@ -204,7 +209,6 @@ class ReadinessState:
             raise DispatchError("reset() while operators are in flight")
         self.pending = list(self.plan.pending)
         self.completed_sinks = 0
-        self._executed = 0
         self._armed = False
 
     def arm(self) -> list[int]:
@@ -221,7 +225,6 @@ class ReadinessState:
         """Record an operator completion; returns the newly ready operators
         in insertion order."""
         plan = self.plan
-        self._executed += 1
         self.completed_sinks += plan.sinks_reached[index]
         pending = self.pending
         newly: list[int] = []
@@ -242,13 +245,6 @@ class ReadinessState:
     def in_flight(self) -> int:
         return self._in_flight
 
-    @property
-    def done(self) -> bool:
-        return (
-            self._executed == len(self.plan.ops)
-            and self.completed_sinks == self.plan.sink_count
-        )
-
 
 @dataclass
 class RunContext:
@@ -258,7 +254,6 @@ class RunContext:
     graph: BiGraph
     iteration: int = 0
     transport: object | None = None
-    copy_latency_s: float = 0.0
 
 
 def _serve(lane_queue: queue.SimpleQueue) -> None:  # pragma: no cover - worker
@@ -304,14 +299,13 @@ class _GraphRunner:
     calling thread when its lanes share one worker, otherwise on the pool.
     Owns the run's counters, lock and trace."""
 
-    def __init__(self, plan: GraphPlan, ctx: RunContext, registry: dict,
-                 pool: _LanePool) -> None:
+    def __init__(self, plan: GraphPlan, ctx: RunContext, pool: _LanePool) -> None:
         self.plan = plan
         self.ctx = ctx
         self.state = ReadinessState(plan)
         self.steps = []
         for op in plan.ops:
-            spec = registry.get(op.kind)
+            spec = KINDS.get(op.kind)
             delay = float(op.attrs.get("delay_s", 0.0) or 0.0)
             self.steps.append((None if spec is None else spec.execute, op, delay))
         self.queues = None
@@ -465,14 +459,11 @@ class _Executor:
     """The graphs of one sequence, each compiled on its first run, and the
     lane pool they share; a context manager that shuts the pool down."""
 
-    def __init__(self, graphs, store, registry, max_workers, transport,
-                 copy_latency_s) -> None:
+    def __init__(self, graphs, store, max_workers, transport) -> None:
         self.graphs = list(graphs)
         self.store = store
-        self.registry = KINDS if registry is None else registry
         self.cap = max_workers if max_workers is not None else _env_lane_cap()
         self.transport = transport
-        self.copy_latency_s = copy_latency_s
         self.runners: list[_GraphRunner | None] = [None] * len(self.graphs)
         self.pool = _LanePool()
 
@@ -482,19 +473,16 @@ class _Executor:
     def __exit__(self, *exc) -> None:
         self.pool.close()
 
-    def run(self, index: int, iteration: int, t0: int | None) -> RunReport:
-        """Run graph ``index`` once; trace times count from ``t0``, or from
-        this run's start when ``t0`` is None."""
+    def run(self, index: int, iteration: int, t0: int) -> RunReport:
+        """Run graph ``index`` once; trace times count from ``t0``."""
         start_ns = time.monotonic_ns()
         runner = self.runners[index]
         if runner is None:
             g = self.graphs[index]
-            ctx = RunContext(self.store, g, iteration, self.transport,
-                             self.copy_latency_s)
-            runner = _GraphRunner(GraphPlan.compile(g, self.cap), ctx,
-                                  self.registry, self.pool)
+            ctx = RunContext(self.store, g, iteration, self.transport)
+            runner = _GraphRunner(GraphPlan.compile(g, self.cap), ctx, self.pool)
             self.runners[index] = runner
-        trace = runner.run(iteration, start_ns if t0 is None else t0)
+        trace = runner.run(iteration, t0)
         elapsed = time.monotonic_ns() - start_ns
         return RunReport(trace, elapsed, iteration, index)
 
@@ -502,40 +490,34 @@ class _Executor:
 def run(
     graph: BiGraph,
     store: TensorStore,
-    registry: dict | None = None,
     *,
     max_workers: int | None = None,
-    iteration: int = 0,
     transport: object | None = None,
-    copy_latency_s: float = 0.0,
 ) -> RunReport:
-    """Execute one graph to completion; returns the trace.
+    """Execute one graph to completion; returns its report.
 
     Raises :class:`DispatchError` if the graph fails validation, a source
-    tensor is missing from the store, an operator kind is unknown to the
-    registry, or a kernel fails (first error wins; operators already running
-    are drained, queued ones discarded).
+    tensor is missing from the store, an operator kind is unknown to
+    ``ops.KINDS``, or a kernel fails (first error wins; operators already
+    running are drained, queued ones discarded).
     """
-    _validate([graph])
-    with _Executor([graph], store, registry, max_workers, transport,
-                   copy_latency_s) as ex:
-        return ex.run(0, iteration, None)
+    (report,) = run_sequence(
+        GraphSequence([graph]), store, max_workers=max_workers, transport=transport
+    )
+    return report
 
 
 def run_sequence(
     seq: GraphSequence,
     store: TensorStore,
-    registry: dict | None = None,
     *,
     max_workers: int | None = None,
     transport: object | None = None,
-    copy_latency_s: float = 0.0,
     before_iteration=None,
     after_graph=None,
-    iterations: int | None = None,
+    iterations: int = 1,
 ) -> list[RunReport]:
-    """Run every graph of the sequence in order, ``seq.iterations`` times
-    (or ``iterations`` when given).
+    """Run every graph of the sequence in order, ``iterations`` times.
 
     All reports share one time base (ns since the sequence started), so a
     merged trace is directly comparable across iterations.  The optional
@@ -543,15 +525,15 @@ def run_sequence(
     first graph (data feeding); ``after_graph(report, store)`` runs after each
     graph completes (metric sampling).  The graphs are validated once, before
     the first iteration; the lane pool lives until this call returns or
-    raises.
+    raises.  Raises :class:`DispatchError` when ``iterations`` is below 1.
     """
+    if iterations < 1:
+        raise DispatchError(f"iterations must be >= 1, got {iterations}")
     _validate(seq.graphs)
     reports: list[RunReport] = []
-    rounds = seq.iterations if iterations is None else iterations
-    with _Executor(seq.graphs, store, registry, max_workers, transport,
-                   copy_latency_s) as ex:
+    with _Executor(seq.graphs, store, max_workers, transport) as ex:
         t0 = time.monotonic_ns()
-        for it in range(rounds):
+        for it in range(iterations):
             if before_iteration is not None:
                 before_iteration(it, store)
             for gi in range(len(seq.graphs)):

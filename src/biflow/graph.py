@@ -17,6 +17,7 @@ graph-local.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -118,7 +119,15 @@ class BiGraph:
             raise GraphError(f"duplicate tensor name {name!r}")
         if not isinstance(location, Location):
             raise GraphError(f"location must be a Location, got {location!r}")
-        shape = tuple(int(d) for d in shape)
+        dims = tuple(shape)
+        # index() takes ints and numpy ints but no float, where int() would
+        # truncate 2.7 to 2; bool is an int subclass, so it is refused by type
+        try:
+            shape = tuple(map(operator.index, dims))
+        except TypeError:
+            shape = None
+        if shape is None or bool in map(type, dims):
+            raise GraphError(f"tensor {name!r}: dims must be integers, got {dims!r}")
         try:
             _ops.check_shape(shape)
         except _ops.KernelError as exc:
@@ -383,21 +392,19 @@ class BiGraph:
 
 @dataclass
 class GraphSequence:
-    """An ordered list of graphs run in rotation for a number of iterations.
+    """An ordered list of graphs, run in rotation once per iteration; the
+    run call sets the number of iterations.
 
     The completion of each graph is the synchronization point: graph ``i+1``
     of an iteration never starts before every sink of graph ``i`` is reached.
     """
 
     graphs: list[BiGraph]
-    iterations: int = 1
     layout: object | None = None
 
     def __post_init__(self) -> None:
         if not self.graphs:
             raise GraphError("a sequence needs at least one graph")
-        if self.iterations < 1:
-            raise GraphError(f"iterations must be >= 1, got {self.iterations}")
 
 
 # ---------------------------------------------------------------------------

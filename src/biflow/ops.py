@@ -18,13 +18,11 @@ no shape fixes, label range and finite outputs, raising :class:`KernelError`.
 
 The registry (`KINDS`) maps an operator-kind name to an :class:`OpKindSpec`
 carrying that shape check and an ``execute`` hook used by the dispatcher.
-Custom kinds can be added by passing an extended mapping to the dispatcher.
 """
 
 from __future__ import annotations
 
 import struct
-import time
 from dataclasses import dataclass
 from math import prod
 from typing import Callable
@@ -452,8 +450,8 @@ class OpKindSpec:
 
     ``check_shapes(in_shapes, out_shapes, attrs)`` raises on any arity or
     shape-relation violation; ``execute(ctx, op)`` performs the operation
-    against a run context exposing ``store``, ``graph``, ``iteration``,
-    ``transport`` and ``copy_latency_s``.
+    against a run context exposing ``store``, ``graph``, ``iteration`` and
+    ``transport``.
     """
 
     kind: str
@@ -483,8 +481,6 @@ def _plain(fn: Callable[[list[np.ndarray], dict], list[np.ndarray]]):
 def _execute_copy(ctx, op) -> None:
     src = ctx.graph.tensors[op.inputs[0]]
     dst = ctx.graph.tensors[op.outputs[0]]
-    if ctx.copy_latency_s > 0 and src.location != dst.location:
-        time.sleep(ctx.copy_latency_s)
     ctx.store.set(dst.name, ctx.store.array(src.name).copy())
 
 

@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 HEADER = struct.Struct("<QQI")  # channel, iteration, payload length in bytes
+_RESULT_POLL_S = 0.1  # run_distributed checks for dead hosts this often
 
 
 class FrameError(ValueError):
@@ -196,7 +197,7 @@ def partition_sequence(seq: GraphSequence) -> dict[str, SequencePartition]:
                 graphs.append(BiGraph())  # nothing for this host in this phase
         out[h] = SequencePartition(
             h,
-            GraphSequence(graphs, iterations=seq.iterations, layout=seq.layout),
+            GraphSequence(graphs, layout=seq.layout),
             sends,
             recvs,
         )
@@ -549,8 +550,9 @@ def run_distributed(
     ``setup(store)`` seeds each host's store (every host may simply seed
     everything; unused names are ignored), ``feed`` supplies per-iteration
     data on whichever host owns each data source, and ``collect`` names the
-    tensors to bring back, keyed by host.  Deadlocked or dead hosts surface
-    as :class:`TransportError` after ``timeout``.
+    tensors to bring back, keyed by host.  A host that exits without
+    reporting fails the run at once with a :class:`TransportError` naming it
+    and its exit code; deadlocked hosts fail it after ``timeout``.
     """
     parts = partition_sequence(seq)
     hosts = sorted(parts)
@@ -560,8 +562,8 @@ def run_distributed(
 
     mp_ctx = mp.get_context("spawn")
     results: "mp.Queue" = mp_ctx.Queue()
-    procs = [
-        mp_ctx.Process(
+    procs = {
+        h: mp_ctx.Process(
             target=_host_main,
             args=(parts[h], peers, iterations, setup, feed,
                   tuple(collect.get(h, ())), timeout, results),
@@ -569,24 +571,42 @@ def run_distributed(
             daemon=True,
         )
         for h in hosts
-    ]
-    for p in procs:
+    }
+    for p in procs.values():
         p.start()
+    waiting = set(hosts)
+    dead: list[str] = []
     gathered: dict[str, np.ndarray] = {}
     errors: list[str] = []
+    deadline = time.monotonic() + timeout + 15.0
     try:
-        for _ in hosts:
+        while waiting:
             try:
-                host, tensors, err = results.get(timeout=timeout + 15.0)
+                host, tensors, err = results.get(timeout=_RESULT_POLL_S)
             except queue.Empty:
-                errors.append("timed out waiting for host results")
-                break
+                # hosts seen exited one poll ago, with nothing queued since,
+                # exited without reporting
+                if dead:
+                    errors.extend(
+                        f"host {h} exited with code {procs[h].exitcode} "
+                        "without reporting" for h in dead
+                    )
+                    break
+                if time.monotonic() >= deadline:
+                    errors.append("timed out waiting for host results")
+                    break
+                dead = sorted(h for h in waiting if procs[h].exitcode is not None)
+                continue
+            waiting.discard(host)
+            dead = []
             if err is not None:
                 errors.append(f"host {host}:\n{err}")
             else:
                 gathered.update(tensors)
     finally:
-        for p in procs:
+        for p in procs.values():
+            if waiting:  # the run is abandoned; stop hosts still blocked in it
+                p.terminate()
             p.join(timeout=5.0)
             if p.is_alive():
                 p.terminate()

@@ -8,6 +8,8 @@ import sys
 import numpy as np
 import pytest
 
+from biflow.cli import ExperimentConfig, _add_copy_latency, build_sequence
+from biflow.costsim import CostModel, simulate
 from biflow.ops import write_tensor_file
 
 MLP_CONFIG = {
@@ -122,6 +124,27 @@ def test_validate_bad_net_shape_exits_one(tmp_path):
     }
     r = cli("validate", "--config", write_config(tmp_path, cfg))
     assert r.returncode == 1
+
+
+def test_validate_fractional_dim_raw_graph_exits_one(tmp_path):
+    raw = {
+        "tensors": [
+            {"name": "a", "shape": [2.5], "host": "local", "device": 0},
+            {"name": "b", "shape": [2], "host": "local", "device": 0},
+        ],
+        "operators": [],
+    }
+    r = cli("validate", "--config", write_config(tmp_path, raw))
+    assert r.returncode == 1
+    assert "tensor 'a'" in r.stderr
+
+
+def test_validate_unsupported_loss_exits_one(tmp_path):
+    cfg = json.loads(json.dumps(MLP_CONFIG))
+    cfg["net"]["loss"] = "mse"
+    r = cli("validate", "--config", write_config(tmp_path, cfg))
+    assert r.returncode == 1
+    assert "unsupported loss 'mse'" in r.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +285,48 @@ def test_train_host_id_single_host_matches_in_process(tmp_path):
     assert line["host"] == "local"
     assert line["iterations"] == DP_CONFIG["iterations"]
     assert line["final_loss"] == final_local
+
+
+def test_copy_latency_marks_exactly_the_cross_location_copies():
+    seq = build_sequence(ExperimentConfig.from_dict(DP_CONFIG))
+    _add_copy_latency(seq, 50e-6)
+    copies = [op for g in seq.graphs for op in g.operators.values()
+              if op.kind == "copy"]
+    marked = {op.name for op in copies if "delay_s" in op.attrs}
+    # peer 0 shares device 0 with the server; only peer 1's copies cross
+    assert marked == {op.name for op in copies if op.name.endswith("_p1")}
+    assert 0 < len(marked) < len(copies)
+    assert all(op.attrs["delay_s"] == 50e-6 for op in copies if op.name in marked)
+    costs = CostModel(kind_costs={k: 1e-3 for k in (
+        "fc_forward", "relu_forward", "softmax_xent", "fc_backward",
+        "relu_backward", "aggregate", "sgd_update", "swap")})
+    durations = {r.name: r.end - r.start for r in simulate(seq, costs).trace}
+    for op in copies:
+        assert durations[op.name] == (50_000 if op.name in marked else 0), op.name
+
+
+def test_copy_latency_is_skipped_at_zero():
+    seq = build_sequence(ExperimentConfig.from_dict(DP_CONFIG))
+    _add_copy_latency(seq, 0.0)
+    assert not any("delay_s" in op.attrs
+                   for g in seq.graphs for op in g.operators.values())
+
+
+def test_train_copy_latency_keeps_losses_and_delays_copies(tmp_path):
+    path = write_config(tmp_path, DP_CONFIG)
+    r1 = cli("train", "--config", path)
+    assert r1.returncode == 0, r1.stderr
+    trace_path = tmp_path / "trace.json"
+    r2 = cli("train", "--config", path, "--copy-latency-us", "3000",
+             "--trace-out", str(trace_path))
+    assert r2.returncode == 0, r2.stderr
+    assert [l["loss"] for l in json_lines(r2.stdout)] == [
+        l["loss"] for l in json_lines(r1.stdout)
+    ]
+    copies = [ev for ev in json.loads(trace_path.read_text())
+              if ev["name"].startswith(("up_", "down_"))]
+    crossing = [ev for ev in copies if ev["name"].endswith("_p1")]
+    assert crossing and all(ev["dur"] >= 3000 for ev in crossing)
 
 
 def test_train_host_id_writes_its_trace(tmp_path):

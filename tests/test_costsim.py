@@ -209,8 +209,8 @@ def test_sequence_iterations_and_sync_floor():
         ("b", 2.0, ["x"], 1),
     ])
     swap_like = task_graph([("s", 0.5, ["x"], 0)])
-    seq = GraphSequence([g, swap_like], iterations=2)
-    rep = simulate(seq, CostModel())
+    seq = GraphSequence([g, swap_like])
+    rep = simulate(seq, CostModel(), iterations=2)
     assert rep.makespan == 5.0  # (max(1,2) + 0.5) * 2
     last_end = 0
     for rec in rep.trace:
@@ -254,6 +254,13 @@ def test_invalid_cost_model_rejected():
     g = task_graph([("a", -0.5, ["x"], 0)])
     with pytest.raises(SimError):
         simulate(g, CostModel())
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_simulate_rejects_iterations_below_one(count):
+    g = task_graph([("a", 1.0, ["x"], 0)])
+    with pytest.raises(SimError, match=f"iterations must be >= 1, got {count}"):
+        simulate(g, CostModel(), iterations=count)
 
 
 def test_throughput_attached_to_report():

@@ -13,6 +13,7 @@ from biflow.builders import (
     feeder,
     init_params,
 )
+from biflow.cli import _add_copy_latency
 from biflow.dispatcher import (
     DispatchError,
     GraphPlan,
@@ -286,7 +287,7 @@ def test_readiness_state_reset_allows_reuse():
         state.complete(index)
     (join,) = [i for i, op in enumerate(plan.ops) if op.name == "join"]
     state.complete(join)
-    assert state.done
+    assert state.in_flight == 0 and state.completed_sinks == plan.sink_count
     state.reset()
     assert state.arm() == first
 
@@ -320,10 +321,10 @@ def relu_graph():
 
 
 def test_sequence_tags_iterations_and_graphs():
-    seq = GraphSequence([relu_graph(), swap_graph()], iterations=3)
+    seq = GraphSequence([relu_graph(), swap_graph()])
     store = fresh_store()
     store.set("y", np.zeros((4, 4), dtype=np.float32))
-    reports = run_sequence(seq, store)
+    reports = run_sequence(seq, store, iterations=3)
     assert [(r.iteration, r.graph_index) for r in reports] == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)
     ]
@@ -334,10 +335,10 @@ def test_sequence_tags_iterations_and_graphs():
 
 def test_sequence_completion_is_the_sync_point():
     # every op of run k+1 starts at or after the last op of run k ended
-    seq = GraphSequence([relu_graph(), swap_graph()], iterations=2)
+    seq = GraphSequence([relu_graph(), swap_graph()])
     store = fresh_store()
     store.set("y", np.zeros((4, 4), dtype=np.float32))
-    reports = run_sequence(seq, store)
+    reports = run_sequence(seq, store, iterations=2)
     for prev, nxt in zip(reports, reports[1:]):
         if not prev.trace or not nxt.trace:
             continue
@@ -345,7 +346,7 @@ def test_sequence_completion_is_the_sync_point():
 
 
 def test_sequence_swap_exchanges_buffers():
-    seq = GraphSequence([relu_graph(), swap_graph()], iterations=1)
+    seq = GraphSequence([relu_graph(), swap_graph()])
     store = TensorStore()
     store.set("x", f32(np.full((4, 4), -1.0)))
     store.set("y", f32(np.full((4, 4), 7.0)))
@@ -356,13 +357,14 @@ def test_sequence_swap_exchanges_buffers():
 
 
 def test_sequence_hooks_fire_in_order():
-    seq = GraphSequence([relu_graph(), swap_graph()], iterations=2)
+    seq = GraphSequence([relu_graph(), swap_graph()])
     store = fresh_store()
     store.set("y", np.zeros((4, 4), dtype=np.float32))
     events = []
     run_sequence(
         seq,
         store,
+        iterations=2,
         before_iteration=lambda it, st: events.append(("before", it)),
         after_graph=lambda rep, st: events.append(("after", rep.iteration, rep.graph_index)),
     )
@@ -373,13 +375,20 @@ def test_sequence_hooks_fire_in_order():
 
 
 def test_merged_trace_is_start_ordered():
-    seq = GraphSequence([relu_graph(), swap_graph()], iterations=2)
+    seq = GraphSequence([relu_graph(), swap_graph()])
     store = fresh_store()
     store.set("y", np.zeros((4, 4), dtype=np.float32))
-    merged = merged_trace(run_sequence(seq, store))
+    merged = merged_trace(run_sequence(seq, store, iterations=2))
     starts = [r.start for r in merged]
     assert starts == sorted(starts)
     assert len(merged) == 4
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_sequence_rejects_iterations_below_one(count):
+    seq = GraphSequence([relu_graph(), swap_graph()])
+    with pytest.raises(DispatchError, match=f"iterations must be >= 1, got {count}"):
+        run_sequence(seq, fresh_store(), iterations=count)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +407,8 @@ def test_copy_latency_applies_only_across_locations():
     g.add_operator("stay", "copy", [b], [c], there)
     store = TensorStore()
     store.set("a", f32([[1.0, 2.0], [3.0, 4.0]]))
-    rep = run(g, store, copy_latency_s=0.02)
+    _add_copy_latency(GraphSequence([g]), 0.02)
+    rep = run(g, store)
     by_name = {r.name: r for r in rep.trace}
     assert by_name["move"].end - by_name["move"].start >= 20_000_000
     assert by_name["stay"].end - by_name["stay"].start < 20_000_000
@@ -446,10 +456,10 @@ def fan_graph(width):
 
 
 def test_single_lane_runs_start_no_thread(started):
-    seq = GraphSequence([relu_graph(), swap_graph()], iterations=3)
+    seq = GraphSequence([relu_graph(), swap_graph()])
     store = fresh_store()
     store.set("y", np.zeros((4, 4), dtype=np.float32))
-    run_sequence(seq, store)
+    run_sequence(seq, store, iterations=3)
     rep = run(diamond(), fresh_store(), max_workers=1)
     assert started == []
     # FIFO by readiness, insertion order breaking the tie, as on one worker
@@ -458,8 +468,8 @@ def test_single_lane_runs_start_no_thread(started):
 
 @pytest.mark.parametrize("cap, most", [(None, 3), (2, 2)])
 def test_sequence_shares_one_lane_pool(started, cap, most):
-    seq = GraphSequence([diamond(), fan_graph(3)], iterations=5)
-    reports = run_sequence(seq, fresh_store(), max_workers=cap)
+    seq = GraphSequence([diamond(), fan_graph(3)])
+    reports = run_sequence(seq, fresh_store(), max_workers=cap, iterations=5)
     lanes = [n for n in started if n.startswith("biflow-lane-")]
     assert 0 < len(lanes) <= most
     assert len(reports) == 10
@@ -479,7 +489,7 @@ def test_failing_kernel_leaves_no_lane_thread():
     store.set("logits", np.zeros((2, 3), dtype=np.float32))
     store.set("labels", f32([0.0, 9.0]))
     with pytest.raises(DispatchError, match="bad"):
-        run_sequence(GraphSequence([g], iterations=3), store)
+        run_sequence(GraphSequence([g]), store, iterations=3)
     assert lane_threads() == []
 
 

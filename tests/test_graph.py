@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from biflow.graph import (
@@ -123,6 +124,27 @@ def test_repeated_input_edge_allowed():
     y = g.add_tensor("y", (2, 2), loc)
     g.add_operator("self_gate", "relu_backward", [x, x], [y], loc)
     assert g.validate().ok
+
+
+@pytest.mark.parametrize("dims", [[2.7, True], [2.0], [True, 2], [np.float32(3)]])
+def test_non_integer_dims_rejected(dims):
+    g = BiGraph()
+    with pytest.raises(GraphError, match="tensor 'x': dims must be integers"):
+        g.add_tensor("x", dims, Location("local", 0))
+
+
+def test_numpy_integer_dims_become_ints():
+    g = BiGraph()
+    t = g.tensors[g.add_tensor("x", [np.int64(3), 2], Location("local", 0))]
+    assert t.shape == (3, 2)
+    assert all(type(d) is int for d in t.shape)
+
+
+def test_json_fractional_dim_rejected():
+    spec = {"tensors": [{"name": "a", "shape": [2.5], "host": "local"}],
+            "operators": []}
+    with pytest.raises(GraphError, match="tensor 'a'"):
+        graph_from_json(spec)
 
 
 def test_shape_check_applied_at_build_time():
@@ -266,9 +288,7 @@ def test_json_round_trip_preserves_attrs_and_threads():
 
 def test_graph_sequence_validation():
     g = two_op_graph()
-    seq = GraphSequence([g, g], iterations=3)
-    assert seq.iterations == 3
+    seq = GraphSequence([g, g])
+    assert seq.graphs == [g, g]
     with pytest.raises(GraphError):
-        GraphSequence([], iterations=1)
-    with pytest.raises(GraphError):
-        GraphSequence([g], iterations=0)
+        GraphSequence([])

@@ -535,8 +535,7 @@ def execute(kind, g, op, arrays):
         store.set(g.tensors[tid].name, a)
     sent = []
     transport = SimpleNamespace(send=lambda ch, it, a: sent.append(a.shape))
-    ctx = SimpleNamespace(store=store, graph=g, iteration=0, transport=transport,
-                          copy_latency_s=0.0)
+    ctx = SimpleNamespace(store=store, graph=g, iteration=0, transport=transport)
     KINDS[kind].execute(ctx, op)
     return [store.array(g.tensors[t].name).shape for t in op.outputs], sent
 

@@ -1,8 +1,11 @@
 """Frame codec, host partitioning, and the TCP transport."""
 
+import multiprocessing
+import os
 import socket
 import struct
 import threading
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -459,3 +462,33 @@ def test_distributed_surfaces_child_failures():
     # no setup and no feed: children fail fast on missing source tensors
     with pytest.raises(TransportError):
         run_distributed(seq, iterations=1, timeout=5.0)
+
+
+@dataclass(frozen=True)
+class _DieOnProc1:
+    """Setup that kills host proc1 before it can report; other hosts train."""
+
+    setup: TrainingSetup
+
+    def __call__(self, store):
+        if multiprocessing.current_process().name == "biflow-host-proc1":
+            os._exit(3)
+        self.setup(store)
+
+
+def test_dead_host_is_named_with_its_exit_code():
+    plan = ParallelPlan(
+        scheme="data",
+        peers=(Location("proc0", 0), Location("proc1", 0)),
+        server=Location("proc0", 0),
+    )
+    seq = build_data_parallel(DIST_NET, plan)
+    with pytest.raises(TransportError) as err:
+        run_distributed(
+            seq,
+            iterations=2,
+            setup=_DieOnProc1(TrainingSetup(DIST_NET, 19, seq.layout)),
+            feed=SyntheticFeed.for_net(DIST_NET, 19, peers=2),
+            timeout=3.0,
+        )
+    assert "host proc1 exited with code 3" in str(err.value)
