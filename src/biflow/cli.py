@@ -12,6 +12,7 @@ import contextlib
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -451,6 +452,14 @@ def cmd_simulate(args, parser) -> int:
 # entry point
 
 
+def _non_negative(text: str) -> float:
+    """argparse type for a duration: a finite float >= 0, else a usage error."""
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biflow",
@@ -475,8 +484,8 @@ def make_parser() -> argparse.ArgumentParser:
         "name=addr:port entries (multi-host mode)",
     )
     t.add_argument("--host-id", default=None)
-    t.add_argument("--net-timeout", type=float, default=30.0)
-    t.add_argument("--copy-latency-us", type=float, default=0.0)
+    t.add_argument("--net-timeout", type=_non_negative, default=30.0)
+    t.add_argument("--copy-latency-us", type=_non_negative, default=0.0)
 
     s = sub.add_parser("simulate", help="model throughput from (a, c) or a fit")
     s.add_argument("--peers", required=True,

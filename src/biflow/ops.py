@@ -16,6 +16,18 @@ written by hand.  A rule also checks the attributes it reads (conv stride
 and pad, the aggregate mode, ``lr``, ``channel``); kernels then check what
 no shape fixes, label range and finite outputs, raising :class:`KernelError`.
 
+Convolution is lowered to GEMM, as in Caffe: im2col gathers each image's
+patches into a [C·R·S, Ho·Wo] matrix, and each kernel is one stacked float32
+``np.matmul`` against the filters flattened to [K, C·R·S], which numpy runs
+as one sgemm per image (backward data then scatter-adds the patch gradients
+back, col2im).  BLAS threading is left at OpenBLAS's default and needs no
+setting: OpenBLAS runs an sgemm on the calling thread while M·N·K is at
+most 65536 times its multithread threshold (4 by default), and a per-image
+GEMM at the shapes trained here stays below that (8·72·256 = 147456
+multiply-adds for an 8-filter 3×3 layer over 8 channels at 16×16).  One
+GEMM over the whole batch would cross it, and OpenBLAS's helper threads
+then spin against the dispatcher's lanes.
+
 The registry (`KINDS`) maps an operator-kind name to an :class:`OpKindSpec`
 carrying that shape check and an ``execute`` hook used by the dispatcher.
 """
@@ -211,7 +223,8 @@ def fc_backward_bias(dy: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Convolution kernels (direct cross-correlation, NCHW / KCRS)
+# Convolution kernels (cross-correlation, NCHW / KCRS): im2col, then one
+# sgemm per image on the calling thread (see the module docstring)
 
 
 def _conv_attrs(attrs: dict) -> tuple[int, int]:
@@ -224,10 +237,21 @@ def _conv_attrs(attrs: dict) -> tuple[int, int]:
     return stride, pad
 
 
+def _padded(x: np.ndarray, pad: int) -> np.ndarray:
+    """``x`` with ``pad`` zeros around H and W; ``x`` itself at pad 0."""
+    if pad == 0:
+        return x
+    n, c, h, wd = x.shape
+    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float32)
+    xp[:, :, pad : pad + h, pad : pad + wd] = x
+    return xp
+
+
 def _im2col(
     xp: np.ndarray, r: int, s: int, stride: int, ho: int, wo: int
 ) -> np.ndarray:
-    # [N, C, R, S, Ho, Wo] patch tensor; rows/cols gathered in fixed order.
+    """[N, C·R·S, Ho·Wo] patch matrix of the padded input, rows in (c, i, j)
+    order to match a KCRS filter flattened to [K, C·R·S]."""
     n, c = xp.shape[0], xp.shape[1]
     cols = np.empty((n, c, r, s, ho, wo), dtype=np.float32)
     for i in range(r):
@@ -235,7 +259,7 @@ def _im2col(
             cols[:, :, i, j] = xp[
                 :, :, i : i + stride * ho : stride, j : j + stride * wo : stride
             ]
-    return cols
+    return cols.reshape(n, c * r * s, ho * wo)
 
 
 def conv2d_forward(
@@ -243,16 +267,13 @@ def conv2d_forward(
 ) -> np.ndarray:
     """Cross-correlation of NCHW input with KCRS filters plus per-filter bias."""
     x, w, b = _f32(x), _f32(w), _f32(b)
-    ((_, _, ho, wo),) = _conv2d_forward_shapes(
+    ((n, k, ho, wo),) = _conv2d_forward_shapes(
         (x.shape, w.shape, b.shape), {"stride": stride, "pad": pad}
     )
-    k, c, r, s = w.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, r, s, stride, ho, wo)
-    y = np.einsum("ncijhw,kcij->nkhw", cols, w, dtype=np.float32) + b[
-        None, :, None, None
-    ]
-    y = _f32(y)
+    cols = _im2col(_padded(x, pad), w.shape[2], w.shape[3], stride, ho, wo)
+    y = np.matmul(w.reshape(k, -1), cols)
+    y += b[:, None]
+    y = y.reshape(n, k, ho, wo)
     _finite("conv2d_forward", y)
     return y
 
@@ -278,15 +299,16 @@ def conv2d_backward(
 def conv2d_backward_data(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
 ) -> np.ndarray:
-    """Input gradient: col2im of dy.w (``x`` supplies only its shape)."""
+    """Input gradient: col2im of w^T.dy (``x`` supplies only its shape)."""
     x, w, dy = _f32(x), _f32(w), _f32(dy)
     _conv2d_backward_data_shapes(
         (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
     )
     n, c, h, wd = x.shape
-    r, s = w.shape[2], w.shape[3]
+    k, _, r, s = w.shape
     ho, wo = dy.shape[2], dy.shape[3]
-    dcols = np.einsum("nkhw,kcij->ncijhw", dy, w, dtype=np.float32)
+    dcols = np.matmul(w.reshape(k, -1).T, dy.reshape(n, k, ho * wo))
+    dcols = dcols.reshape(n, c, r, s, ho, wo)
     dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float32)
     for i in range(r):
         for j in range(s):
@@ -301,14 +323,15 @@ def conv2d_backward_data(
 def conv2d_backward_weight(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
 ) -> np.ndarray:
-    """Filter gradient: im2col(x) contracted with dy."""
+    """Filter gradient: dy.im2col(x)^T per image, summed over the batch."""
     x, w, dy = _f32(x), _f32(w), _f32(dy)
     _conv2d_backward_weight_shapes(
         (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
     )
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = _im2col(xp, w.shape[2], w.shape[3], stride, dy.shape[2], dy.shape[3])
-    dw = _f32(np.einsum("ncijhw,nkhw->kcij", cols, dy, dtype=np.float32))
+    n, k, ho, wo = dy.shape
+    cols = _im2col(_padded(x, pad), w.shape[2], w.shape[3], stride, ho, wo)
+    dw = np.matmul(dy.reshape(n, k, ho * wo), cols.transpose(0, 2, 1))
+    dw = dw.sum(axis=0).reshape(w.shape)
     _finite("conv2d_backward_weight", dw)
     return dw
 
@@ -338,7 +361,12 @@ def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     """dy gated by x > 0; the subgradient at exactly 0 is 0."""
     x, dy = _f32(x), _f32(dy)
     _relu_backward_shapes((x.shape, dy.shape), {})
-    dx = np.where(x > 0, dy, np.float32(0))
+    # dy's bits where x > 0, +0.0 elsewhere: the bytes of
+    # np.where(x > 0, dy, 0) for every input, without the per-element branch
+    # that a random sign mask mispredicts.
+    mask = np.negative((x > 0).astype(np.uint32))
+    mask &= dy.view(np.uint32)
+    dx = mask.view(np.float32)
     _finite("relu_backward", dx)
     return dx
 

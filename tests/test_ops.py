@@ -1,6 +1,8 @@
 import hashlib
 import importlib
 import math
+import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -203,6 +205,105 @@ def test_conv_split_backward_matches_fused():
         assert math.isclose(float(np.sum(w.astype(np.float64) * dw)), ref, rel_tol=1e-5)
 
 
+# (N, C, K, H, W, R, S, stride, pad)
+CONV_GEOMETRIES = {
+    "one-image": (1, 2, 3, 5, 5, 3, 3, 1, 1),
+    "one-channel": (2, 1, 3, 5, 6, 3, 3, 1, 0),
+    "one-filter": (2, 2, 1, 5, 5, 3, 3, 2, 1),
+    "filter-2x3": (2, 2, 3, 4, 5, 2, 3, 1, 0),
+    "stride-3": (2, 2, 3, 6, 9, 3, 3, 3, 0),
+    "pad-2": (2, 2, 3, 4, 4, 3, 3, 1, 2),
+    # pad wider than R - 1, and a stride wider than the filter, so some
+    # input rows meet no filter tap and get a zero gradient
+    "all-at-once": (1, 1, 1, 4, 5, 2, 3, 3, 2),
+}
+
+
+@pytest.mark.parametrize(
+    "geom", CONV_GEOMETRIES.values(), ids=CONV_GEOMETRIES.keys()
+)
+def test_conv_kernels_match_loop_oracle_across_geometries(geom):
+    n, c, k, h, wd, r, s, stride, pad = geom
+    rng = np.random.default_rng(25)
+    x = f32(rng.standard_normal((n, c, h, wd)))
+    w = f32(rng.standard_normal((k, c, r, s)))
+    b = f32(rng.standard_normal(k))
+    y = conv2d_forward(x, w, b, stride=stride, pad=pad)
+    o = conv2d_loops(x, w, b, stride=stride, pad=pad)
+    assert y.shape == o.shape
+    assert rel_error(y, o) < 1e-6
+    # adjoint identity: <conv(x, w), dy> equals both <x, dx> and <w, dw>
+    dy = f32(rng.standard_normal(y.shape))
+    dx = conv2d_backward_data(x, w, dy, stride=stride, pad=pad)
+    dw = conv2d_backward_weight(x, w, dy, stride=stride, pad=pad)
+    assert dx.shape == x.shape and dw.shape == w.shape
+    ref = float(np.sum(conv2d_loops(x, w, np.zeros(k), stride=stride, pad=pad) * dy))
+    assert math.isclose(float(np.sum(x.astype(np.float64) * dx)), ref, rel_tol=1e-5)
+    assert math.isclose(float(np.sum(w.astype(np.float64) * dw)), ref, rel_tol=1e-5)
+
+
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv_kernels_neither_mutate_nor_alias_inputs(pad):
+    # at pad 0 the kernels read x in place, with no padded copy
+    rng = np.random.default_rng(26)
+    x = f32(rng.standard_normal((2, 3, 5, 5)))
+    w = f32(rng.standard_normal((4, 3, 3, 3)))
+    b = f32(rng.standard_normal(4))
+    ho = 5 + 2 * pad - 2
+    dy = f32(rng.standard_normal((2, 4, ho, ho)))
+    inputs = (x, w, b, dy)
+    before = [a.tobytes() for a in inputs]
+    outputs = [
+        conv2d_forward(x, w, b, pad=pad),
+        *conv2d_backward(x, w, dy, pad=pad),
+        conv2d_backward_data(x, w, dy, pad=pad),
+        conv2d_backward_weight(x, w, dy, pad=pad),
+        conv2d_backward_bias(dy),
+    ]
+    assert [a.tobytes() for a in inputs] == before
+    for out in outputs:
+        assert not any(np.shares_memory(out, a) for a in inputs)
+
+
+def test_conv_kernels_are_deterministic_across_threads():
+    rng = np.random.default_rng(27)
+    x = f32(rng.standard_normal((8, 8, 16, 16)))
+    w = f32(rng.standard_normal((8, 8, 3, 3)))
+    b = f32(rng.standard_normal(8))
+    dy = f32(rng.standard_normal((8, 8, 16, 16)))
+
+    def run_all():
+        return (
+            conv2d_forward(x, w, b, pad=1),
+            conv2d_backward_data(x, w, dy, pad=1),
+            conv2d_backward_weight(x, w, dy, pad=1),
+        )
+
+    serial = run_all()
+    mismatches = []
+
+    def worker():
+        for _ in range(50):
+            got = run_all()
+            mismatches.extend(
+                i for i, (a, e) in enumerate(zip(got, serial))
+                if not np.array_equal(a, e)
+            )
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
+
+
 def test_conv_non_integral_output_raises():
     x = np.ones((1, 1, 5, 5), dtype=np.float32)
     w = np.ones((1, 1, 2, 2), dtype=np.float32)
@@ -221,6 +322,18 @@ def test_relu_frozen():
     dx = relu_backward(f32([[-2.0, 0.0, 3.0]]), f32([[1.0, 1.0, 7.0]]))
     # subgradient at exactly zero is zero
     assert np.array_equal(dx, f32([[0.0, 0.0, 7.0]]))
+
+
+def test_relu_backward_bytes_equal_the_where_form():
+    rng = np.random.default_rng(33)
+    x = f32(rng.standard_normal((8, 8, 16, 16)))
+    dy = f32(rng.standard_normal((8, 8, 16, 16)))
+    x.flat[::7] = 0.0
+    x.flat[1::11] = -0.0
+    dy.flat[2::13] = -0.0
+    dy.flat[3::17] = 0.0
+    got = relu_backward(x, dy)
+    assert got.tobytes() == np.where(x > 0, dy, np.float32(0)).tobytes()
 
 
 def test_relu_gradient_matches_finite_differences():
