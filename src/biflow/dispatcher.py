@@ -8,12 +8,19 @@ different lanes.
 
 A lane is the (host, device, thread) triple of an operator; each lane
 executes its operators one at a time in FIFO order of readiness (ties broken
-by graph insertion order), while distinct lanes run concurrently on worker
-threads.  ``max_workers`` or, when it is not given, the environment variable
-``BIFLOW_LANES`` caps how many workers serve a graph's lanes: lane ``k`` of
-its sorted lanes goes to worker ``k mod min(lanes, cap)``.  The cap never
-changes which lane an operator belongs to, only how much true parallelism
-the lanes get.
+by graph insertion order).  Lanes run concurrently only where that can pay
+in CPython, which is where an operator gives up the GIL: a lane holding a
+*blocking* operator (a kind marked ``blocks`` in ``ops.KINDS``, ``send`` and
+``recv``, or any operator with a ``delay_s`` above 0) gets a worker thread
+of its own, and every other lane shares one worker.  The numpy kernels and
+in-process copies are too small to gain from threads and only contend for
+the GIL: on a 2-core VM, conv-data2-split used 8.2–9.5 CPU ms per iteration
+with its 7 lanes on 7 threads and 4.7–5.5 ms with them on one (ten 30 s
+runs each).  Each blocking lane is one group and the other lanes form one
+more; in sorted lane order, group ``k`` goes to worker
+``k mod min(groups, cap)``, where ``max_workers`` or, when it is not given,
+the environment variable ``BIFLOW_LANES`` sets the cap.  Neither the grouping nor the cap changes
+which lane an operator belongs to, only how many threads serve the lanes.
 
 Every operator runs its kind's ``execute`` hook from ``ops.KINDS``, after
 sleeping its ``delay_s`` attribute, if any, inside its traced span; the
@@ -24,12 +31,14 @@ the int-indexed scheduling facts of the graph.  Every run then resets the
 plan's counters (:class:`ReadinessState`) instead of rebuilding them.
 :func:`run_sequence`, which takes the iteration count, keeps one pool of
 worker threads for the whole sequence, grown on first use to the largest
-``min(lanes, cap)`` of its graphs and shut down when the sequence returns
-or raises.  A graph whose lanes all map to one worker (every single-lane
-graph, and every graph under ``BIFLOW_LANES=1`` or ``max_workers=1``) runs
-inline in the calling thread and starts no thread; it keeps the same order,
-trace records and errors.  :func:`run` is :func:`run_sequence` over one
-graph, run once.
+worker count of its graphs and shut down when the sequence returns or
+raises.  A graph whose lanes all map to one worker (every graph with no
+blocking operator, and every graph under ``BIFLOW_LANES=1`` or
+``max_workers=1``) runs inline in the calling thread and starts no thread;
+it keeps the same order, trace records and errors.  On the first error of a
+pooled run that has a transport, the runner cancels the transport, so a lane
+blocked in ``recv`` fails at once instead of at its timeout.  :func:`run` is
+:func:`run_sequence` over one graph, run once.
 
 The virtual-time cost simulator drives the same plan and counters, so both
 executors share one source of scheduling truth.
@@ -126,7 +135,14 @@ class GraphPlan:
     source tensors that nothing consumes, reached when a run is armed;
     ``initial`` lists the operators ready then; ``sources`` holds the name
     and shape of every consumed source tensor, which the store must hold
-    before each run.  ``worker_count`` is ``min(distinct lanes, cap)``.
+    before each run.
+
+    Lanes map to workers in groups: each lane holding a blocking operator
+    (its kind ``blocks``, or its ``delay_s`` is above 0) is a group of its
+    own, and all other lanes form one group, since their operators hold the
+    GIL throughout and gain nothing from threads of their own.  Group ``k``,
+    numbered in sorted lane order, goes to worker ``k mod worker_count``,
+    and ``worker_count`` is ``min(groups, cap)``.
     """
 
     graph: BiGraph
@@ -148,9 +164,16 @@ class GraphPlan:
         ops = tuple(graph.operators_in_order())
         index = {op.id: i for i, op in enumerate(ops)}
         lanes = tuple(lane_of(op) for op in ops)
-        distinct = sorted(set(lanes))
-        count = len(distinct) if cap is None else min(len(distinct), cap)
-        slot = {lane: k % count for k, lane in enumerate(distinct)} if count else {}
+        blocking = {lane for op, lane in zip(ops, lanes) if _blocks(op)}
+        # each lane with a blocking op is a group of its own, the other lanes
+        # form one group; groups are numbered in sorted lane order
+        groups: dict[WorkerLane | None, int] = {}
+        group = {
+            lane: groups.setdefault(lane if lane in blocking else None, len(groups))
+            for lane in sorted(set(lanes))
+        }
+        count = len(groups) if cap is None else min(len(groups), cap)
+        slot = {lane: k % count for lane, k in group.items()}
         consumed = {tid: graph.consumers_of(tid) for tid in graph.tensors}
         produced = {tid for tid in graph.tensors if graph.producer_of(tid) is not None}
         sources = [tid for tid in graph.tensors if tid not in produced]
@@ -256,6 +279,17 @@ class RunContext:
     transport: object | None = None
 
 
+def _delay(op: OperatorVertex) -> float:
+    return float(op.attrs.get("delay_s", 0.0) or 0.0)
+
+
+def _blocks(op: OperatorVertex) -> bool:
+    """True when ``op`` waits outside the GIL: its kind blocks (``send``,
+    ``recv``) or it sleeps an injected ``delay_s``."""
+    spec = KINDS.get(op.kind)
+    return (spec is not None and spec.blocks) or _delay(op) > 0
+
+
 def _serve(lane_queue: queue.SimpleQueue) -> None:  # pragma: no cover - worker
     while True:
         item = lane_queue.get()
@@ -306,8 +340,7 @@ class _GraphRunner:
         self.steps = []
         for op in plan.ops:
             spec = KINDS.get(op.kind)
-            delay = float(op.attrs.get("delay_s", 0.0) or 0.0)
-            self.steps.append((None if spec is None else spec.execute, op, delay))
+            self.steps.append((None if spec is None else spec.execute, op, _delay(op)))
         self.queues = None
         if plan.worker_count > 1:
             pool.grow(plan.worker_count)
@@ -401,9 +434,11 @@ class _GraphRunner:
             record = self._call(index)
         except BaseException as exc:  # noqa: BLE001 - first error wins, reported
             failure = exc
+        first = False
         with self.lock:
             if failure is not None:
-                if self.error is None:
+                first = self.error is None
+                if first:
                     self.error = (self.plan.ops[index].name, failure)
                 self.aborting = True
                 self.state.abandon()
@@ -415,6 +450,11 @@ class _GraphRunner:
                 else:
                     self._dispatch(newly)
             self._maybe_finish()
+        if first and self.ctx.transport is not None:
+            # a lane blocked in recv would hold the run until its timeout
+            self.ctx.transport.cancel(
+                f"run aborted: operator {self.plan.ops[index].name!r} failed"
+            )
 
     def _maybe_finish(self) -> None:
         # Caller holds the lock.

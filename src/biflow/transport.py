@@ -275,6 +275,8 @@ class Transport:
     When the connection from a peer fails (a malformed frame, a reset, or
     the peer closing it), ``recv`` on that peer's channels raises at once,
     naming the fault, after the frames that arrived before it.
+    :meth:`cancel` ends every channel the same way, for a run that failed
+    elsewhere.
     """
 
     def __init__(
@@ -393,6 +395,15 @@ class Transport:
         for spec in self._route.values():
             if spec.src_host == peer:
                 self._queue_for(spec.channel).put((_FAULT, self._fault))
+
+    def cancel(self, reason: str) -> None:
+        """End every channel with a fault item naming ``reason``: a ``recv``
+        waiting on one, or called later, raises at once.  A run that failed
+        on another lane calls this so it need not wait out a blocked recv."""
+        with self._queues_lock:
+            channels = set(self._route) | set(self._queues)
+        for channel in channels:
+            self._queue_for(channel).put((_FAULT, reason))
 
     def _queue_for(self, channel: int) -> queue.Queue:
         with self._queues_lock:

@@ -445,13 +445,15 @@ def lane_threads():
     return [t for t in threading.enumerate() if t.name.startswith("biflow-lane-")]
 
 
-def fan_graph(width):
+def fan_graph(width, delay=0.0):
     """``width`` independent relu ops on threads 0..width-1."""
     g = BiGraph()
     x = g.add_tensor("x", (4, 4), LOC)
+    attrs = {"delay_s": delay} if delay else {}
     for k in range(width):
         out = g.add_tensor(f"fan{k}", (4, 4), LOC)
-        g.add_operator(f"fan_op{k}", "relu_forward", [x], [out], LOC, thread=k)
+        g.add_operator(f"fan_op{k}", "relu_forward", [x], [out], LOC, thread=k,
+                       attrs=dict(attrs))
     return g
 
 
@@ -468,7 +470,8 @@ def test_single_lane_runs_start_no_thread(started):
 
 @pytest.mark.parametrize("cap, most", [(None, 3), (2, 2)])
 def test_sequence_shares_one_lane_pool(started, cap, most):
-    seq = GraphSequence([diamond(), fan_graph(3)])
+    # the delays make every lane block, so each one asks for its own worker
+    seq = GraphSequence([diamond(delay=0.001), fan_graph(3, delay=0.001)])
     reports = run_sequence(seq, fresh_store(), max_workers=cap, iterations=5)
     lanes = [n for n in started if n.startswith("biflow-lane-")]
     assert 0 < len(lanes) <= most
@@ -524,5 +527,113 @@ def test_data_parallel_serial_matches_pooled_bitwise():
                      before_iteration=feeder(feed, seq.layout), iterations=6)
         params.append({n: store.array(n).copy() for n in seq.layout.canonical_params})
     assert params[0].keys() == params[1].keys()
+    for name in params[0]:
+        assert np.array_equal(params[0][name], params[1][name]), name
+
+
+# ---------------------------------------------------------------------------
+# lane -> worker mapping: threads only for lanes that block
+# ---------------------------------------------------------------------------
+
+
+CONV_NET = NetSpec(
+    input_shape=(3, 16, 16),
+    layers=(
+        LayerSpec("conv", 8, kernel=3, pad=1),
+        LayerSpec("relu"),
+        LayerSpec("conv", 8, kernel=3, pad=1),
+        LayerSpec("relu"),
+        LayerSpec("fc", 10),
+    ),
+    batch=8,
+    lr=0.05,
+)
+
+
+def test_gil_bound_data_parallel_runs_inline(started):
+    # two peers and the server in one process, split backward, no delays:
+    # seven lanes, none of which blocks
+    plan = ParallelPlan(
+        scheme="data",
+        peers=(Location("local", 0), Location("local", 1)),
+        server=Location("local", 0),
+    )
+    seq = build_data_parallel(CONV_NET, plan, split_backward=True)
+    assert len({lane_of(op) for op in seq.graphs[0].operators_in_order()}) == 7
+    assert [GraphPlan.compile(g).worker_count for g in seq.graphs] == [1, 1]
+    store = TensorStore()
+    init_params(CONV_NET, store, 7, seq.layout)
+    feed = SyntheticFeed.for_net(CONV_NET, 7, peers=2)
+    run_sequence(seq, store, before_iteration=feeder(feed, seq.layout), iterations=2)
+    assert not [n for n in started if n.startswith("biflow-lane-")]
+
+
+def test_loopback_hosts_give_each_send_recv_lane_a_worker():
+    from biflow.transport import partition_sequence
+
+    plan = ParallelPlan(
+        scheme="data",
+        peers=(Location("proc0", 0), Location("proc1", 1)),
+        server=Location("proc0", 0),
+    )
+    parts = partition_sequence(build_data_parallel(CONV_NET, plan))
+    checked = 0
+    for part in parts.values():
+        for g in part.sequence.graphs:
+            compiled = GraphPlan.compile(g)
+            worker = dict(zip(compiled.lanes, compiled.workers))
+            net_lanes = {lane_of(op) for op in compiled.ops
+                         if op.kind in ("send", "recv")}
+            others = set(worker) - net_lanes
+            assert len({worker[lane] for lane in others}) <= 1
+            used = [worker[lane] for lane in net_lanes]
+            used += [worker[lane] for lane in others][:1]
+            assert len(used) == len(set(used)) == compiled.worker_count
+            checked += len(net_lanes)
+    assert checked > 0
+
+
+def test_delayed_op_gives_its_lane_a_worker():
+    g = fan_graph(3)
+    g.operator_named("fan_op1").attrs["delay_s"] = 0.001
+    compiled = GraphPlan.compile(g)
+    worker = dict(zip(compiled.lanes, compiled.workers))
+    lanes = [WorkerLane("local", 0, k) for k in range(3)]
+    assert compiled.worker_count == 2
+    assert worker[lanes[0]] == worker[lanes[2]] != worker[lanes[1]]
+    assert GraphPlan.compile(fan_graph(3)).worker_count == 1
+
+
+def test_worker_cap_still_applies_to_blocking_lanes():
+    g = fan_graph(4, delay=0.001)
+    assert GraphPlan.compile(g).worker_count == 4
+    capped = GraphPlan.compile(g, 2)
+    assert capped.worker_count == 2
+    assert list(capped.workers) == [0, 1, 0, 1]
+
+
+def test_delayed_copies_match_serial_bitwise():
+    net = NetSpec(
+        input_shape=(12,),
+        layers=(LayerSpec("fc", 10), LayerSpec("relu"), LayerSpec("fc", 3)),
+        batch=4,
+        lr=0.05,
+    )
+    plan = ParallelPlan(
+        scheme="data",
+        peers=(Location("local", 0), Location("local", 1)),
+        server=Location("local", 2),
+    )
+    seq = build_data_parallel(net, plan, split_backward=True)
+    _add_copy_latency(seq, 0.0005)
+    assert GraphPlan.compile(seq.graphs[0]).worker_count > 1
+    params = []
+    for cap in (None, 1):
+        store = TensorStore()
+        init_params(net, store, 5, seq.layout)
+        feed = SyntheticFeed.for_net(net, 5, peers=2)
+        run_sequence(seq, store, max_workers=cap,
+                     before_iteration=feeder(feed, seq.layout), iterations=3)
+        params.append({n: store.array(n).copy() for n in seq.layout.canonical_params})
     for name in params[0]:
         assert np.array_equal(params[0][name], params[1][name]), name

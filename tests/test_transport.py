@@ -21,9 +21,9 @@ from biflow.builders import (
     feeder,
     init_params,
 )
-from biflow.dispatcher import run_sequence
-from biflow.graph import BiGraph, GraphError, Location
-from biflow.ops import TensorStore
+from biflow.dispatcher import DispatchError, run_sequence
+from biflow.graph import BiGraph, GraphError, GraphSequence, Location
+from biflow.ops import KINDS, KernelError, OpKindSpec, TensorStore
 from biflow.transport import (
     HEADER,
     FrameError,
@@ -281,6 +281,60 @@ def test_malformed_frame_is_named_in_recv_error():
     finally:
         ours.close()
         theirs.close()
+
+
+def test_cancel_fails_waiting_and_later_recvs():
+    t = Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,)), spec(2, (2,))],
+                  timeout=30)
+    t.cancel("run aborted")
+    for channel in (1, 2, 1):
+        with pytest.raises(TransportError, match="run aborted"):
+            t.recv(channel, 0)
+
+
+def test_kernel_failure_does_not_wait_for_blocked_recv(monkeypatch):
+    # a kernel fails on one lane once another lane waits in a recv whose
+    # frame never comes; the run must end with the kernel's error, not the
+    # recv's 30 s timeout
+    waiting = threading.Event()
+
+    class WatchedTransport(Transport):
+        def recv(self, channel, iteration):
+            waiting.set()
+            return super().recv(channel, iteration)
+
+    def fail_once_recv_waits(ctx, op):
+        waiting.wait(10)  # hang guard only
+        raise KernelError("injected failure")
+
+    monkeypatch.setitem(KINDS, "fail_once_recv_waits", OpKindSpec(
+        "fail_once_recv_waits", lambda ins, outs, attrs: None, fail_once_recv_waits
+    ))
+    loc = Location("b", 0)
+    g = BiGraph()
+    x = g.add_tensor("x", (2,), loc)
+    y = g.add_tensor("y", (2,), loc)
+    got = g.add_tensor("got", (2,), loc)
+    g.add_operator("bad_kernel", "fail_once_recv_waits", [x], [y], loc, thread=0)
+    g.add_operator("wait", "recv", [], [got], loc, thread=1, attrs={"channel": 1})
+    store = TensorStore()
+    store.set("x", np.zeros(2, dtype=np.float32))
+    t = WatchedTransport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))], timeout=30)
+    outcome = []
+
+    def target():
+        try:
+            run_sequence(GraphSequence([g]), store, transport=t)
+        except Exception as exc:  # noqa: BLE001 - inspected below
+            outcome.append(exc)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(20)  # hang guard only
+    assert not worker.is_alive(), "run still waiting on the blocked recv"
+    (exc,) = outcome
+    assert isinstance(exc, DispatchError)
+    assert "'bad_kernel' failed: injected failure" in str(exc)
 
 
 def test_closed_peer_fails_only_its_own_channels():
