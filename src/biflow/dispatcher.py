@@ -18,9 +18,9 @@ the GIL: on a 2-core VM, conv-data2-split used 8.2–9.5 CPU ms per iteration
 with its 7 lanes on 7 threads and 4.7–5.5 ms with them on one (ten 30 s
 runs each).  Each blocking lane is one group and the other lanes form one
 more; in sorted lane order, group ``k`` goes to worker
-``k mod min(groups, cap)``, where ``max_workers`` or, when it is not given,
-the environment variable ``BIFLOW_LANES`` sets the cap.  Neither the grouping nor the cap changes
-which lane an operator belongs to, only how many threads serve the lanes.
+``k mod min(groups, max_workers)``.  Neither the grouping nor the cap
+changes which lane an operator belongs to, only how many threads serve the
+lanes.
 
 Every operator runs its kind's ``execute`` hook from ``ops.KINDS``, after
 sleeping its ``delay_s`` attribute, if any, inside its traced span; the
@@ -29,16 +29,22 @@ cost simulator reads the same attribute.
 Each graph is compiled once, on its first run, into a :class:`GraphPlan`:
 the int-indexed scheduling facts of the graph.  Every run then resets the
 plan's counters (:class:`ReadinessState`) instead of rebuilding them.
-:func:`run_sequence`, which takes the iteration count, keeps one pool of
-worker threads for the whole sequence, grown on first use to the largest
-worker count of its graphs and shut down when the sequence returns or
-raises.  A graph whose lanes all map to one worker (every graph with no
-blocking operator, and every graph under ``BIFLOW_LANES=1`` or
-``max_workers=1``) runs inline in the calling thread and starts no thread;
-it keeps the same order, trace records and errors.  On the first error of a
-pooled run that has a transport, the runner cancels the transport, so a lane
-blocked in ``recv`` fails at once instead of at its timeout.  :func:`run` is
-:func:`run_sequence` over one graph, run once.
+
+The thread that calls :func:`run_sequence` is the only one that reads or
+changes a run's counters and trace.  It runs worker 0's operators itself and
+hands each operator of worker ``k >= 1`` to pool thread ``k - 1``, which
+runs it and sends the outcome back to an inbox; the calling thread then
+marks it complete and routes the operators it made ready.  A graph whose
+lanes all map to one worker (every graph with no blocking operator, and
+every graph under ``max_workers=1``) thus runs wholly in the calling thread
+and starts no thread.  The pool lives for the whole sequence, grows on first
+use to one thread fewer than the largest worker count of its graphs, and is
+shut down when the sequence returns or raises; after an error or an
+interrupt its threads drop what is still queued, and the sequence waits
+only for operators already running.  The first error wins; if a pool thread
+then still holds an operator and the run has a transport, the transport is
+cancelled, so a lane blocked in ``recv`` fails at once instead of at its
+timeout.  :func:`run` is :func:`run_sequence` over one graph, run once.
 
 The virtual-time cost simulator drives the same plan and counters, so both
 executors share one source of scheduling truth.
@@ -46,7 +52,6 @@ executors share one source of scheduling truth.
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 import time
@@ -59,7 +64,6 @@ from .ops import KINDS, TensorStore
 __all__ = [
     "DispatchError",
     "GraphPlan",
-    "LANES_ENV",
     "ReadinessState",
     "RunContext",
     "RunReport",
@@ -70,8 +74,6 @@ __all__ = [
     "run",
     "run_sequence",
 ]
-
-LANES_ENV = "BIFLOW_LANES"
 
 
 class DispatchError(RuntimeError):
@@ -290,38 +292,45 @@ def _blocks(op: OperatorVertex) -> bool:
     return (spec is not None and spec.blocks) or _delay(op) > 0
 
 
-def _serve(lane_queue: queue.SimpleQueue) -> None:  # pragma: no cover - worker
-    while True:
-        item = lane_queue.get()
-        if item is None:
-            return
-        runner, index = item
-        runner.execute(index)
-
-
 class _LanePool:
     """Worker threads shared by every graph of one sequence run.
 
-    Worker ``k`` serves queue ``k``; an item is ``(runner, operator index)``
-    and ``None`` stops the worker.
+    Pool thread ``k`` serves queue ``k``, which holds the operators of
+    worker ``k + 1`` as ``(runner, operator index)``.  A thread only runs
+    the operator and puts ``(index, record, exc)`` on the runner's
+    ``inbox``; ``None`` stops it.  Once ``aborting`` is set, it drops what
+    is still queued.
     """
 
     def __init__(self) -> None:
         self.queues: list[queue.SimpleQueue] = []
         self._threads: list[threading.Thread] = []
+        self.aborting = False
 
     def grow(self, count: int) -> None:
         while len(self._threads) < count:
             lane_queue: queue.SimpleQueue = queue.SimpleQueue()
             t = threading.Thread(
-                target=_serve, args=(lane_queue,),
+                target=self._serve, args=(lane_queue,),
                 name=f"biflow-lane-{len(self._threads)}", daemon=True,
             )
             t.start()
             self.queues.append(lane_queue)
             self._threads.append(t)
 
+    def _serve(self, lane_queue: queue.SimpleQueue) -> None:
+        while (item := lane_queue.get()) is not None:
+            if self.aborting:
+                continue
+            runner, index = item
+            try:
+                runner.inbox.put((index, runner._call(index), None))
+            except BaseException as exc:  # noqa: BLE001 - the calling thread raises it
+                runner.inbox.put((index, None, exc))
+
     def close(self) -> None:
+        """Drop what is still queued and wait for running operators."""
+        self.aborting = True
         for lane_queue in self.queues:
             lane_queue.put(None)
         for t in self._threads:
@@ -329,51 +338,69 @@ class _LanePool:
 
 
 class _GraphRunner:
-    """Runs one compiled graph, once per :meth:`run` call: inline in the
-    calling thread when its lanes share one worker, otherwise on the pool.
-    Owns the run's counters, lock and trace."""
+    """Runs one compiled graph, once per :meth:`run` call.  The calling
+    thread runs worker 0's operators and owns every counter and the trace;
+    the pool's threads run the other workers' operators."""
 
     def __init__(self, plan: GraphPlan, ctx: RunContext, pool: _LanePool) -> None:
         self.plan = plan
         self.ctx = ctx
+        self.pool = pool
         self.state = ReadinessState(plan)
         self.steps = []
         for op in plan.ops:
             spec = KINDS.get(op.kind)
             self.steps.append((None if spec is None else spec.execute, op, _delay(op)))
-        self.queues = None
-        if plan.worker_count > 1:
-            pool.grow(plan.worker_count)
-            self.queues = pool.queues
-        self.lock = threading.Lock()
-        self.finished = threading.Event()
+        pool.grow(plan.worker_count - 1)
+        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.zero = 0
-        self.trace: list[TraceRecord] = []
-        self.error: tuple[str, BaseException] | None = None
-        self.aborting = False
 
     def run(self, iteration: int, zero: int) -> list[TraceRecord]:
-        plan = self.plan
+        plan, state = self.plan, self.state
         _check_sources(plan, self.ctx.store)
-        self.state.reset()
+        state.reset()
         self.ctx.iteration = iteration
         self.zero = zero
-        self.trace = []
-        self.error = None
-        self.aborting = False
-        initial = self.state.arm()
+        newly = state.arm()
         if not plan.ops:
             return []
-        if not initial:
+        if not newly:
             raise DispatchError("no operator is initially ready; graph cannot start")
-        if self.queues is None:
-            self._run_inline(initial)
-        else:
-            self._run_pooled(initial)
-        if self.error is not None:
-            name, exc = self.error
-            raise DispatchError(f"operator {name!r} failed: {exc}") from exc
-        return self.trace
+        workers, queues, inbox = plan.workers, self.pool.queues, self.inbox
+        trace: list[TraceRecord] = []
+        ready: deque[int] = deque()  # worker 0's operators, FIFO by readiness
+        sent = 0  # operators handed to pool threads and not yet back
+        while True:
+            for i in newly:
+                if workers[i]:
+                    queues[workers[i] - 1].put((self, i))
+                    sent += 1
+                else:
+                    ready.append(i)
+            if sent and (not ready or not inbox.empty()):
+                index, record, exc = inbox.get()
+                sent -= 1
+            elif ready:
+                index = ready.popleft()
+                try:
+                    record, exc = self._call(index), None
+                except Exception as e:  # noqa: BLE001 - reported below
+                    record, exc = None, e
+            else:
+                break
+            if exc is not None:  # first error wins; the queued rest is dropped
+                self.pool.aborting = True
+                state.abandon(1 + len(ready) + sent)
+                name = plan.ops[index].name
+                if sent and self.ctx.transport is not None:
+                    # a pool thread blocked in recv would hold the run until
+                    # its timeout
+                    self.ctx.transport.cancel(f"run aborted: operator {name!r} failed")
+                raise DispatchError(f"operator {name!r} failed: {exc}") from exc
+            trace.append(record)
+            newly = state.complete(index)
+        trace.sort(key=lambda r: (r.start, r.end))
+        return trace
 
     def _call(self, index: int) -> TraceRecord:
         """Execute one operator; returns its trace record."""
@@ -394,86 +421,6 @@ class _GraphRunner:
             op.id, op.name, self.plan.lanes[index], start, end, self.ctx.iteration
         )
 
-    def _run_inline(self, initial: list[int]) -> None:
-        state, trace = self.state, self.trace
-        ready = deque(initial)
-        while ready:
-            index = ready.popleft()
-            try:
-                trace.append(self._call(index))
-            except Exception as exc:  # first error wins; the queued rest is dropped
-                self.error = (self.plan.ops[index].name, exc)
-                state.abandon(1 + len(ready))
-                return
-            ready.extend(state.complete(index))
-
-    def _run_pooled(self, initial: list[int]) -> None:
-        self.finished.clear()
-        self._dispatch(initial)
-        try:
-            self.finished.wait()
-        except BaseException:
-            self.aborting = True  # interrupted: workers drop what is queued
-            raise
-        self.trace.sort(key=lambda r: (r.start, r.end))
-
-    def _dispatch(self, indices: list[int]) -> None:
-        queues, workers = self.queues, self.plan.workers
-        for index in indices:
-            queues[workers[index]].put((self, index))
-
-    def execute(self, index: int) -> None:
-        """Run one operator on a worker thread and propagate its completion."""
-        if self.aborting:
-            with self.lock:
-                self.state.abandon()
-                self._maybe_finish()
-            return
-        failure: BaseException | None = None
-        try:
-            record = self._call(index)
-        except BaseException as exc:  # noqa: BLE001 - first error wins, reported
-            failure = exc
-        first = False
-        with self.lock:
-            if failure is not None:
-                first = self.error is None
-                if first:
-                    self.error = (self.plan.ops[index].name, failure)
-                self.aborting = True
-                self.state.abandon()
-            else:
-                self.trace.append(record)
-                newly = self.state.complete(index)
-                if self.aborting:
-                    self.state.abandon(len(newly))
-                else:
-                    self._dispatch(newly)
-            self._maybe_finish()
-        if first and self.ctx.transport is not None:
-            # a lane blocked in recv would hold the run until its timeout
-            self.ctx.transport.cancel(
-                f"run aborted: operator {self.plan.ops[index].name!r} failed"
-            )
-
-    def _maybe_finish(self) -> None:
-        # Caller holds the lock.
-        if self.state.in_flight == 0:
-            self.finished.set()
-
-
-def _env_lane_cap() -> int:
-    raw = os.environ.get(LANES_ENV)
-    if not raw:
-        return 1 << 16
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DispatchError(f"{LANES_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise DispatchError(f"{LANES_ENV} must be >= 1, got {cap}")
-    return cap
-
 
 def _check_sources(plan: GraphPlan, store: TensorStore) -> None:
     for name, shape in plan.sources:
@@ -493,38 +440,6 @@ def _validate(graphs) -> None:
             raise DispatchError(
                 "graph failed validation: " + "; ".join(report.violations)
             )
-
-
-class _Executor:
-    """The graphs of one sequence, each compiled on its first run, and the
-    lane pool they share; a context manager that shuts the pool down."""
-
-    def __init__(self, graphs, store, max_workers, transport) -> None:
-        self.graphs = list(graphs)
-        self.store = store
-        self.cap = max_workers if max_workers is not None else _env_lane_cap()
-        self.transport = transport
-        self.runners: list[_GraphRunner | None] = [None] * len(self.graphs)
-        self.pool = _LanePool()
-
-    def __enter__(self) -> "_Executor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.pool.close()
-
-    def run(self, index: int, iteration: int, t0: int) -> RunReport:
-        """Run graph ``index`` once; trace times count from ``t0``."""
-        start_ns = time.monotonic_ns()
-        runner = self.runners[index]
-        if runner is None:
-            g = self.graphs[index]
-            ctx = RunContext(self.store, g, iteration, self.transport)
-            runner = _GraphRunner(GraphPlan.compile(g, self.cap), ctx, self.pool)
-            self.runners[index] = runner
-        trace = runner.run(iteration, t0)
-        elapsed = time.monotonic_ns() - start_ns
-        return RunReport(trace, elapsed, iteration, index)
 
 
 def run(
@@ -565,20 +480,34 @@ def run_sequence(
     first graph (data feeding); ``after_graph(report, store)`` runs after each
     graph completes (metric sampling).  The graphs are validated once, before
     the first iteration; the lane pool lives until this call returns or
-    raises.  Raises :class:`DispatchError` when ``iterations`` is below 1.
+    raises.  Raises :class:`DispatchError` when ``iterations`` or
+    ``max_workers`` is below 1.
     """
     if iterations < 1:
         raise DispatchError(f"iterations must be >= 1, got {iterations}")
+    if max_workers is not None and max_workers < 1:
+        raise DispatchError(f"max_workers must be >= 1, got {max_workers}")
     _validate(seq.graphs)
+    runners: list[_GraphRunner | None] = [None] * len(seq.graphs)
     reports: list[RunReport] = []
-    with _Executor(seq.graphs, store, max_workers, transport) as ex:
+    pool = _LanePool()
+    try:
         t0 = time.monotonic_ns()
         for it in range(iterations):
             if before_iteration is not None:
                 before_iteration(it, store)
-            for gi in range(len(seq.graphs)):
-                rep = ex.run(gi, it, t0)
+            for gi, g in enumerate(seq.graphs):
+                start_ns = time.monotonic_ns()
+                runner = runners[gi]
+                if runner is None:
+                    ctx = RunContext(store, g, it, transport)
+                    runner = _GraphRunner(GraphPlan.compile(g, max_workers), ctx, pool)
+                    runners[gi] = runner
+                trace = runner.run(it, t0)
+                rep = RunReport(trace, time.monotonic_ns() - start_ns, it, gi)
                 reports.append(rep)
                 if after_graph is not None:
                     after_graph(rep, store)
+    finally:
+        pool.close()
     return reports

@@ -300,7 +300,6 @@ class Transport:
         # that cannot be reached stalls only the sends addressed to it
         self._send_locks: dict[str, threading.Lock] = {}
         self._listener: socket.socket | None = None
-        self._threads: list[threading.Thread] = []
         self._closing = threading.Event()
         self._fault: str | None = None
 
@@ -319,10 +318,8 @@ class Transport:
                 f"{self.host}: cannot listen on {addr}:{port} ({e})"
             ) from None
         self._listener = srv
-        t = threading.Thread(target=self._accept_loop, daemon=True,
-                             name=f"transport-accept-{self.host}")
-        t.start()
-        self._threads.append(t)
+        threading.Thread(target=self._accept_loop, daemon=True,
+                         name=f"transport-accept-{self.host}").start()
         return self
 
     @property
@@ -358,10 +355,8 @@ class Transport:
                 conn, _ = self._listener.accept()
             except OSError:
                 return
-            t = threading.Thread(target=self._reader, args=(conn,), daemon=True,
-                                 name=f"transport-read-{self.host}")
-            t.start()
-            self._threads.append(t)
+            threading.Thread(target=self._reader, args=(conn,), daemon=True,
+                             name=f"transport-read-{self.host}").start()
 
     def _reader(self, conn: socket.socket) -> None:
         peer = None

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import threading
 
@@ -25,7 +26,7 @@ from biflow.dispatcher import (
     run_sequence,
 )
 from biflow.graph import BiGraph, GraphSequence, Location
-from biflow.ops import TensorStore
+from biflow.ops import KINDS, TensorStore
 from oracles import topological_orders
 
 
@@ -107,15 +108,10 @@ def test_serial_mode_never_overlaps():
         assert prev.end <= nxt.start
 
 
-def test_lane_cap_env_variable(monkeypatch):
-    monkeypatch.setenv("BIFLOW_LANES", "1")
-    rep = run(diamond(delay=0.01), fresh_store())
-    recs = sorted(rep.trace, key=lambda r: r.start)
-    for prev, nxt in zip(recs, recs[1:]):
-        assert prev.end <= nxt.start
-    monkeypatch.setenv("BIFLOW_LANES", "0")
-    with pytest.raises(DispatchError):
-        run(diamond(), fresh_store())
+@pytest.mark.parametrize("cap", [0, -1])
+def test_max_workers_below_one_rejected(cap):
+    with pytest.raises(DispatchError, match=f"max_workers must be >= 1, got {cap}"):
+        run(diamond(), fresh_store(), max_workers=cap)
 
 
 def test_same_lane_runs_in_insertion_order():
@@ -505,32 +501,6 @@ def test_inline_failure_is_the_same_dispatch_error():
         run(g, fresh_store())
 
 
-def test_data_parallel_serial_matches_pooled_bitwise():
-    net = NetSpec(
-        input_shape=(12,),
-        layers=(LayerSpec("fc", 10), LayerSpec("relu"), LayerSpec("fc", 3)),
-        batch=4,
-        lr=0.05,
-    )
-    plan = ParallelPlan(
-        scheme="data",
-        peers=(Location("local", 0), Location("local", 1)),
-        server=Location("local", 2),
-    )
-    seq = build_data_parallel(net, plan, split_backward=True)
-    params = []
-    for cap in (None, 1):
-        store = TensorStore()
-        init_params(net, store, 5, seq.layout)
-        feed = SyntheticFeed.for_net(net, 5, peers=2)
-        run_sequence(seq, store, max_workers=cap,
-                     before_iteration=feeder(feed, seq.layout), iterations=6)
-        params.append({n: store.array(n).copy() for n in seq.layout.canonical_params})
-    assert params[0].keys() == params[1].keys()
-    for name in params[0]:
-        assert np.array_equal(params[0][name], params[1][name]), name
-
-
 # ---------------------------------------------------------------------------
 # lane -> worker mapping: threads only for lanes that block
 # ---------------------------------------------------------------------------
@@ -602,6 +572,78 @@ def test_delayed_op_gives_its_lane_a_worker():
     assert compiled.worker_count == 2
     assert worker[lanes[0]] == worker[lanes[2]] != worker[lanes[1]]
     assert GraphPlan.compile(fan_graph(3)).worker_count == 1
+
+
+def test_calling_thread_runs_worker_zero(started, monkeypatch):
+    ran_on = {}
+    spec = KINDS["relu_forward"]
+
+    def execute(ctx, op):
+        ran_on[op.name] = threading.current_thread().name
+        spec.execute(ctx, op)
+
+    monkeypatch.setitem(KINDS, "relu_forward", dataclasses.replace(spec, execute=execute))
+    g = fan_graph(3)
+    g.operator_named("fan_op1").attrs["delay_s"] = 0.001
+    run(g, fresh_store())
+    assert [n for n in started if n.startswith("biflow-lane-")] == ["biflow-lane-0"]
+    here = threading.current_thread().name
+    assert ran_on == {"fan_op0": here, "fan_op1": "biflow-lane-0", "fan_op2": here}
+
+
+def test_loopback_hosts_start_one_lane_thread_fewer_than_workers(monkeypatch):
+    from biflow.transport import Transport, owned_sources, partition_sequence
+
+    starts = []  # (starting thread, started thread)
+    real_start = threading.Thread.start
+
+    def start(self):
+        starts.append((threading.current_thread().name, self.name))
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    plan = ParallelPlan(
+        scheme="data",
+        peers=(Location("proc0", 0), Location("proc1", 1)),
+        server=Location("proc0", 0),
+    )
+    parts = partition_sequence(build_data_parallel(CONV_NET, plan))
+    transports = {
+        h: Transport(h, {h: ("127.0.0.1", 0)}, p.channels, timeout=20).start()
+        for h, p in parts.items()
+    }
+    table = {h: ("127.0.0.1", t.port) for h, t in transports.items()}
+    for t in transports.values():
+        t.peers.update(table)
+    feed = SyntheticFeed.for_net(CONV_NET, 7, peers=2)
+    errors = []
+
+    def host(h):
+        seq = parts[h].sequence
+        store = TensorStore()
+        init_params(CONV_NET, store, 7, seq.layout)
+        owned = owned_sources(seq, seq.layout.data_names)
+        try:
+            run_sequence(seq, store, transport=transports[h], iterations=2,
+                         before_iteration=feeder(feed, seq.layout, only=owned))
+        except Exception as exc:  # noqa: BLE001 - inspected below
+            errors.append(exc)
+
+    hosts = [threading.Thread(target=host, args=(h,), name=f"host-{h}") for h in parts]
+    try:
+        for t in hosts:
+            t.start()
+        for t in hosts:
+            t.join(30)  # hang guard only
+    finally:
+        for t in transports.values():
+            t.close()
+    assert not any(t.is_alive() for t in hosts) and errors == []
+    for h, part in parts.items():
+        counts = [GraphPlan.compile(g).worker_count for g in part.sequence.graphs]
+        lanes = [n for who, n in starts
+                 if who == f"host-{h}" and n.startswith("biflow-lane-")]
+        assert max(counts) == 3 and len(lanes) == 2
 
 
 def test_worker_cap_still_applies_to_blocking_lanes():
