@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -296,6 +297,7 @@ class SyntheticFeed:
             peers=peers,
         )
 
+    @cached_property
     def _centers(self) -> np.ndarray:
         rng = np.random.default_rng([self.seed, 5])
         c = rng.standard_normal((self.classes, *self.input_shape))
@@ -304,13 +306,20 @@ class SyntheticFeed:
     def _draw(self, key: int, index: int, n: int) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng([self.seed, key, index])
         labels = rng.integers(0, self.classes, n)
-        x = self._centers()[labels] + (
+        x = self._centers[labels] + (
             rng.standard_normal((n, *self.input_shape)) * self.noise
         ).astype(np.float32)
-        return x.astype(np.float32), labels.astype(np.float32)
+        return x, labels.astype(np.float32)
 
     def full_batch(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._draw(17, iteration, self.batch * self.peers)
+        """The read-only batch of ``iteration``.  The last one drawn is kept,
+        so the peers of an iteration share one draw."""
+        last = self.__dict__.get("_last_batch")
+        if last is None or last[0] != iteration:
+            x, labels = self._draw(17, iteration, self.batch * self.peers)
+            x.flags.writeable = labels.flags.writeable = False
+            last = self.__dict__["_last_batch"] = (iteration, x, labels)
+        return last[1], last[2]
 
     def batch_for(self, iteration: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
         x, labels = self.full_batch(iteration)

@@ -16,11 +16,12 @@ of its own, and every other lane shares one worker.  The numpy kernels and
 in-process copies are too small to gain from threads and only contend for
 the GIL: on a 2-core VM, conv-data2-split used 8.2–9.5 CPU ms per iteration
 with its 7 lanes on 7 threads and 4.7–5.5 ms with them on one (ten 30 s
-runs each).  Each blocking lane is one group and the other lanes form one
-more; in sorted lane order, group ``k`` goes to worker
-``k mod min(groups, max_workers)``.  Neither the grouping nor the cap
-changes which lane an operator belongs to, only how many threads serve the
-lanes.
+runs each).  The shared lanes form group 0, and each blocking lane is one
+more group, numbered in sorted lane order; group ``k`` goes to worker
+``k mod min(groups, max_workers)``.  Under the default cap the calling
+thread, which serves worker 0, thus never waits in a ``recv`` while pool
+completions sit unrouted.  Neither the grouping nor the cap changes which
+lane an operator belongs to, only how many threads serve the lanes.
 
 Every operator runs its kind's ``execute`` hook from ``ops.KINDS``, after
 sleeping its ``delay_s`` attribute, if any, inside its traced span; the
@@ -142,9 +143,10 @@ class GraphPlan:
     Lanes map to workers in groups: each lane holding a blocking operator
     (its kind ``blocks``, or its ``delay_s`` is above 0) is a group of its
     own, and all other lanes form one group, since their operators hold the
-    GIL throughout and gain nothing from threads of their own.  Group ``k``,
-    numbered in sorted lane order, goes to worker ``k mod worker_count``,
-    and ``worker_count`` is ``min(groups, cap)``.
+    GIL throughout and gain nothing from threads of their own.  The shared
+    group is group 0 and the blocking lanes follow in sorted lane order;
+    group ``k`` goes to worker ``k mod worker_count``, and ``worker_count``
+    is ``min(groups, cap)``.
     """
 
     graph: BiGraph
@@ -168,8 +170,9 @@ class GraphPlan:
         lanes = tuple(lane_of(op) for op in ops)
         blocking = {lane for op, lane in zip(ops, lanes) if _blocks(op)}
         # each lane with a blocking op is a group of its own, the other lanes
-        # form one group; groups are numbered in sorted lane order
-        groups: dict[WorkerLane | None, int] = {}
+        # form group 0; blocking groups follow in sorted lane order
+        shared = set(lanes) - blocking
+        groups: dict[WorkerLane | None, int] = {None: 0} if shared else {}
         group = {
             lane: groups.setdefault(lane if lane in blocking else None, len(groups))
             for lane in sorted(set(lanes))

@@ -16,17 +16,25 @@ written by hand.  A rule also checks the attributes it reads (conv stride
 and pad, the aggregate mode, ``lr``, ``channel``); kernels then check what
 no shape fixes, label range and finite outputs, raising :class:`KernelError`.
 
-Convolution is lowered to GEMM, as in Caffe: im2col gathers each image's
-patches into a [C·R·S, Ho·Wo] matrix, and each kernel is one stacked float32
-``np.matmul`` against the filters flattened to [K, C·R·S], which numpy runs
-as one sgemm per image (backward data then scatter-adds the patch gradients
-back, col2im).  BLAS threading is left at OpenBLAS's default and needs no
-setting: OpenBLAS runs an sgemm on the calling thread while M·N·K is at
+Convolution is lowered to GEMM, as in Caffe, with one patch gather for
+all three kernels.  The gather lays each (image, channel) plane into a
+zeroed flat buffer with its padding, so at stride 1 each filter tap is one
+contiguous run of Ho·Wp floats, read over an extended Ho×Wp output grid
+(Wp the padded width); at stride > 1 a tap is Ho strided rows of Wo floats.
+The patch matrix is [C·R·S, Ho·width] per image, and each kernel is one
+stacked float32 ``np.matmul`` against it, which numpy runs as one sgemm per
+image.  The forward crops the Wp-Wo junk columns from its output, and the
+weight gradient meets them with zero columns of dy.  Backward data is the
+transposed convolution, computed as a direct one: the same forward lowering
+at stride 1 over dy, dilated by the stride and padded by R-1-pad (cropped
+where negative), against the flipped filters transposed to [C, K·R·S], so
+no kernel scatters.  BLAS threading is left at OpenBLAS's default and needs
+no setting: OpenBLAS runs an sgemm on the calling thread while M·N·K is at
 most 65536 times its multithread threshold (4 by default), and a per-image
-GEMM at the shapes trained here stays below that (8·72·256 = 147456
-multiply-adds for an 8-filter 3×3 layer over 8 channels at 16×16).  One
-GEMM over the whole batch would cross it, and OpenBLAS's helper threads
-then spin against the dispatcher's lanes.
+GEMM at the shapes trained here stays below that (at most 8·(16·18)·72 =
+165888 multiply-adds for an 8-filter 3×3 layer over 8 channels at 16×16,
+pad 1).  One GEMM over the whole batch would cross it, and OpenBLAS's
+helper threads then spin against the dispatcher's lanes.
 
 The registry (`KINDS`) maps an operator-kind name to an :class:`OpKindSpec`
 carrying that shape check and an ``execute`` hook used by the dispatcher.
@@ -40,6 +48,7 @@ from math import prod
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "KINDS",
@@ -223,8 +232,8 @@ def fc_backward_bias(dy: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Convolution kernels (cross-correlation, NCHW / KCRS): im2col, then one
-# sgemm per image on the calling thread (see the module docstring)
+# Convolution kernels (cross-correlation, NCHW / KCRS): one patch gather,
+# then one sgemm per image on the calling thread (see the module docstring)
 
 
 def _conv_attrs(attrs: dict) -> tuple[int, int]:
@@ -237,29 +246,63 @@ def _conv_attrs(attrs: dict) -> tuple[int, int]:
     return stride, pad
 
 
-def _padded(x: np.ndarray, pad: int) -> np.ndarray:
-    """``x`` with ``pad`` zeros around H and W; ``x`` itself at pad 0."""
-    if pad == 0:
-        return x
+def _placed(size: int, pad: int, dilation: int, extent: int) -> tuple[slice, slice]:
+    """(source, destination) slices of one axis: source index t lands at
+    t·dilation + pad of a padded axis of ``extent``, and a negative ``pad``
+    crops the indices that would land outside it."""
+    lo = max(0, -(pad // dilation))
+    hi = min(size, (extent - 1 - pad) // dilation + 1)
+    start = lo * dilation + pad
+    stop = start + (hi - lo - 1) * dilation + 1 if hi > lo else start
+    return slice(lo, hi), slice(start, stop, dilation)
+
+
+def _patches(
+    x: np.ndarray, r: int, s: int, stride: int, pad_h: int, pad_w: int,
+    dilation: int = 1,
+) -> tuple[np.ndarray, int]:
+    """Patch matrix of ``x`` for an R×S filter, and its output grid width.
+
+    Each (image, channel) plane of ``x``, dilated by ``dilation`` and padded
+    by ``pad_h``/``pad_w`` per side (cropped where negative), is laid into a
+    zeroed flat buffer with S-1 floats of slack; a strided conv with no
+    padding reads ``x`` in place.  The matrix is [N, C·R·S, Ho·width], rows
+    in (c, i, j) order to match a KCRS filter flattened to [K, C·R·S].  At
+    stride 1, tap (i, j) is one contiguous run of Ho·Wp floats of the
+    buffer, read over an extended Ho×Wp grid: the width is the padded width
+    Wp, and the last Wp-Wo columns wrap into the next row, for the caller
+    to crop or to meet with zeros.  At stride > 1 a tap is Ho strided rows
+    of Wo floats, and the width is Wo.
+    """
     n, c, h, wd = x.shape
-    xp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float32)
-    xp[:, :, pad : pad + h, pad : pad + wd] = x
-    return xp
-
-
-def _im2col(
-    xp: np.ndarray, r: int, s: int, stride: int, ho: int, wo: int
-) -> np.ndarray:
-    """[N, C·R·S, Ho·Wo] patch matrix of the padded input, rows in (c, i, j)
-    order to match a KCRS filter flattened to [K, C·R·S]."""
-    n, c = xp.shape[0], xp.shape[1]
-    cols = np.empty((n, c, r, s, ho, wo), dtype=np.float32)
-    for i in range(r):
-        for j in range(s):
-            cols[:, :, i, j] = xp[
-                :, :, i : i + stride * ho : stride, j : j + stride * wo : stride
-            ]
-    return cols.reshape(n, c * r * s, ho * wo)
+    hp = (h - 1) * dilation + 1 + 2 * pad_h
+    wp = (wd - 1) * dilation + 1 + 2 * pad_w
+    ho, wo = (hp - r) // stride + 1, (wp - s) // stride + 1
+    if stride > 1 and (pad_h, pad_w, dilation) == (0, 0, 1):
+        # strided taps stay inside their plane: read x in place
+        flat = x.reshape(n, c, h * wd)
+    else:
+        flat = np.zeros((n, c, hp * wp + s - 1), dtype=np.float32)
+        planes = flat[:, :, : hp * wp].reshape(n, c, hp, wp)
+        (src_h, dst_h), (src_w, dst_w) = (
+            _placed(h, pad_h, dilation, hp), _placed(wd, pad_w, dilation, wp)
+        )
+        planes[:, :, dst_h, dst_w] = x[:, :, src_h, src_w]
+    # every tap in one copy, from a read-only view of the buffer whose axes
+    # are (n, c, i, j, then the tap's grid)
+    sn, sc, f = flat.strides[0], flat.strides[1], flat.itemsize
+    if stride == 1:
+        taps = as_strided(
+            flat, (n, c, r, s, ho * wp), (sn, sc, wp * f, f, f), writeable=False
+        )
+        return taps.reshape(n, c * r * s, ho * wp), wp
+    taps = as_strided(
+        flat,
+        (n, c, r, s, ho, wo),
+        (sn, sc, wp * f, f, stride * wp * f, stride * f),
+        writeable=False,
+    )
+    return taps.reshape(n, c * r * s, ho * wo), wo
 
 
 def conv2d_forward(
@@ -270,10 +313,10 @@ def conv2d_forward(
     ((n, k, ho, wo),) = _conv2d_forward_shapes(
         (x.shape, w.shape, b.shape), {"stride": stride, "pad": pad}
     )
-    cols = _im2col(_padded(x, pad), w.shape[2], w.shape[3], stride, ho, wo)
+    cols, width = _patches(x, w.shape[2], w.shape[3], stride, pad, pad)
     y = np.matmul(w.reshape(k, -1), cols)
     y += b[:, None]
-    y = y.reshape(n, k, ho, wo)
+    y = _f32(y.reshape(n, k, ho, width)[:, :, :, :wo])
     _finite("conv2d_forward", y)
     return y
 
@@ -299,23 +342,24 @@ def conv2d_backward(
 def conv2d_backward_data(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
 ) -> np.ndarray:
-    """Input gradient: col2im of w^T.dy (``x`` supplies only its shape)."""
+    """Input gradient, as the transposed convolution (``x`` supplies only
+    its shape).
+
+    That is the forward lowering at stride 1, applied to ``dy`` dilated by
+    the stride and padded by R-1-pad in H and S-1-pad in W (cropped where
+    that is negative), with the filters flipped and transposed to
+    [C, K·R·S].
+    """
     x, w, dy = _f32(x), _f32(w), _f32(dy)
     _conv2d_backward_data_shapes(
         (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
     )
     n, c, h, wd = x.shape
     k, _, r, s = w.shape
-    ho, wo = dy.shape[2], dy.shape[3]
-    dcols = np.matmul(w.reshape(k, -1).T, dy.reshape(n, k, ho * wo))
-    dcols = dcols.reshape(n, c, r, s, ho, wo)
-    dxp = np.zeros((n, c, h + 2 * pad, wd + 2 * pad), dtype=np.float32)
-    for i in range(r):
-        for j in range(s):
-            dxp[
-                :, :, i : i + stride * ho : stride, j : j + stride * wo : stride
-            ] += dcols[:, :, i, j]
-    dx = _f32(dxp[:, :, pad : pad + h, pad : pad + wd])
+    cols, width = _patches(dy, r, s, 1, r - 1 - pad, s - 1 - pad, stride)
+    flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, k * r * s)
+    dx = np.matmul(flipped, cols)
+    dx = _f32(dx.reshape(n, c, h, width)[:, :, :, :wd])
     _finite("conv2d_backward_data", dx)
     return dx
 
@@ -323,14 +367,20 @@ def conv2d_backward_data(
 def conv2d_backward_weight(
     x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
 ) -> np.ndarray:
-    """Filter gradient: dy.im2col(x)^T per image, summed over the batch."""
+    """Filter gradient: dy times the patch matrix of x transposed, per
+    image, summed over the batch; dy gets zero columns to meet the junk
+    columns of a stride-1 patch matrix."""
     x, w, dy = _f32(x), _f32(w), _f32(dy)
     _conv2d_backward_weight_shapes(
         (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
     )
     n, k, ho, wo = dy.shape
-    cols = _im2col(_padded(x, pad), w.shape[2], w.shape[3], stride, ho, wo)
-    dw = np.matmul(dy.reshape(n, k, ho * wo), cols.transpose(0, 2, 1))
+    cols, width = _patches(x, w.shape[2], w.shape[3], stride, pad, pad)
+    if width != wo:
+        wide = np.zeros((n, k, ho, width), dtype=np.float32)
+        wide[:, :, :, :wo] = dy
+        dy = wide
+    dw = np.matmul(dy.reshape(n, k, ho * width), cols.transpose(0, 2, 1))
     dw = dw.sum(axis=0).reshape(w.shape)
     _finite("conv2d_backward_weight", dw)
     return dw

@@ -76,6 +76,32 @@ def conv2d_loops(x, w, b, stride=1, pad=0):
     return y
 
 
+def conv2d_backward_loops(x, w, dy, stride=1, pad=0):
+    """Input and filter gradients of :func:`conv2d_loops`, scattered one
+    filter tap at a time: each output element sends dy times the tap's
+    filter weight to the input pixel it read, and dy times that pixel to
+    the tap's filter weight."""
+    n, c, h, wd = x.shape
+    k, _, r, s = w.shape
+    ho, wo = dy.shape[2], dy.shape[3]
+    dx = np.zeros((n, c, h, wd), dtype=np.float64)
+    dw = np.zeros((k, c, r, s), dtype=np.float64)
+    for ni in range(n):
+        for ki in range(k):
+            for oi in range(ho):
+                for oj in range(wo):
+                    g = float(dy[ni, ki, oi, oj])
+                    for ci in range(c):
+                        for ri in range(r):
+                            for si in range(s):
+                                ii = oi * stride + ri - pad
+                                jj = oj * stride + si - pad
+                                if 0 <= ii < h and 0 <= jj < wd:
+                                    dx[ni, ci, ii, jj] += g * float(w[ki, ci, ri, si])
+                                    dw[ki, ci, ri, si] += g * float(x[ni, ci, ii, jj])
+    return dx, dw
+
+
 def softmax_xent_bruteforce(logits, labels):
     """Per-row softmax cross-entropy straight from the definition."""
     n, k = logits.shape

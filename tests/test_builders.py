@@ -416,6 +416,18 @@ def test_feed_varies_by_iteration_not_by_call():
     assert ev.shape == (32, 6) and el.shape == (32,)
 
 
+def test_feed_batches_do_not_depend_on_call_history():
+    def make():
+        return SyntheticFeed(seed=3, input_shape=(2, 3), classes=3, batch=4, peers=3)
+
+    feed = make()
+    for it in (0, 1, 0):
+        for rank in range(3):
+            got = feed.batch_for(it, rank)
+            want = make().batch_for(it, rank)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
 def test_feeder_respects_only_filter():
     seq = build_data_parallel(MLP, peers_plan(2))
     feed = SyntheticFeed.for_net(MLP, 5, peers=2)

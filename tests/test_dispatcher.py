@@ -563,6 +563,24 @@ def test_loopback_hosts_give_each_send_recv_lane_a_worker():
     assert checked > 0
 
 
+def test_calling_thread_serves_no_blocking_lane():
+    # the server on device 0 and peer 0 on device 1: the recv lane on device
+    # 0 sorts before every compute lane, yet the shared group is worker 0
+    from biflow.transport import partition_sequence
+
+    plan = ParallelPlan(
+        scheme="data",
+        peers=(Location("proc0", 1), Location("proc1", 2)),
+        server=Location("proc0", 0),
+    )
+    parts = partition_sequence(build_data_parallel(CONV_NET, plan))
+    compiled = GraphPlan.compile(parts["proc0"].sequence.graphs[0])
+    blocking = {lane_of(op) for op in compiled.ops if KINDS[op.kind].blocks}
+    assert blocking and compiled.worker_count == len(blocking) + 1
+    for lane, worker in zip(compiled.lanes, compiled.workers):
+        assert (worker == 0) == (lane not in blocking), lane
+
+
 def test_delayed_op_gives_its_lane_a_worker():
     g = fan_graph(3)
     g.operator_named("fan_op1").attrs["delay_s"] = 0.001

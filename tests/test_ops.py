@@ -37,6 +37,7 @@ from biflow.ops import (
     write_tensor_file,
 )
 from oracles import (
+    conv2d_backward_loops,
     conv2d_loops,
     fc_backward_loops,
     fc_forward_loops,
@@ -198,7 +199,8 @@ def test_conv_split_backward_matches_fused():
         )
         assert np.array_equal(conv2d_backward_bias(dy), db)
         # adjoint identity against the loop oracle: <conv(x, w), dy> equals
-        # both <x, dx> and <w, dw>, which pins the col2im scatter per stride
+        # both <x, dx> and <w, dw>, which pins the transposed convolution
+        # (dy dilated by the stride) and the weight gradient per stride
         y = conv2d_loops(x, w, np.zeros(4), stride=stride, pad=pad)
         ref = float(np.sum(y * dy))
         assert math.isclose(float(np.sum(x.astype(np.float64) * dx)), ref, rel_tol=1e-5)
@@ -242,27 +244,50 @@ def test_conv_kernels_match_loop_oracle_across_geometries(geom):
     assert math.isclose(float(np.sum(w.astype(np.float64) * dw)), ref, rel_tol=1e-5)
 
 
+@pytest.mark.parametrize(
+    "geom", CONV_GEOMETRIES.values(), ids=CONV_GEOMETRIES.keys()
+)
+def test_conv_gradients_match_scatter_oracle_elementwise(geom):
+    n, c, k, h, wd, r, s, stride, pad = geom
+    rng = np.random.default_rng(28)
+    x = f32(rng.standard_normal((n, c, h, wd)))
+    w = f32(rng.standard_normal((k, c, r, s)))
+    ho = (h + 2 * pad - r) // stride + 1
+    wo = (wd + 2 * pad - s) // stride + 1
+    dy = f32(rng.standard_normal((n, k, ho, wo)))
+    want_dx, want_dw = conv2d_backward_loops(x, w, dy, stride=stride, pad=pad)
+    dx = conv2d_backward_data(x, w, dy, stride=stride, pad=pad)
+    dw = conv2d_backward_weight(x, w, dy, stride=stride, pad=pad)
+    assert dx.shape == want_dx.shape and dw.shape == want_dw.shape
+    assert rel_error(dx, want_dx) < 1e-6
+    assert rel_error(dw, want_dw) < 1e-6
+    # input pixels that no tap reads get exactly zero
+    assert np.array_equal(dx == 0, want_dx == 0)
+
+
 @pytest.mark.parametrize("pad", [0, 1])
 def test_conv_kernels_neither_mutate_nor_alias_inputs(pad):
-    # at pad 0 the kernels read x in place, with no padded copy
+    # a stride-1 conv copies x into a patch buffer even at pad 0, and a
+    # strided one at pad 0 reads it in place; either way outputs are fresh
     rng = np.random.default_rng(26)
     x = f32(rng.standard_normal((2, 3, 5, 5)))
     w = f32(rng.standard_normal((4, 3, 3, 3)))
     b = f32(rng.standard_normal(4))
-    ho = 5 + 2 * pad - 2
-    dy = f32(rng.standard_normal((2, 4, ho, ho)))
-    inputs = (x, w, b, dy)
-    before = [a.tobytes() for a in inputs]
-    outputs = [
-        conv2d_forward(x, w, b, pad=pad),
-        *conv2d_backward(x, w, dy, pad=pad),
-        conv2d_backward_data(x, w, dy, pad=pad),
-        conv2d_backward_weight(x, w, dy, pad=pad),
-        conv2d_backward_bias(dy),
-    ]
-    assert [a.tobytes() for a in inputs] == before
-    for out in outputs:
-        assert not any(np.shares_memory(out, a) for a in inputs)
+    for stride in (1, 2):
+        ho = (5 + 2 * pad - 3) // stride + 1
+        dy = f32(rng.standard_normal((2, 4, ho, ho)))
+        inputs = (x, w, b, dy)
+        before = [a.tobytes() for a in inputs]
+        outputs = [
+            conv2d_forward(x, w, b, stride=stride, pad=pad),
+            *conv2d_backward(x, w, dy, stride=stride, pad=pad),
+            conv2d_backward_data(x, w, dy, stride=stride, pad=pad),
+            conv2d_backward_weight(x, w, dy, stride=stride, pad=pad),
+            conv2d_backward_bias(dy),
+        ]
+        assert [a.tobytes() for a in inputs] == before
+        for out in outputs:
+            assert not any(np.shares_memory(out, a) for a in inputs)
 
 
 def test_conv_kernels_are_deterministic_across_threads():
