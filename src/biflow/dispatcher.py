@@ -9,19 +9,29 @@ different lanes.
 A lane is the (host, device, thread) triple of an operator; each lane
 executes its operators one at a time in FIFO order of readiness (ties broken
 by graph insertion order).  Lanes run concurrently only where that can pay
-in CPython, which is where an operator gives up the GIL: a lane holding a
-*blocking* operator (a kind marked ``blocks`` in ``ops.KINDS``, ``send`` and
-``recv``, or any operator with a ``delay_s`` above 0) gets a worker thread
-of its own, and every other lane shares one worker.  The numpy kernels and
+in CPython, which is where an operator gives up the GIL: a lane holding an
+operator with a ``delay_s`` above 0, which sleeps, gets a worker thread of
+its own, and every other lane shares one worker.  The numpy kernels and
 in-process copies are too small to gain from threads and only contend for
 the GIL: on a 2-core VM, conv-data2-split used 8.2–9.5 CPU ms per iteration
 with its 7 lanes on 7 threads and 4.7–5.5 ms with them on one (ten 30 s
-runs each).  The shared lanes form group 0, and each blocking lane is one
+runs each).  The shared lanes form group 0, and each sleeping lane is one
 more group, numbered in sorted lane order; group ``k`` goes to worker
-``k mod min(groups, max_workers)``.  Under the default cap the calling
-thread, which serves worker 0, thus never waits in a ``recv`` while pool
-completions sit unrouted.  Neither the grouping nor the cap changes which
-lane an operator belongs to, only how many threads serve the lanes.
+``k mod min(groups, max_workers)``.  Neither the grouping nor the cap
+changes which lane an operator belongs to, only how many threads serve the
+lanes.
+
+``send`` and ``recv`` do not block a thread either: a lane holding one
+stays in the shared group, and the calling thread drives the run's
+transport.  A ``send`` writes at once (its socket reads while a write
+would block).  A ``recv`` whose frame has not come when its lane reaches it
+is *pending*: the lane takes nothing else until the run loop takes that
+frame, in the lane's FIFO order, and the recv's traced span runs from the
+moment its lane reached it to that moment.  While a recv is pending the
+loop polls the transport without waiting between ready operators, and when
+nothing else can run it waits in the poll, up to the transport's timeout
+for the oldest pending recv, so a loopback host runs every operator and
+socket on one thread.
 
 Every operator runs its kind's ``execute`` hook from ``ops.KINDS``, after
 sleeping its ``delay_s`` attribute, if any, inside its traced span; the
@@ -36,16 +46,16 @@ changes a run's counters and trace.  It runs worker 0's operators itself and
 hands each operator of worker ``k >= 1`` to pool thread ``k - 1``, which
 runs it and sends the outcome back to an inbox; the calling thread then
 marks it complete and routes the operators it made ready.  A graph whose
-lanes all map to one worker (every graph with no blocking operator, and
+lanes all map to one worker (every graph with no sleeping operator, and
 every graph under ``max_workers=1``) thus runs wholly in the calling thread
 and starts no thread.  The pool lives for the whole sequence, grows on first
 use to one thread fewer than the largest worker count of its graphs, and is
 shut down when the sequence returns or raises; after an error or an
 interrupt its threads drop what is still queued, and the sequence waits
-only for operators already running.  The first error wins; if a pool thread
-then still holds an operator and the run has a transport, the transport is
-cancelled, so a lane blocked in ``recv`` fails at once instead of at its
-timeout.  :func:`run` is :func:`run_sequence` over one graph, run once.
+only for operators already running, none of which touches the transport.
+The first error wins, and a pending recv does not delay it: the loop stops
+waiting for its frame.  :func:`run` is :func:`run_sequence` over one graph,
+run once.
 
 The virtual-time cost simulator drives the same plan and counters, so both
 executors share one source of scheduling truth.
@@ -140,13 +150,17 @@ class GraphPlan:
     and shape of every consumed source tensor, which the store must hold
     before each run.
 
-    Lanes map to workers in groups: each lane holding a blocking operator
-    (its kind ``blocks``, or its ``delay_s`` is above 0) is a group of its
-    own, and all other lanes form one group, since their operators hold the
-    GIL throughout and gain nothing from threads of their own.  The shared
-    group is group 0 and the blocking lanes follow in sorted lane order;
-    group ``k`` goes to worker ``k mod worker_count``, and ``worker_count``
-    is ``min(groups, cap)``.
+    ``channels`` holds the channel of each ``recv`` operator, which the run
+    loop waits on, and None for every other operator.
+
+    Lanes map to workers in groups: each lane holding an operator with a
+    ``delay_s`` above 0 and no ``send`` or ``recv`` is a group of its own,
+    since a sleep gives up the GIL; all other lanes form one group, since
+    their operators hold the GIL throughout and gain nothing from threads of
+    their own, and the transport is driven by the calling thread alone.
+    The shared group is group 0 and the sleeping lanes follow in sorted
+    lane order; group ``k`` goes to worker ``k mod worker_count``, and
+    ``worker_count`` is ``min(groups, cap)``.
     """
 
     graph: BiGraph
@@ -154,6 +168,7 @@ class GraphPlan:
     lanes: tuple[WorkerLane, ...]
     workers: tuple[int, ...]
     worker_count: int
+    channels: tuple[int | None, ...]
     consumers: tuple[tuple[int, ...], ...]
     pending: tuple[int, ...]
     sinks_reached: tuple[int, ...]
@@ -168,13 +183,16 @@ class GraphPlan:
         ops = tuple(graph.operators_in_order())
         index = {op.id: i for i, op in enumerate(ops)}
         lanes = tuple(lane_of(op) for op in ops)
-        blocking = {lane for op, lane in zip(ops, lanes) if _blocks(op)}
-        # each lane with a blocking op is a group of its own, the other lanes
-        # form group 0; blocking groups follow in sorted lane order
-        shared = set(lanes) - blocking
+        sleeping = (
+            {lane for op, lane in zip(ops, lanes) if _delay(op) > 0}
+            - {lane for op, lane in zip(ops, lanes) if op.kind in ("send", "recv")}
+        )
+        # each sleeping lane is a group of its own, the other lanes form
+        # group 0; sleeping groups follow in sorted lane order
+        shared = set(lanes) - sleeping
         groups: dict[WorkerLane | None, int] = {None: 0} if shared else {}
         group = {
-            lane: groups.setdefault(lane if lane in blocking else None, len(groups))
+            lane: groups.setdefault(lane if lane in sleeping else None, len(groups))
             for lane in sorted(set(lanes))
         }
         count = len(groups) if cap is None else min(len(groups), cap)
@@ -194,6 +212,9 @@ class GraphPlan:
             lanes=lanes,
             workers=tuple(slot[lane] for lane in lanes),
             worker_count=count,
+            channels=tuple(
+                int(op.attrs["channel"]) if op.kind == "recv" else None for op in ops
+            ),
             consumers=tuple(
                 tuple(sorted(
                     index[oid] for tid in op.outputs for oid, _pos in consumed[tid]
@@ -288,13 +309,6 @@ def _delay(op: OperatorVertex) -> float:
     return float(op.attrs.get("delay_s", 0.0) or 0.0)
 
 
-def _blocks(op: OperatorVertex) -> bool:
-    """True when ``op`` waits outside the GIL: its kind blocks (``send``,
-    ``recv``) or it sleeps an injected ``delay_s``."""
-    spec = KINDS.get(op.kind)
-    return (spec is not None and spec.blocks) or _delay(op) > 0
-
-
 class _LanePool:
     """Worker threads shared by every graph of one sequence run.
 
@@ -342,8 +356,9 @@ class _LanePool:
 
 class _GraphRunner:
     """Runs one compiled graph, once per :meth:`run` call.  The calling
-    thread runs worker 0's operators and owns every counter and the trace;
-    the pool's threads run the other workers' operators."""
+    thread runs worker 0's operators, drives the transport, and owns every
+    counter and the trace; the pool's threads run the other workers'
+    operators."""
 
     def __init__(self, plan: GraphPlan, ctx: RunContext, pool: _LanePool) -> None:
         self.plan = plan
@@ -354,6 +369,10 @@ class _GraphRunner:
         for op in plan.ops:
             spec = KINDS.get(op.kind)
             self.steps.append((None if spec is None else spec.execute, op, _delay(op)))
+        # without a transport a recv runs at once and fails for want of one
+        self.channels = (
+            plan.channels if ctx.transport is not None else (None,) * len(plan.ops)
+        )
         pool.grow(plan.worker_count - 1)
         self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.zero = 0
@@ -369,10 +388,15 @@ class _GraphRunner:
             return []
         if not newly:
             raise DispatchError("no operator is initially ready; graph cannot start")
-        workers, queues, inbox = plan.workers, self.pool.queues, self.inbox
+        workers, lanes, channels = plan.workers, plan.lanes, self.channels
+        queues, inbox, transport = self.pool.queues, self.inbox, self.ctx.transport
         trace: list[TraceRecord] = []
         ready: deque[int] = deque()  # worker 0's operators, FIFO by readiness
         sent = 0  # operators handed to pool threads and not yet back
+        # lanes whose recv waits for its frame: the recv and the time its lane
+        # reached it, and the operators that reached the lane since, in order
+        waiting: dict[WorkerLane, tuple[int, int]] = {}
+        held: dict[WorkerLane, list[int]] = {}
         while True:
             for i in newly:
                 if workers[i]:
@@ -380,39 +404,80 @@ class _GraphRunner:
                     sent += 1
                 else:
                     ready.append(i)
-            if sent and (not ready or not inbox.empty()):
+            newly = ()
+            record = exc = None  # both stay None for an operator to run here
+            if waiting and (lane := self._arrival(waiting, not ready and not sent)):
+                index, start = waiting.pop(lane)
+                ready.extendleft(reversed(held.pop(lane)))
+                if not transport.ready(channels[index]):  # waited out the timeout
+                    exc = transport.timed_out(channels[index])
+            elif sent and (not ready or not inbox.empty()):
                 index, record, exc = inbox.get()
                 sent -= 1
             elif ready:
-                index = ready.popleft()
-                try:
-                    record, exc = self._call(index), None
-                except Exception as e:  # noqa: BLE001 - reported below
-                    record, exc = None, e
+                index, start = ready.popleft(), None
+                lane = lanes[index]
+                if held and lane in held:  # behind its lane's pending recv
+                    held[lane].append(index)
+                    continue
+                if channels[index] is not None and not transport.ready(channels[index]):
+                    waiting[lane] = (index, time.monotonic_ns() - self.zero)
+                    held[lane] = []
+                    continue
+            elif waiting:
+                continue  # the poll woke for another channel
             else:
                 break
+            if record is None and exc is None:
+                try:
+                    record = self._call(index, start)
+                except Exception as e:  # noqa: BLE001 - reported below
+                    exc = e
             if exc is not None:  # first error wins; the queued rest is dropped
                 self.pool.aborting = True
-                state.abandon(1 + len(ready) + sent)
+                state.abandon(1 + len(ready) + sent + len(waiting)
+                              + sum(map(len, held.values())))
                 name = plan.ops[index].name
-                if sent and self.ctx.transport is not None:
-                    # a pool thread blocked in recv would hold the run until
-                    # its timeout
-                    self.ctx.transport.cancel(f"run aborted: operator {name!r} failed")
                 raise DispatchError(f"operator {name!r} failed: {exc}") from exc
             trace.append(record)
             newly = state.complete(index)
         trace.sort(key=lambda r: (r.start, r.end))
         return trace
 
-    def _call(self, index: int) -> TraceRecord:
-        """Execute one operator; returns its trace record."""
+    def _arrival(self, waiting: dict, block: bool) -> WorkerLane | None:
+        """Poll the transport; returns the first lane whose recv can end:
+        its frame (or a fault) has come, or, when ``block``, it has waited
+        out the timeout.  With ``block`` and no frame queued yet, the poll
+        waits until the oldest recv's timeout; otherwise it does not wait."""
+        transport, channels = self.ctx.transport, self.channels
+        timeout_ns = transport.timeout * 1e9
+        wait_s = 0.0
+        # a frame sent to this host itself is queued without a socket event
+        if block and not any(transport.ready(channels[i]) for i, _ in waiting.values()):
+            oldest = min(start for _, start in waiting.values())
+            now = time.monotonic_ns() - self.zero
+            wait_s = max(0.0, (oldest + timeout_ns - now) / 1e9)
+        transport.poll(wait_s)
+        for lane, (index, _) in waiting.items():
+            if transport.ready(channels[index]):
+                return lane
+        if block:
+            now = time.monotonic_ns() - self.zero
+            for lane, (_, start) in waiting.items():
+                if now - start >= timeout_ns:
+                    return lane
+        return None
+
+    def _call(self, index: int, start: int | None = None) -> TraceRecord:
+        """Execute one operator; returns its trace record.  ``start``, when
+        given, is when its span began (a recv's, when its lane reached it)."""
         execute, op, delay = self.steps[index]
         if execute is None:
             raise DispatchError(
                 f"operator kind {op.kind!r} unknown to registry (op {op.name!r})"
             )
-        start = time.monotonic_ns() - self.zero
+        if start is None:
+            start = time.monotonic_ns() - self.zero
         if delay > 0:
             # injected cost counts as execution time, not queueing
             time.sleep(delay)

@@ -529,16 +529,13 @@ class OpKindSpec:
     ``check_shapes(in_shapes, out_shapes, attrs)`` raises on any arity or
     shape-relation violation; ``execute(ctx, op)`` performs the operation
     against a run context exposing ``store``, ``graph``, ``iteration`` and
-    ``transport``.  ``blocks`` marks a kind whose ``execute`` waits outside
-    the GIL (``send`` and ``recv`` wait on a socket or a queue), so the
-    dispatcher gives a lane holding one a worker thread of its own.
+    ``transport``.
     """
 
     kind: str
     check_shapes: Callable[[list, list, dict], None]
     execute: Callable[[object, object], None]
     crosses_location: bool = False
-    blocks: bool = False
 
 
 def _in_names(ctx, op) -> list[str]:
@@ -763,11 +760,10 @@ KINDS: dict[str, OpKindSpec] = {}
 _RULES: dict[str, Callable[[list, dict], list]] = {}
 
 
-def _register(kind, n_in, rule, execute, crosses_location: bool = False,
-              blocks: bool = False) -> None:
+def _register(kind, n_in, rule, execute, crosses_location: bool = False) -> None:
     _RULES[kind] = rule
     KINDS[kind] = OpKindSpec(
-        kind, _check_by_rule(kind, n_in, rule), execute, crosses_location, blocks
+        kind, _check_by_rule(kind, n_in, rule), execute, crosses_location
     )
 
 
@@ -813,7 +809,7 @@ _register("aggregate", None, _aggregate_shapes,
           _plain(lambda ins, a: [aggregate(ins, a.get("mode", "mean"))]))
 KINDS["swap"] = OpKindSpec("swap", _check_swap, _execute_swap)
 _register("copy", 1, _first_shape, _execute_copy, crosses_location=True)
-_register("send", 1, _send_shapes, _execute_send, blocks=True)
-KINDS["recv"] = OpKindSpec("recv", _check_recv, _execute_recv, blocks=True)
+_register("send", 1, _send_shapes, _execute_send)
+KINDS["recv"] = OpKindSpec("recv", _check_recv, _execute_recv)
 _register("gate", 2, _first_shape,
           _plain(lambda ins, a: [ins[0].copy()]))

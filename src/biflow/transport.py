@@ -6,24 +6,36 @@ joined by a numbered channel.  Every host then runs its own subgraph with a
 :class:`Transport` that moves frames over one TCP connection per ordered
 host pair.  Iteration tags ride along in every frame so two hosts that fall
 out of lockstep fail loudly instead of silently training on stale tensors.
+
+A transport starts no thread.  Its sockets are non-blocking and share one
+``selectors`` selector, which the thread calling it drives: the dispatcher's
+run loop polls it between operators while a ``recv`` is pending, and blocks
+in it when nothing else can run, so every operator and socket of a host
+runs on that one thread.  In CPython a thread of its own pays only for work
+that gives up the GIL, and a loopback socket read rarely does.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue
+import selectors
 import socket
 import struct
 import threading
 import time
 import traceback
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dispatcher import run_sequence
 from .graph import BiGraph, GraphError, GraphSequence, Location
 from .ops import TensorStore
+
+if TYPE_CHECKING:  # imported when a run starts: it pulls in subprocess and more
+    from multiprocessing.connection import Connection
 
 __all__ = [
     "ChannelSpec",
@@ -41,7 +53,6 @@ __all__ = [
 ]
 
 HEADER = struct.Struct("<QQI")  # channel, iteration, payload length in bytes
-_RESULT_POLL_S = 0.1  # run_distributed checks for dead hosts this often
 
 
 class FrameError(ValueError):
@@ -58,6 +69,11 @@ def encode_frame(channel: int, iteration: int, payload: np.ndarray) -> bytes:
     return HEADER.pack(channel, iteration, len(data)) + data
 
 
+def _check_payload_length(length: int) -> None:
+    if length % 4 != 0:
+        raise FrameError(f"payload length {length} is not a multiple of 4")
+
+
 def decode_frame(buf: bytes) -> tuple[int, int, np.ndarray]:
     """Inverse of :func:`encode_frame`; the buffer must be exactly one frame."""
     if len(buf) < HEADER.size:
@@ -68,8 +84,7 @@ def decode_frame(buf: bytes) -> tuple[int, int, np.ndarray]:
             f"length mismatch: header says {length} payload bytes, "
             f"got {len(buf) - HEADER.size}"
         )
-    if length % 4 != 0:
-        raise FrameError(f"payload length {length} is not a multiple of 4")
+    _check_payload_length(length)
     payload = np.frombuffer(buf, dtype="<f4", offset=HEADER.size).copy()
     return channel, iteration, payload
 
@@ -249,34 +264,55 @@ def recompose(partitions: dict[str, HostPartition]) -> BiGraph:
 # TCP transport
 
 
-def _read_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise TransportError("connection closed mid-frame")
-        buf.extend(chunk)
-    return bytes(buf)
-
-
 _HELLO = struct.Struct("<I")
-# Stands in for the iteration tag of a queue item that carries a reader
-# fault instead of a payload.
+_MAX_NAME = 1024  # the longest host name a hello may announce, in bytes
+_CONNECT_RETRY_S = 0.02  # how long a refused connect polls before it retries
+# Stands in for the iteration tag of a channel item that carries a fault
+# instead of a payload.
 _FAULT = object()
+# Selector data of an outgoing socket that a blocked send waits to write to;
+# the listener's data is None and a connection's its _Incoming.
+_WRITABLE = object()
+
+
+class _Incoming:
+    """Parse state of one accepted connection: a hello naming the peer, then
+    frames.  ``view`` is the part being read, ``got`` its bytes so far and
+    ``on_full`` the transport method that takes it once it is complete."""
+
+    __slots__ = ("sock", "peer", "header", "frame", "view", "got", "on_full")
+
+    def __init__(self, sock: socket.socket, on_hello) -> None:
+        self.sock = sock
+        self.peer: str | None = None
+        self.header = bytearray(HEADER.size)
+        self.frame: tuple | None = None  # (channel, iteration, payload) being read
+        self.expect(bytearray(_HELLO.size), on_hello)
+
+    def expect(self, buf, on_full) -> None:
+        self.view = memoryview(buf).cast("B")
+        self.got = 0
+        self.on_full = on_full
 
 
 class Transport:
-    """Frame router for one host.
+    """Frame router for one host, with no thread of its own.
 
     Listens on its own port, lazily opens one outgoing connection per
-    destination host, and fans incoming frames out to per-channel queues.
-    ``recv`` checks the frame's iteration tag against the caller's and
-    raises on mismatch — a desynchronized peer is an error, not a hang.
+    destination host, and sorts incoming frames into per-channel FIFOs.
+    Whoever calls it drives it: :meth:`poll` accepts connections and reads
+    whatever has arrived, parsing each payload straight into a float32
+    array; :meth:`send` writes from the calling thread and, whenever a
+    write would block, polls, so two hosts sending large frames to each
+    other cannot deadlock; :meth:`recv` polls until its channel holds an
+    item.  ``recv`` checks the frame's iteration tag against the caller's
+    and raises on mismatch — a desynchronized peer is an error, not a hang.
     When the connection from a peer fails (a malformed frame, a reset, or
     the peer closing it), ``recv`` on that peer's channels raises at once,
     naming the fault, after the frames that arrived before it.
-    :meth:`cancel` ends every channel the same way, for a run that failed
-    elsewhere.
+    :meth:`cancel` ends every channel the same way.  A lock serializes
+    parsing and each destination has a send lock, so threads may share a
+    transport; the dispatcher drives it from a run's calling thread only.
     """
 
     def __init__(
@@ -292,15 +328,16 @@ class Transport:
         self.peers = dict(peers)
         self.timeout = timeout
         self._route = {c.channel: c for c in channels}
-        self._queues: dict[int, queue.Queue] = {}
-        self._queues_lock = threading.Lock()
+        # per channel: (iteration, payload) items, or (_FAULT, reason)
+        self._frames: defaultdict[int, deque] = defaultdict(deque)
         self._out: dict[str, socket.socket] = {}
-        self._out_lock = threading.Lock()  # guards the two dicts
-        # one per destination, held across connect and sendall, so a host
-        # that cannot be reached stalls only the sends addressed to it
-        self._send_locks: dict[str, threading.Lock] = {}
+        # one per destination, held across connect and write, so a host that
+        # cannot be reached stalls only the sends addressed to it
+        self._send_locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
+        self._lock = threading.Lock()  # guards parsing and the socket tables
+        self._selector: selectors.BaseSelector | None = None
         self._listener: socket.socket | None = None
-        self._closing = threading.Event()
+        self._closing = False
         self._fault: str | None = None
 
     # -- lifecycle
@@ -317,9 +354,10 @@ class Transport:
             raise TransportError(
                 f"{self.host}: cannot listen on {addr}:{port} ({e})"
             ) from None
+        srv.setblocking(False)
         self._listener = srv
-        threading.Thread(target=self._accept_loop, daemon=True,
-                         name=f"transport-accept-{self.host}").start()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(srv, selectors.EVENT_READ)
         return self
 
     @property
@@ -327,19 +365,19 @@ class Transport:
         return self._listener.getsockname()[1]
 
     def close(self) -> None:
-        self._closing.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._out_lock:
-            for sock in self._out.values():
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+        """Close the listener, every connection and the selector."""
+        with self._lock:
+            self._closing = True
+            selector, self._selector = self._selector, None
+            socks = set(self._out.values())
             self._out.clear()
+            if self._listener is not None:
+                socks.add(self._listener)
+            if selector is not None:
+                socks.update(key.fileobj for key in selector.get_map().values())
+                selector.close()
+        for sock in socks:
+            sock.close()
 
     def __enter__(self) -> "Transport":
         return self
@@ -349,39 +387,93 @@ class Transport:
 
     # -- incoming
 
-    def _accept_loop(self) -> None:
-        while not self._closing.is_set():
+    def poll(self, timeout: float = 0.0) -> None:
+        """Accept pending connections and read every frame that has arrived,
+        waiting up to ``timeout`` seconds for the first socket event."""
+        selector = self._selector
+        if selector is None:  # not started, or closed
+            if timeout > 0:
+                time.sleep(timeout)
+            return
+        events = selector.select(timeout)
+        if not events:
+            return
+        with self._lock:
+            if self._selector is None:
+                return  # closed meanwhile
+            for key, _ in events:
+                if key.data is None:
+                    self._accept()
+                elif key.data is not _WRITABLE:
+                    self._read(key.data)
+
+    def ready(self, channel: int) -> bool:
+        """True when a frame or a fault waits on ``channel``."""
+        return bool(self._frames[channel])
+
+    def _accept(self) -> None:
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except OSError:
+            except OSError:  # none left to accept
                 return
-            threading.Thread(target=self._reader, args=(conn,), daemon=True,
-                             name=f"transport-read-{self.host}").start()
+            conn.setblocking(False)
+            self._selector.register(
+                conn, selectors.EVENT_READ, _Incoming(conn, self._on_hello)
+            )
 
-    def _reader(self, conn: socket.socket) -> None:
-        peer = None
+    def _read(self, inc: _Incoming) -> None:
+        """Read what ``inc``'s socket holds, taking each part as it completes."""
         try:
-            (name_len,) = _HELLO.unpack(_read_exact(conn, _HELLO.size))
-            peer = _read_exact(conn, name_len).decode(errors="replace")
-            while not self._closing.is_set():
-                header = _read_exact(conn, HEADER.size)
-                channel, iteration, length = HEADER.unpack(header)
-                payload = _read_exact(conn, length) if length else b""
-                _, _, arr = decode_frame(header + payload)
-                self._queue_for(channel).put((iteration, arr))
-        except TransportError:
-            if not self._closing.is_set():
-                self._record_fault(peer, "peer connection closed")
+            while True:
+                want = len(inc.view) - inc.got
+                n = inc.sock.recv_into(inc.view[inc.got:])
+                if not n:
+                    raise EOFError
+                inc.got += n
+                while inc.got == len(inc.view):  # an empty next part is full at once
+                    inc.on_full(inc)
+                if n < want:
+                    return  # a short read: nothing more has arrived
+        except BlockingIOError:
+            return
+        except EOFError:
+            self._drop(inc, "peer connection closed")
         except FrameError as e:
-            self._record_fault(peer, f"malformed frame: {e}")
+            self._drop(inc, f"malformed frame: {e}")
         except OSError as e:
-            if not self._closing.is_set():
-                self._record_fault(peer, f"peer connection failed: {e}")
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            self._drop(inc, f"peer connection failed: {e}")
+
+    def _on_hello(self, inc: _Incoming) -> None:
+        (name_len,) = _HELLO.unpack(inc.view)
+        if name_len > _MAX_NAME:
+            raise FrameError(f"hello announces a {name_len}-byte host name")
+        inc.expect(bytearray(name_len), self._on_name)
+
+    def _on_name(self, inc: _Incoming) -> None:
+        inc.peer = bytes(inc.view).decode(errors="replace")
+        inc.expect(inc.header, self._on_header)
+
+    def _on_header(self, inc: _Incoming) -> None:
+        channel, iteration, length = HEADER.unpack(inc.view)
+        _check_payload_length(length)
+        try:
+            payload = np.empty(length // 4, dtype="<f4")
+        except (MemoryError, ValueError):
+            raise FrameError(f"payload length {length} cannot be held") from None
+        inc.frame = (channel, iteration, payload)
+        inc.expect(payload, self._on_payload)
+
+    def _on_payload(self, inc: _Incoming) -> None:
+        channel, iteration, payload = inc.frame
+        inc.frame = None
+        self._frames[channel].append((iteration, payload))
+        inc.expect(inc.header, self._on_header)
+
+    def _drop(self, inc: _Incoming, fault: str) -> None:
+        self._selector.unregister(inc.sock)
+        inc.sock.close()
+        self._record_fault(inc.peer, fault)
 
     def _record_fault(self, peer: str | None, fault: str) -> None:
         """Name the fault and, once the peer is known, end each channel from
@@ -389,23 +481,13 @@ class Transport:
         self._fault = fault if peer is None else f"{fault} (from {peer})"
         for spec in self._route.values():
             if spec.src_host == peer:
-                self._queue_for(spec.channel).put((_FAULT, self._fault))
+                self._frames[spec.channel].append((_FAULT, self._fault))
 
     def cancel(self, reason: str) -> None:
         """End every channel with a fault item naming ``reason``: a ``recv``
-        waiting on one, or called later, raises at once.  A run that failed
-        on another lane calls this so it need not wait out a blocked recv."""
-        with self._queues_lock:
-            channels = set(self._route) | set(self._queues)
-        for channel in channels:
-            self._queue_for(channel).put((_FAULT, reason))
-
-    def _queue_for(self, channel: int) -> queue.Queue:
-        with self._queues_lock:
-            q = self._queues.get(channel)
-            if q is None:
-                q = self._queues[channel] = queue.Queue()
-            return q
+        waiting on one, or called later, raises at once."""
+        for channel in set(self._route) | set(self._frames):
+            self._frames[channel].append((_FAULT, reason))
 
     # -- outgoing
 
@@ -415,59 +497,98 @@ class Transport:
         except KeyError:
             raise TransportError(f"no address known for host {dst!r}") from None
         deadline = time.monotonic() + self.timeout
+        name = self.host.encode()
         while True:
+            sock = None
             try:
                 sock = socket.create_connection((addr, port), timeout=self.timeout)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                name = self.host.encode()
                 sock.sendall(_HELLO.pack(len(name)) + name)
-                return sock
             except OSError as e:
+                if sock is not None:
+                    sock.close()
                 if time.monotonic() >= deadline:
                     raise TransportError(
                         f"{self.host}: cannot reach {dst} at {addr}:{port} "
                         f"within {self.timeout}s ({e})"
                     ) from None
-                time.sleep(0.02)
+                self.poll(_CONNECT_RETRY_S)
+                continue
+            sock.setblocking(False)
+            return sock
 
     def send(self, channel: int, iteration: int, array: np.ndarray) -> None:
         spec = self._route.get(channel)
         if spec is None:
             raise TransportError(f"channel {channel} has no route")
         if spec.dst_host == self.host:  # loopback short-circuit
-            self._queue_for(channel).put(
+            self._frames[channel].append(
                 (iteration, np.ascontiguousarray(array, dtype="<f4").ravel().copy())
             )
             return
-        frame = encode_frame(channel, iteration, array)
-        with self._out_lock:
-            lock = self._send_locks.setdefault(spec.dst_host, threading.Lock())
-        with lock:
+        payload = np.ascontiguousarray(array, dtype="<f4")
+        parts = [memoryview(HEADER.pack(channel, iteration, payload.nbytes))]
+        if payload.nbytes:
+            parts.append(memoryview(payload).cast("B"))
+        with self._send_locks[spec.dst_host]:
             sock = self._out.get(spec.dst_host)
             if sock is None:
                 sock = self._connect(spec.dst_host)
-                with self._out_lock:
-                    if self._closing.is_set():
+                with self._lock:
+                    if self._closing:
                         sock.close()
                         raise TransportError(f"{self.host}: transport is closed")
                     self._out[spec.dst_host] = sock
-            try:
-                sock.sendall(frame)
-            except OSError as e:
-                raise TransportError(f"send on channel {channel} failed: {e}") from e
+            self._write(sock, channel, parts)
+
+    def _write(self, sock: socket.socket, channel: int, parts: list) -> None:
+        """Write ``parts`` out; while the socket cannot take more, poll."""
+        selector = None
+        try:
+            while True:
+                try:
+                    n = sock.sendmsg(parts)
+                except BlockingIOError:
+                    n = 0
+                while n:  # drop what went out
+                    if n < len(parts[0]):
+                        parts[0] = parts[0][n:]
+                        break
+                    n -= len(parts.pop(0))
+                if not parts:
+                    return
+                if selector is None:
+                    selector = self._selector
+                    if selector is None:
+                        raise TransportError(f"{self.host}: transport is closed")
+                    selector.register(sock, selectors.EVENT_WRITE, _WRITABLE)
+                    deadline = time.monotonic() + self.timeout
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise TransportError(
+                        f"send on channel {channel} timed out after {self.timeout}s"
+                    )
+                self.poll(left)
+        except OSError as e:
+            raise TransportError(f"send on channel {channel} failed: {e}") from e
+        finally:
+            if selector is not None and self._selector is selector:
+                selector.unregister(sock)
 
     def recv(self, channel: int, iteration: int) -> np.ndarray:
-        q = self._queue_for(channel)
-        try:
-            got_iter, arr = q.get(timeout=self.timeout)
-        except queue.Empty:
-            detail = f" ({self._fault})" if self._fault else ""
-            raise TransportError(
-                f"recv on channel {channel} timed out after "
-                f"{self.timeout}s{detail}"
-            ) from None
+        """Poll until ``channel`` holds an item, for up to the timeout, and
+        take it."""
+        frames = self._frames[channel]
+        if not frames:
+            deadline = time.monotonic() + self.timeout
+            while not frames:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    raise self.timed_out(channel)
+                self.poll(left)
+        got_iter, arr = frames.popleft()
         if got_iter is _FAULT:
-            q.put((got_iter, arr))  # every later recv fails the same way
+            frames.appendleft((got_iter, arr))  # every later recv fails the same way
             raise TransportError(f"recv on channel {channel} failed: {arr}")
         if got_iter != iteration:
             raise TransportError(
@@ -485,9 +606,19 @@ class Transport:
             return arr.reshape(spec.shape)
         return arr
 
+    def timed_out(self, channel: int) -> TransportError:
+        """The error of a recv on ``channel`` that waited out the timeout."""
+        detail = f" ({self._fault})" if self._fault else ""
+        return TransportError(
+            f"recv on channel {channel} timed out after {self.timeout}s{detail}"
+        )
+
 
 # ---------------------------------------------------------------------------
 # multi-process driver
+
+_LOOPBACK = "127.0.0.1"
+_JOIN_S = 5.0  # how long a finished run waits for each host process to exit
 
 
 def owned_sources(seq: GraphSequence, names) -> set[str]:
@@ -498,48 +629,72 @@ def owned_sources(seq: GraphSequence, names) -> set[str]:
 
 def _host_main(
     part: SequencePartition,
-    peers: dict[str, tuple[str, int]],
+    conn: Connection,
     iterations: int,
     setup,
     feed,
     collect: tuple[str, ...],
     timeout: float,
-    results: "mp.Queue",
 ) -> None:
-    transport = Transport(part.host, peers, part.channels, timeout=timeout)
+    """One host process: listen on port 0, report the port, take the peer
+    table, train, and send back the collected tensors or the error."""
     try:
-        transport.start()
-        store = TensorStore()
-        if setup is not None:
-            setup(store)
-        before = None
-        if feed is not None:
-            layout = part.sequence.layout
-            owned = owned_sources(part.sequence, layout.data_names)
-            from .builders import feeder  # local import: avoid cycle at module load
+        with Transport(part.host, {part.host: (_LOOPBACK, 0)}, part.channels,
+                       timeout=timeout) as transport:
+            transport.start()
+            conn.send(("port", transport.port))
+            transport.peers.update(conn.recv())
+            store = TensorStore()
+            if setup is not None:
+                setup(store)
+            before = None
+            if feed is not None:
+                layout = part.sequence.layout
+                owned = owned_sources(part.sequence, layout.data_names)
+                from .builders import feeder  # local import: avoid cycle at module load
 
-            before = feeder(feed, layout, only=owned)
-        run_sequence(
-            part.sequence, store, transport=transport,
-            before_iteration=before, iterations=iterations,
-        )
-        results.put((part.host, {n: store.array(n) for n in collect}, None))
+                before = feeder(feed, layout, only=owned)
+            run_sequence(
+                part.sequence, store, transport=transport,
+                before_iteration=before, iterations=iterations,
+            )
+        conn.send(("done", {n: store.array(n) for n in collect}))
     except Exception:
-        results.put((part.host, None, traceback.format_exc()))
+        try:
+            conn.send(("error", traceback.format_exc()))
+        except OSError:
+            pass  # the parent has given up on this run
     finally:
-        transport.close()
+        conn.close()
 
 
-def _free_ports(n: int) -> list[int]:
-    socks, ports = [], []
-    for _ in range(n):
-        s = socket.socket()
-        s.bind(("127.0.0.1", 0))
-        socks.append(s)
-        ports.append(s.getsockname()[1])
-    for s in socks:
-        s.close()
-    return ports
+def _gather(conns: dict, procs: dict, tag: str, deadline: float) -> dict:
+    """One ``tag`` message from every host; raises at the first error
+    report, at a host that exits without one, or at the deadline."""
+    from multiprocessing.connection import wait
+
+    got: dict = {}
+    while len(got) < len(conns):
+        pending = [h for h in conns if h not in got]
+        ready = wait([conns[h] for h in pending],
+                     timeout=max(0.0, deadline - time.monotonic()))
+        if not ready:
+            raise TransportError(f"timed out waiting for hosts {pending}")
+        for h in pending:
+            if conns[h] not in ready:
+                continue
+            try:
+                kind, payload = conns[h].recv()
+            except EOFError:  # the host's end closed: it exited
+                procs[h].join(_JOIN_S)
+                raise TransportError(
+                    f"host {h} exited with code {procs[h].exitcode} "
+                    "without reporting"
+                ) from None
+            if kind == "error":
+                raise TransportError(f"host {h}:\n{payload}")
+            got[h] = payload
+    return got
 
 
 def run_distributed(
@@ -556,66 +711,50 @@ def run_distributed(
     ``setup(store)`` seeds each host's store (every host may simply seed
     everything; unused names are ignored), ``feed`` supplies per-iteration
     data on whichever host owns each data source, and ``collect`` names the
-    tensors to bring back, keyed by host.  A host that exits without
-    reporting fails the run at once with a :class:`TransportError` naming it
-    and its exit code; deadlocked hosts fail it after ``timeout``.
+    tensors to bring back, keyed by host.  Each host listens on a port of
+    its own choosing and reports it, and then receives the whole peer
+    table, so no port is picked in advance.  The first host to report an
+    error, or to exit without reporting, fails the run at once with a
+    :class:`TransportError` naming it (and its exit code); deadlocked hosts
+    fail it after ``timeout``.
     """
     parts = partition_sequence(seq)
-    hosts = sorted(parts)
-    ports = dict(zip(hosts, _free_ports(len(hosts))))
-    peers = {h: ("127.0.0.1", ports[h]) for h in hosts}
     collect = collect or {}
-
     mp_ctx = mp.get_context("spawn")
-    results: "mp.Queue" = mp_ctx.Queue()
-    procs = {
-        h: mp_ctx.Process(
-            target=_host_main,
-            args=(parts[h], peers, iterations, setup, feed,
-                  tuple(collect.get(h, ())), timeout, results),
-            name=f"biflow-host-{h}",
-            daemon=True,
-        )
-        for h in hosts
-    }
-    for p in procs.values():
-        p.start()
-    waiting = set(hosts)
-    dead: list[str] = []
-    gathered: dict[str, np.ndarray] = {}
-    errors: list[str] = []
+    conns: dict[str, Connection] = {}
+    procs: dict[str, mp.Process] = {}
     deadline = time.monotonic() + timeout + 15.0
+    finished = False
     try:
-        while waiting:
+        for h in sorted(parts):
+            ours, theirs = mp_ctx.Pipe()
+            conns[h] = ours
+            p = mp_ctx.Process(
+                target=_host_main,
+                args=(parts[h], theirs, iterations, setup, feed,
+                      tuple(collect.get(h, ())), timeout),
+                name=f"biflow-host-{h}",
+                daemon=True,
+            )
             try:
-                host, tensors, err = results.get(timeout=_RESULT_POLL_S)
-            except queue.Empty:
-                # hosts seen exited one poll ago, with nothing queued since,
-                # exited without reporting
-                if dead:
-                    errors.extend(
-                        f"host {h} exited with code {procs[h].exitcode} "
-                        "without reporting" for h in dead
-                    )
-                    break
-                if time.monotonic() >= deadline:
-                    errors.append("timed out waiting for host results")
-                    break
-                dead = sorted(h for h in waiting if procs[h].exitcode is not None)
-                continue
-            waiting.discard(host)
-            dead = []
-            if err is not None:
-                errors.append(f"host {host}:\n{err}")
-            else:
-                gathered.update(tensors)
+                p.start()
+            finally:
+                theirs.close()  # else the host's exit would not show as EOF
+            procs[h] = p
+        ports = _gather(conns, procs, "port", deadline)
+        table = {h: (_LOOPBACK, port) for h, port in ports.items()}
+        for c in conns.values():
+            c.send(table)
+        done = _gather(conns, procs, "done", deadline)
+        finished = True
     finally:
+        for c in conns.values():
+            c.close()
         for p in procs.values():
-            if waiting:  # the run is abandoned; stop hosts still blocked in it
+            if not finished:  # the run is abandoned; stop hosts still in it
                 p.terminate()
-            p.join(timeout=5.0)
+            p.join(_JOIN_S)
             if p.is_alive():
                 p.terminate()
-    if errors:
-        raise TransportError("; ".join(errors))
-    return gathered
+                p.join()
+    return {n: arr for tensors in done.values() for n, arr in tensors.items()}

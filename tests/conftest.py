@@ -8,8 +8,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 
 @pytest.fixture(autouse=True)
-def no_lane_thread_left():
-    """Fail any test that leaves a dispatcher lane thread running."""
+def no_biflow_thread_left():
+    """Fail any test that leaves a thread biflow names running: a dispatcher
+    lane (``biflow-lane-*``) or a transport thread (``transport-*``)."""
     yield
-    left = [t.name for t in threading.enumerate() if t.name.startswith("biflow-lane-")]
-    assert not left, f"lane threads still running: {left}"
+    left = [t.name for t in threading.enumerate()
+            if t.name.startswith(("biflow-", "transport-"))]
+    assert not left, f"biflow threads still running: {left}"

@@ -538,49 +538,6 @@ def test_gil_bound_data_parallel_runs_inline(started):
     assert not [n for n in started if n.startswith("biflow-lane-")]
 
 
-def test_loopback_hosts_give_each_send_recv_lane_a_worker():
-    from biflow.transport import partition_sequence
-
-    plan = ParallelPlan(
-        scheme="data",
-        peers=(Location("proc0", 0), Location("proc1", 1)),
-        server=Location("proc0", 0),
-    )
-    parts = partition_sequence(build_data_parallel(CONV_NET, plan))
-    checked = 0
-    for part in parts.values():
-        for g in part.sequence.graphs:
-            compiled = GraphPlan.compile(g)
-            worker = dict(zip(compiled.lanes, compiled.workers))
-            net_lanes = {lane_of(op) for op in compiled.ops
-                         if op.kind in ("send", "recv")}
-            others = set(worker) - net_lanes
-            assert len({worker[lane] for lane in others}) <= 1
-            used = [worker[lane] for lane in net_lanes]
-            used += [worker[lane] for lane in others][:1]
-            assert len(used) == len(set(used)) == compiled.worker_count
-            checked += len(net_lanes)
-    assert checked > 0
-
-
-def test_calling_thread_serves_no_blocking_lane():
-    # the server on device 0 and peer 0 on device 1: the recv lane on device
-    # 0 sorts before every compute lane, yet the shared group is worker 0
-    from biflow.transport import partition_sequence
-
-    plan = ParallelPlan(
-        scheme="data",
-        peers=(Location("proc0", 1), Location("proc1", 2)),
-        server=Location("proc0", 0),
-    )
-    parts = partition_sequence(build_data_parallel(CONV_NET, plan))
-    compiled = GraphPlan.compile(parts["proc0"].sequence.graphs[0])
-    blocking = {lane_of(op) for op in compiled.ops if KINDS[op.kind].blocks}
-    assert blocking and compiled.worker_count == len(blocking) + 1
-    for lane, worker in zip(compiled.lanes, compiled.workers):
-        assert (worker == 0) == (lane not in blocking), lane
-
-
 def test_delayed_op_gives_its_lane_a_worker():
     g = fan_graph(3)
     g.operator_named("fan_op1").attrs["delay_s"] = 0.001
@@ -590,6 +547,18 @@ def test_delayed_op_gives_its_lane_a_worker():
     assert compiled.worker_count == 2
     assert worker[lanes[0]] == worker[lanes[2]] != worker[lanes[1]]
     assert GraphPlan.compile(fan_graph(3)).worker_count == 1
+
+
+def test_lane_holding_a_recv_never_gets_a_thread():
+    # the transport is driven by the calling thread alone, so a delay on a
+    # recv's lane puts that lane in the shared group all the same
+    g = fan_graph(2, delay=0.001)
+    out = g.add_tensor("got", (4, 4), LOC)
+    g.add_operator("wait", "recv", [], [out], LOC, thread=1, attrs={"channel": 1})
+    compiled = GraphPlan.compile(g)
+    assert compiled.worker_count == 2
+    assert dict(zip(compiled.lanes, compiled.workers))[WorkerLane("local", 0, 1)] == 0
+    assert compiled.channels == (None, None, 1)
 
 
 def test_calling_thread_runs_worker_zero(started, monkeypatch):
@@ -609,32 +578,36 @@ def test_calling_thread_runs_worker_zero(started, monkeypatch):
     assert ran_on == {"fan_op0": here, "fan_op1": "biflow-lane-0", "fan_op2": here}
 
 
-def test_loopback_hosts_start_one_lane_thread_fewer_than_workers(monkeypatch):
+LOOPBACK2 = ParallelPlan(
+    scheme="data",
+    peers=(Location("proc0", 0), Location("proc1", 1)),
+    server=Location("proc0", 0),
+)
+
+
+def run_loopback_hosts(cap=None, iterations=2):
+    """Train the conv-loopback2 host partitions, each in a thread of this
+    process over loopback TCP; returns the canonical params and, per host,
+    the names of the threads its run started."""
     from biflow.transport import Transport, owned_sources, partition_sequence
 
-    starts = []  # (starting thread, started thread)
-    real_start = threading.Thread.start
-
-    def start(self):
-        starts.append((threading.current_thread().name, self.name))
-        real_start(self)
-
-    monkeypatch.setattr(threading.Thread, "start", start)
-    plan = ParallelPlan(
-        scheme="data",
-        peers=(Location("proc0", 0), Location("proc1", 1)),
-        server=Location("proc0", 0),
-    )
-    parts = partition_sequence(build_data_parallel(CONV_NET, plan))
+    parts = partition_sequence(build_data_parallel(CONV_NET, LOOPBACK2))
     transports = {
-        h: Transport(h, {h: ("127.0.0.1", 0)}, p.channels, timeout=20).start()
+        h: Transport(h, {h: ("127.0.0.1", 0)}, p.channels, timeout=10).start()
         for h, p in parts.items()
     }
     table = {h: ("127.0.0.1", t.port) for h, t in transports.items()}
     for t in transports.values():
         t.peers.update(table)
     feed = SyntheticFeed.for_net(CONV_NET, 7, peers=2)
-    errors = []
+    params, errors = {}, []
+    started = {h: [] for h in parts}
+    real_start = threading.Thread.start
+
+    def start(self):
+        host = threading.current_thread().name.removeprefix("host-")
+        started.get(host, []).append(self.name)
+        real_start(self)
 
     def host(h):
         seq = parts[h].sequence
@@ -642,26 +615,43 @@ def test_loopback_hosts_start_one_lane_thread_fewer_than_workers(monkeypatch):
         init_params(CONV_NET, store, 7, seq.layout)
         owned = owned_sources(seq, seq.layout.data_names)
         try:
-            run_sequence(seq, store, transport=transports[h], iterations=2,
+            run_sequence(seq, store, transport=transports[h], iterations=iterations,
+                         max_workers=cap,
                          before_iteration=feeder(feed, seq.layout, only=owned))
         except Exception as exc:  # noqa: BLE001 - inspected below
             errors.append(exc)
+        params.update({n: store.array(n).copy()
+                       for n in owned_sources(seq, seq.layout.canonical_params)})
 
     hosts = [threading.Thread(target=host, args=(h,), name=f"host-{h}") for h in parts]
+    threading.Thread.start = start
     try:
         for t in hosts:
             t.start()
         for t in hosts:
             t.join(30)  # hang guard only
     finally:
+        threading.Thread.start = real_start
         for t in transports.values():
             t.close()
-    assert not any(t.is_alive() for t in hosts) and errors == []
-    for h, part in parts.items():
-        counts = [GraphPlan.compile(g).worker_count for g in part.sequence.graphs]
-        lanes = [n for who, n in starts
-                 if who == f"host-{h}" and n.startswith("biflow-lane-")]
-        assert max(counts) == 3 and len(lanes) == 2
+    assert not any(t.is_alive() for t in hosts)
+    assert errors == []
+    return params, started
+
+
+def test_loopback_host_run_starts_no_thread():
+    # every operator and socket of a host runs on the thread that runs it
+    _, started = run_loopback_hosts()
+    assert started == {"proc0": [], "proc1": []}
+
+
+def test_loopback_hosts_finish_under_any_worker_cap():
+    runs = [run_loopback_hosts(cap)[0] for cap in (None, 1, 2)]
+    layout = build_data_parallel(CONV_NET, LOOPBACK2).layout
+    assert set(runs[0]) == set(layout.canonical_params)
+    for params in runs[1:]:
+        for name in runs[0]:
+            assert np.array_equal(params[name], runs[0][name]), name
 
 
 def test_worker_cap_still_applies_to_blocking_lanes():

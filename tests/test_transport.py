@@ -5,6 +5,7 @@ import os
 import socket
 import struct
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -270,17 +271,15 @@ def test_recv_times_out_instead_of_hanging():
 
 
 def test_malformed_frame_is_named_in_recv_error():
-    t = Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))], timeout=5)
-    ours, theirs = socket.socketpair()
+    t = Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))], timeout=5).start()
     try:
-        ours.sendall(struct.pack("<I", 1) + b"a" + HEADER.pack(1, 0, 6) + bytes(6))
-        t._reader(theirs)  # returns once the bad frame is read
-        with pytest.raises(TransportError, match="not a multiple of 4") as err:
-            t.recv(1, 0)
-        assert "timed out" not in str(err.value)
+        with socket.create_connection(("127.0.0.1", t.port)) as s:
+            s.sendall(struct.pack("<I", 1) + b"a" + HEADER.pack(1, 0, 6) + bytes(6))
+            with pytest.raises(TransportError, match="not a multiple of 4") as err:
+                t.recv(1, 0)
+        assert "timed out" not in str(err.value) and "from a" in str(err.value)
     finally:
-        ours.close()
-        theirs.close()
+        t.close()
 
 
 def test_cancel_fails_waiting_and_later_recvs():
@@ -293,18 +292,19 @@ def test_cancel_fails_waiting_and_later_recvs():
 
 
 def test_kernel_failure_does_not_wait_for_blocked_recv(monkeypatch):
-    # a kernel fails on one lane once another lane waits in a recv whose
-    # frame never comes; the run must end with the kernel's error, not the
-    # recv's 30 s timeout
-    waiting = threading.Event()
+    # a kernel fails on one lane while a recv on another lane is pending,
+    # its frame never to come; the run must end with the kernel's error, not
+    # the recv's 30 s timeout
+    polled = []
 
     class WatchedTransport(Transport):
-        def recv(self, channel, iteration):
-            waiting.set()
-            return super().recv(channel, iteration)
+        def poll(self, timeout=0.0):
+            polled.append(timeout)  # the run loop polls only for a pending recv
+            super().poll(timeout)
 
     def fail_once_recv_waits(ctx, op):
-        waiting.wait(10)  # hang guard only
+        if not polled:
+            raise KernelError("ran before the recv was pending")
         raise KernelError("injected failure")
 
     monkeypatch.setitem(KINDS, "fail_once_recv_waits", OpKindSpec(
@@ -315,26 +315,54 @@ def test_kernel_failure_does_not_wait_for_blocked_recv(monkeypatch):
     x = g.add_tensor("x", (2,), loc)
     y = g.add_tensor("y", (2,), loc)
     got = g.add_tensor("got", (2,), loc)
-    g.add_operator("bad_kernel", "fail_once_recv_waits", [x], [y], loc, thread=0)
+    # inserted first, so the loop reaches the recv before the kernel
     g.add_operator("wait", "recv", [], [got], loc, thread=1, attrs={"channel": 1})
+    g.add_operator("bad_kernel", "fail_once_recv_waits", [x], [y], loc, thread=0)
     store = TensorStore()
     store.set("x", np.zeros(2, dtype=np.float32))
-    t = WatchedTransport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))], timeout=30)
-    outcome = []
-
-    def target():
-        try:
+    with WatchedTransport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))],
+                          timeout=30).start() as t:
+        t0 = time.monotonic()
+        with pytest.raises(DispatchError,
+                           match="'bad_kernel' failed: injected failure"):
             run_sequence(GraphSequence([g]), store, transport=t)
-        except Exception as exc:  # noqa: BLE001 - inspected below
-            outcome.append(exc)
+        assert time.monotonic() - t0 < 1.0
+    assert polled == [0.0]  # it never waited in the poll
 
-    worker = threading.Thread(target=target, daemon=True)
-    worker.start()
-    worker.join(20)  # hang guard only
-    assert not worker.is_alive(), "run still waiting on the blocked recv"
-    (exc,) = outcome
-    assert isinstance(exc, DispatchError)
-    assert "'bad_kernel' failed: injected failure" in str(exc)
+
+def test_pending_recv_times_out_with_the_transport_error():
+    loc = Location("b", 0)
+    g = BiGraph()
+    got = g.add_tensor("got", (2,), loc)
+    g.add_operator("wait", "recv", [], [got], loc, thread=1, attrs={"channel": 1})
+    with Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))],
+                   timeout=0.3).start() as t:
+        with pytest.raises(DispatchError, match="'wait' failed: recv on channel 1 "
+                           "timed out after 0.3s"):
+            run_sequence(GraphSequence([g]), TensorStore(), transport=t)
+
+
+def test_lane_waits_behind_its_pending_recv():
+    # the recv's lane reaches it first; its frame comes from a send on
+    # another lane, so the operator queued behind the recv on its lane
+    # must run after the recv ends, and the send before it
+    loc = Location("a", 0)
+    g = BiGraph()
+    x = g.add_tensor("x", (2,), loc)
+    got = g.add_tensor("got", (2,), loc)
+    after = g.add_tensor("after_out", (2,), loc)
+    g.add_operator("wait", "recv", [], [got], loc, thread=1, attrs={"channel": 1})
+    g.add_operator("after", "relu_forward", [x], [after], loc, thread=1)
+    g.add_operator("give", "send", [x], [], loc, thread=0, attrs={"channel": 1})
+    store = TensorStore()
+    store.set("x", np.array([-1.0, 2.0], dtype=np.float32))
+    t = Transport("a", {"a": ("127.0.0.1", 0)}, [spec(1, (2,), src="a", dst="a")],
+                  timeout=5)
+    (report,) = run_sequence(GraphSequence([g]), store, transport=t)
+    span = {r.name: (r.start, r.end) for r in report.trace}
+    assert span["give"][1] <= span["wait"][1] <= span["after"][0]
+    assert span["wait"][0] <= span["give"][0]  # its span began when its lane reached it
+    assert store.array("got").tolist() == [-1.0, 2.0]
 
 
 def test_closed_peer_fails_only_its_own_channels():
@@ -446,6 +474,57 @@ def test_unreachable_host_does_not_stall_sends_to_others(monkeypatch):
         tb.close()
     assert not to_dead.is_alive()
     assert errors == [(1, "dead: unreachable")]
+
+
+def test_hosts_sending_large_frames_to_each_other_do_not_deadlock():
+    # each 16 MB frame is far larger than a loopback socket's buffers, so
+    # each send finishes only if it reads the other host's frame meanwhile
+    n = 4 << 20
+    ta, tb = make_pair([spec(1, (n,), src="a", dst="b"),
+                        spec(2, (n,), src="b", dst="a")], timeout=30)
+    frames = {"a": np.arange(n, dtype=np.float32), "b": -np.arange(n, dtype=np.float32)}
+    got, errors = {}, []
+
+    def host(t, out_channel, in_channel):
+        try:
+            t.send(out_channel, 0, frames[t.host])
+            got[t.host] = t.recv(in_channel, 0)
+        except Exception as exc:  # noqa: BLE001 - inspected below
+            errors.append(exc)
+
+    hosts = [threading.Thread(target=host, args=(ta, 1, 2)),
+             threading.Thread(target=host, args=(tb, 2, 1))]
+    t0 = time.monotonic()
+    try:
+        for h in hosts:
+            h.start()
+        for h in hosts:
+            h.join(60)  # hang guard only
+    finally:
+        ta.close()
+        tb.close()
+    assert not any(h.is_alive() for h in hosts) and errors == []
+    assert time.monotonic() - t0 < 10.0  # the transport timeout is 30 s
+    assert np.array_equal(got["a"], frames["b"])
+    assert np.array_equal(got["b"], frames["a"])
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_close_releases_every_socket():
+    before = open_fds()
+    ta, tb = make_pair([spec(1, (2,), src="a", dst="b"),
+                        spec(2, (2,), src="b", dst="a")])
+    ta.send(1, 0, np.ones(2, dtype=np.float32))
+    tb.send(2, 0, np.ones(2, dtype=np.float32))
+    tb.recv(1, 0)
+    ta.recv(2, 0)
+    assert open_fds() > before  # listeners, selectors and both connections
+    ta.close()
+    tb.close()
+    assert open_fds() == before
 
 
 def test_loopback_channel_short_circuits():
