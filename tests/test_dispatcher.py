@@ -538,6 +538,56 @@ def test_gil_bound_data_parallel_runs_inline(started):
     assert not [n for n in started if n.startswith("biflow-lane-")]
 
 
+LOOPBACK2 = ParallelPlan(
+    scheme="data",
+    peers=(Location("proc0", 0), Location("proc1", 1)),
+    server=Location("proc0", 0),
+)
+
+
+def test_loopback_hosts_give_each_send_recv_lane_a_worker():
+    # the worker every send/recv lane gets is worker 0, the calling thread,
+    # which drives the transport; no loopback host graph needs another
+    from biflow.transport import partition_sequence
+
+    parts = partition_sequence(build_data_parallel(CONV_NET, LOOPBACK2))
+    checked = 0
+    for part in parts.values():
+        for g in part.sequence.graphs:
+            compiled = GraphPlan.compile(g)
+            worker = dict(zip(compiled.lanes, compiled.workers))
+            net_lanes = {lane_of(op) for op in compiled.ops
+                         if op.kind in ("send", "recv")}
+            assert {worker[lane] for lane in net_lanes} <= {0}
+            assert compiled.worker_count == 1
+            checked += len(net_lanes)
+    assert checked > 0
+
+
+def test_calling_thread_serves_no_blocking_lane():
+    # the server on device 0 and peer 0 on device 1, a delay on every
+    # operator: the lanes that sleep block and get workers of their own,
+    # the send/recv lanes do not, so the calling thread serves exactly those
+    from biflow.transport import partition_sequence
+
+    plan = ParallelPlan(
+        scheme="data",
+        peers=(Location("proc0", 1), Location("proc1", 2)),
+        server=Location("proc0", 0),
+    )
+    parts = partition_sequence(build_data_parallel(CONV_NET, plan))
+    g = parts["proc0"].sequence.graphs[0]
+    for op in g.operators.values():
+        op.attrs["delay_s"] = 0.001
+    compiled = GraphPlan.compile(g)
+    net_lanes = {lane_of(op) for op in compiled.ops if op.kind in ("send", "recv")}
+    blocking = set(compiled.lanes) - net_lanes
+    assert net_lanes and blocking
+    assert compiled.worker_count == len(blocking) + 1
+    for lane, worker in zip(compiled.lanes, compiled.workers):
+        assert (worker == 0) == (lane not in blocking), lane
+
+
 def test_delayed_op_gives_its_lane_a_worker():
     g = fan_graph(3)
     g.operator_named("fan_op1").attrs["delay_s"] = 0.001
@@ -576,13 +626,6 @@ def test_calling_thread_runs_worker_zero(started, monkeypatch):
     assert [n for n in started if n.startswith("biflow-lane-")] == ["biflow-lane-0"]
     here = threading.current_thread().name
     assert ran_on == {"fan_op0": here, "fan_op1": "biflow-lane-0", "fan_op2": here}
-
-
-LOOPBACK2 = ParallelPlan(
-    scheme="data",
-    peers=(Location("proc0", 0), Location("proc1", 1)),
-    server=Location("proc0", 0),
-)
 
 
 def run_loopback_hosts(cap=None, iterations=2):
@@ -639,9 +682,16 @@ def run_loopback_hosts(cap=None, iterations=2):
     return params, started
 
 
-def test_loopback_host_run_starts_no_thread():
-    # every operator and socket of a host runs on the thread that runs it
+def test_loopback_hosts_start_one_lane_thread_fewer_than_workers():
+    # a host graph compiles to the one worker of the calling thread, which
+    # runs every operator and socket of the host: the run starts no thread
+    from biflow.transport import partition_sequence
+
     _, started = run_loopback_hosts()
+    parts = partition_sequence(build_data_parallel(CONV_NET, LOOPBACK2))
+    for part in parts.values():
+        counts = [GraphPlan.compile(g).worker_count for g in part.sequence.graphs]
+        assert max(counts) == 1
     assert started == {"proc0": [], "proc1": []}
 
 
