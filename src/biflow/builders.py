@@ -270,13 +270,21 @@ def init_params(net: NetSpec, store: TensorStore, seed: int, layout: Layout) -> 
             store.set(peer[j], arr.copy())
 
 
+FEED_BLOCK = 8  # samples per random stream of a synthetic batch
+
+
 @dataclass(frozen=True)
 class SyntheticFeed:
     """Gaussian class clusters, generated deterministically per iteration.
 
-    One *full* batch of ``batch * peers`` samples is drawn per iteration and
-    split contiguously by peer rank, so k peers at batch B see exactly the
-    same data as one peer at batch k·B.
+    An iteration's samples are numbered across the whole ``batch * peers``
+    batch and split contiguously by peer rank.  Each fixed block of
+    ``FEED_BLOCK`` samples has its own stream, keyed by (seed, iteration,
+    block), so sample i depends only on (seed, iteration, i): k peers at
+    batch B see exactly the same data as one peer at batch k·B, and a host
+    that feeds one rank draws only the blocks that rank's slice covers.
+    The blocks of the last iteration asked for are kept, read-only, so the
+    peers of an iteration share one draw.
     """
 
     seed: int
@@ -303,31 +311,47 @@ class SyntheticFeed:
         c = rng.standard_normal((self.classes, *self.input_shape))
         return (c * self.spread).astype(np.float32)
 
-    def _draw(self, key: int, index: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng([self.seed, key, index])
+    def _draw(self, n: int, *key: int) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng([self.seed, *key])
         labels = rng.integers(0, self.classes, n)
         x = self._centers[labels] + (
             rng.standard_normal((n, *self.input_shape)) * self.noise
         ).astype(np.float32)
         return x, labels.astype(np.float32)
 
-    def full_batch(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
-        """The read-only batch of ``iteration``.  The last one drawn is kept,
-        so the peers of an iteration share one draw."""
-        last = self.__dict__.get("_last_batch")
-        if last is None or last[0] != iteration:
-            x, labels = self._draw(17, iteration, self.batch * self.peers)
+    def _block(self, iteration: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+        kept = self.__dict__.get("_kept")
+        if kept is None or kept[0] != iteration:
+            kept = self.__dict__["_kept"] = (iteration, {})
+        got = kept[1].get(block)
+        if got is None:
+            x, labels = self._draw(FEED_BLOCK, 17, iteration, block)
             x.flags.writeable = labels.flags.writeable = False
-            last = self.__dict__["_last_batch"] = (iteration, x, labels)
-        return last[1], last[2]
+            got = kept[1][block] = (x, labels)
+        return got
+
+    def _samples(self, iteration: int, lo: int, hi: int):
+        """Read-only samples [lo, hi) of ``iteration``'s full batch."""
+        first = lo // FEED_BLOCK
+        blocks = [self._block(iteration, b)
+                  for b in range(first, (hi - 1) // FEED_BLOCK + 1)]
+        if len(blocks) == 1:
+            x, labels = blocks[0]
+        else:
+            x, labels = (np.concatenate(parts) for parts in zip(*blocks))
+            x.flags.writeable = labels.flags.writeable = False
+        off = first * FEED_BLOCK
+        return x[lo - off:hi - off], labels[lo - off:hi - off]
+
+    def full_batch(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
+        """The read-only batch of ``iteration``, every peer's slice."""
+        return self._samples(iteration, 0, self.batch * self.peers)
 
     def batch_for(self, iteration: int, rank: int) -> tuple[np.ndarray, np.ndarray]:
-        x, labels = self.full_batch(iteration)
-        lo, hi = rank * self.batch, (rank + 1) * self.batch
-        return x[lo:hi], labels[lo:hi]
+        return self._samples(iteration, rank * self.batch, (rank + 1) * self.batch)
 
     def eval_batch(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._draw(29, 0, n)
+        return self._draw(n, 29, 0)
 
 
 @dataclass(frozen=True)
@@ -425,17 +449,20 @@ _BWD_SPLIT = {
 def _add_backward(g, tape, suffix, loc, thread, dlogits, split):
     """Reverse walk over the tape.  Returns [(param, grad, shape)] pairs in
     layer order.  With ``split`` the data/weight/bias gradients are separate
-    operators and the bottom layer's data gradient is omitted entirely."""
+    operators.  On both paths the walk ends at the bottom parameter layer:
+    it takes the split weight and bias operators, and neither its data
+    gradient nor any step below it is computed, since nothing reads them."""
     grads_by_layer = []
     dy = dlogits
-    for i in range(len(tape) - 1, -1, -1):
+    bottom = next(
+        (i for i, (step, _x, _y) in enumerate(tape) if step.w_shape is not None),
+        len(tape),
+    )
+    for i in range(len(tape) - 1, bottom - 1, -1):
         step, x_name, _y_name = tape[i]
-        first = i == 0
         dx = f"d{x_name}"
         name = f"bwd_{step.kind}{step.pos}{suffix}"
         if step.kind in ("relu", "flatten"):
-            if first and split:
-                break
             kind = "relu_backward" if step.kind == "relu" else "flatten_backward"
             g.add_tensor(dx, step.in_shape, loc)
             g.add_operator(
@@ -449,9 +476,9 @@ def _add_backward(g, tape, suffix, loc, thread, dlogits, split):
             g.add_tensor(dw, step.w_shape, loc)
             g.add_tensor(db, step.b_shape, loc)
             grads_by_layer.append([(w, dw, step.w_shape), (b, db, step.b_shape)])
-            if split:
+            if split or i == bottom:
                 data_kind, weight_kind, bias_kind = _BWD_SPLIT[step.kind]
-                if not first:
+                if i != bottom:
                     g.add_tensor(dx, step.in_shape, loc)
                     data_in = (
                         [g.tensor_id(w), g.tensor_id(dy)] if step.kind == "fc"
@@ -547,8 +574,9 @@ def build_data_parallel(
     peer's download thread.  Swaps flip peer and server parameter buffers.
 
     ``split_backward`` emits separate data/weight/bias gradient operators,
-    which releases each layer's parameter gradients earlier and drops the
-    bottom layer's unused data gradient.
+    which only releases each layer's parameter gradients earlier: with or
+    without it, the bottom layer's data gradient, which nothing reads, is
+    not computed.
     """
     if plan.scheme != "data":
         raise GraphError(f"plan scheme must be 'data', got {plan.scheme!r}")

@@ -141,19 +141,21 @@ class TensorStore:
 
     def set(self, name: str, array: np.ndarray) -> Tensor:
         arr = _f32(array)
-        check_shape(tuple(arr.shape))
+        shape = arr.shape
         existing = self._tensors.get(name)
+        if existing is not None and existing.shape == shape:
+            # the shape was checked when the name was first set
+            existing.data = arr
+            return existing
+        check_shape(shape)
         if existing is None:
-            t = Tensor(tuple(arr.shape), arr)
+            t = Tensor(shape, arr)
             self._tensors[name] = t
             return t
-        if existing.shape != tuple(arr.shape):
-            raise KernelError(
-                f"store: shape mismatch writing {name!r}: "
-                f"{tuple(arr.shape)} vs existing {existing.shape}"
-            )
-        existing.data = arr
-        return existing
+        raise KernelError(
+            f"store: shape mismatch writing {name!r}: "
+            f"{shape} vs existing {existing.shape}"
+        )
 
     def get(self, name: str) -> Tensor:
         try:

@@ -1,5 +1,8 @@
 """Graph builders: network planning, the three schemes, data feeding."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -99,10 +102,11 @@ def test_param_names_skip_relu_positions():
 # single-scheme graphs
 
 
-def test_two_layer_training_graph_has_nine_operators():
+def test_two_layer_training_graph_has_ten_operators():
     seq = build_sgd_iteration(TWO_FC)
     train, swaps = seq.graphs
-    assert len(train.operators) == 9  # 2 fwd + loss + 2 bwd + 4 updates
+    # 2 fwd + loss + fused top bwd + bottom weight and bias bwd + 4 updates
+    assert len(train.operators) == 10
     assert len(swaps.operators) == 4
     assert all(op.kind == "swap" for op in swaps.operators.values())
 
@@ -369,6 +373,76 @@ def test_built_sequences_validate():
             assert report.ok, report.violations
 
 
+# the bench's conv net, and two nets whose bottom step has no parameters
+CONV_NET = NetSpec(
+    input_shape=(3, 16, 16),
+    layers=(
+        LayerSpec("conv", 8, kernel=3, pad=1),
+        LayerSpec("relu"),
+        LayerSpec("conv", 8, kernel=3, pad=1),
+        LayerSpec("relu"),
+        LayerSpec("fc", 10),
+    ),
+    batch=8,
+    lr=0.05,
+)
+FLAT_INPUT = NetSpec(
+    input_shape=(2, 4, 4),
+    layers=(LayerSpec("fc", 6), LayerSpec("relu"), LayerSpec("fc", 3)),
+    batch=3,
+)
+RELU_FIRST = NetSpec(
+    input_shape=(6,),
+    layers=(LayerSpec("relu"), LayerSpec("fc", 5), LayerSpec("fc", 3)),
+    batch=2,
+)
+
+
+def built_sequences():
+    for net in (MLP, TWO_FC, PIPE_NET, CONV_NET, FLAT_INPUT, RELU_FIRST):
+        n = len(net.layers)
+        yield build_sgd_iteration(net)
+        for split in (False, True):
+            yield build_data_parallel(net, peers_plan(2), split_backward=split)
+        yield build_model_parallel_pipeline(net, ParallelPlan(
+            scheme="model",
+            stages=(Stage((0, 1), Location("local", 0)),
+                    Stage((1, n), Location("local", 1))),
+            replicas=2,
+        ))
+
+
+def test_every_written_tensor_is_read():
+    """No operator computes what nothing reads: each tensor an operator
+    writes is some operator's input, a swap operand, or a tensor the layout
+    names (losses, parameters, outputs)."""
+    for seq in built_sequences():
+        layout = seq.layout
+        used = {*layout.loss_names, *layout.canonical_params,
+                *layout.output_names}
+        used.update(name for peer in layout.peer_params for name in peer)
+        written = {}
+        for g in seq.graphs:
+            for op in g.operators.values():
+                used.update(g.tensors[t].name for t in op.inputs)
+                for t in op.outputs:
+                    if op.kind == "swap":
+                        used.add(g.tensors[t].name)
+                    else:
+                        written[g.tensors[t].name] = op.name
+        dead = {t: op for t, op in written.items() if t not in used}
+        assert not dead, dead
+
+
+def test_fused_backward_omits_bottom_data_gradient():
+    seq = build_data_parallel(CONV_NET, peers_plan(2))
+    kinds = [op.kind for op in seq.graphs[0].operators.values()]
+    assert kinds.count("conv2d_backward") == 2
+    assert kinds.count("conv2d_backward_weight") == 2
+    assert kinds.count("conv2d_backward_bias") == 2
+    assert "conv2d_backward_data" not in kinds
+
+
 # ---------------------------------------------------------------------------
 # initialization and synthetic data
 
@@ -435,3 +509,69 @@ def test_feeder_respects_only_filter():
     feeder(feed, seq.layout, only={"x_p1"})(0, store)
     assert "x_p1" in store and "labels_p1" in store
     assert "x_p0" not in store
+
+
+def test_feed_draws_only_the_blocks_of_the_asked_rank(monkeypatch):
+    draws = []
+    real = SyntheticFeed._draw
+
+    def counted(self, n, *key):
+        draws.append(key)
+        return real(self, n, *key)
+
+    monkeypatch.setattr(SyntheticFeed, "_draw", counted)
+    # 4 peers at batch 5: samples 0-19 in blocks of 8 (0-7, 8-15, 16-23)
+    for rank, blocks in enumerate(([0], [0, 1], [1], [1, 2])):
+        feed = SyntheticFeed(seed=3, input_shape=(6,), classes=3, batch=5, peers=4)
+        draws.clear()
+        feed.batch_for(4, rank)
+        feed.batch_for(4, rank)
+        assert draws == [(17, 4, b) for b in blocks], rank
+    # a conv-loopback2 host: rank 1 of 2 at batch 8 draws its own block only
+    feed = SyntheticFeed(seed=3, input_shape=(3, 4, 4), classes=3, batch=8, peers=2)
+    draws.clear()
+    x, labels = feed.batch_for(0, 1)
+    assert draws == [(17, 0, 1)]
+    assert x.shape == (8, 3, 4, 4) and labels.shape == (8,)
+
+
+def test_feed_k_peers_equal_one_peer_at_k_times_batch_bytewise():
+    def feed(batch, peers):
+        return SyntheticFeed(seed=5, input_shape=(2, 3), classes=4, batch=batch,
+                             peers=peers)
+
+    for it in (0, 1, 9):
+        parts = [feed(5, 3).batch_for(it, r) for r in range(3)]
+        x, labels = feed(15, 1).batch_for(it, 0)
+        assert np.concatenate([p[0] for p in parts]).tobytes() == x.tobytes()
+        assert np.concatenate([p[1] for p in parts]).tobytes() == labels.tobytes()
+
+
+def test_shared_feed_gives_every_thread_the_fresh_feeds_bytes():
+    """Host threads of one process may share a feed; its kept blocks must
+    never hand one iteration's samples to another."""
+    def make():
+        return SyntheticFeed(seed=4, input_shape=(5,), classes=3, batch=5, peers=3)
+
+    want = {(it, r): [a.tobytes() for a in make().batch_for(it, r)]
+            for it in range(6) for r in range(3)}
+    shared, bad = make(), []
+
+    def work(offset):
+        for step in range(300):
+            it, r = (step + offset) % 6, (step * 7 + offset) % 3
+            if [a.tobytes() for a in shared.batch_for(it, r)] != want[it, r]:
+                bad.append((it, r))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert not bad

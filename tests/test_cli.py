@@ -62,7 +62,7 @@ def test_validate_good_config_exits_zero(tmp_path):
     assert r.returncode == 0, r.stderr
     lines = json_lines(r.stdout)
     assert len(lines) == 2  # training graph + swap graph
-    assert lines[0]["operators"] == 11
+    assert lines[0]["operators"] == 12
     assert lines[0]["violations"] == []
     assert lines[1]["operators"] == 4
 
@@ -299,7 +299,8 @@ def test_copy_latency_marks_exactly_the_cross_location_copies():
     assert all(op.attrs["delay_s"] == 50e-6 for op in copies if op.name in marked)
     costs = CostModel(kind_costs={k: 1e-3 for k in (
         "fc_forward", "relu_forward", "softmax_xent", "fc_backward",
-        "relu_backward", "aggregate", "sgd_update", "swap")})
+        "fc_backward_weight", "fc_backward_bias", "relu_backward",
+        "aggregate", "sgd_update", "swap")})
     durations = {r.name: r.end - r.start for r in simulate(seq, costs).trace}
     for op in copies:
         assert durations[op.name] == (50_000 if op.name in marked else 0), op.name
