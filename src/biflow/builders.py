@@ -10,7 +10,7 @@ dispatcher's readiness rules do all the work.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
@@ -65,11 +65,12 @@ class NetSpec:
             raise GraphError(f"batch must be >= 1, got {self.batch}")
         if not self.layers:
             raise GraphError("net needs at least one layer")
-        plan_steps(self)  # shape-check the whole stack eagerly
+        # planned once, which shape-checks the whole stack eagerly
+        object.__setattr__(self, "_steps", _plan(self))
 
     @property
     def classes(self) -> int:
-        return plan_steps(self)[-1].out_shape[1]
+        return self._steps[-1].out_shape[1]
 
     @classmethod
     def from_config(cls, raw: dict) -> "NetSpec":
@@ -98,17 +99,22 @@ class _Step:
     out_shape: tuple[int, ...]
     w_shape: tuple[int, ...] | None = None
     b_shape: tuple[int, ...] | None = None
-    attrs: dict = field(default_factory=dict)
+    attrs: tuple[tuple[str, int], ...] = ()  # the op's attrs, as dict items
 
 
 _FWD_OP = {"fc": "fc_forward", "conv": "conv2d_forward", "relu": "relu_forward",
            "flatten": "flatten_forward"}
 
 
-def plan_steps(net: NetSpec) -> list[_Step]:
-    """Resolve the forward stack: every op, every shape, flattens inserted
+def plan_steps(net: NetSpec) -> tuple[_Step, ...]:
+    """The forward stack of ``net``: every op, every shape, flattens inserted
     where a 4-d activation meets a dense layer or the loss.  Each output
-    shape comes from the forward kind's shape rule in ``ops``."""
+    shape comes from the forward kind's shape rule in ``ops``.  The stack is
+    planned once, when the spec is made, and is immutable."""
+    return net._steps
+
+
+def _plan(net: NetSpec) -> tuple[_Step, ...]:
     steps: list[_Step] = []
     shape: tuple[int, ...] = (net.batch, *net.input_shape)
     if len(shape) not in (2, 4):
@@ -122,7 +128,7 @@ def plan_steps(net: NetSpec) -> list[_Step]:
             (out,) = output_shapes(_FWD_OP[kind], ins, attrs)
         except KernelError as exc:
             raise GraphError(f"layer {pos}: {exc}") from None
-        steps.append(_Step(kind, pos, layer, shape, out, w, b, attrs))
+        steps.append(_Step(kind, pos, layer, shape, out, w, b, tuple(attrs.items())))
         shape = out
 
     def maybe_flatten(pos: int) -> None:
@@ -150,7 +156,7 @@ def plan_steps(net: NetSpec) -> list[_Step]:
     maybe_flatten(len(net.layers) + 1)
     if len(shape) != 2 or shape[1] < 2:
         raise GraphError(f"loss needs >= 2 logit columns, got {shape}")
-    return steps
+    return tuple(steps)
 
 
 def param_names(net: NetSpec) -> list[tuple[str, tuple[int, ...]]]:

@@ -37,6 +37,11 @@ Every operator runs its kind's ``execute`` hook from ``ops.KINDS``, after
 sleeping its ``delay_s`` attribute, if any, inside its traced span; the
 cost simulator reads the same attribute.
 
+What each operator run costs besides its kernel is kept small: the hook
+reads its tensor names from ``BiGraph.io_names``, which resolves them once
+per operator of the graph, and its span is one :class:`TraceRecord`, a
+named tuple; a run's trace is sorted by (start, end) once, when it ends.
+
 Each graph is compiled once, on its first run, into a :class:`GraphPlan`:
 the int-indexed scheduling facts of the graph.  Every run then resets the
 plan's counters (:class:`ReadinessState`) instead of rebuilding them.
@@ -68,6 +73,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 from .graph import BiGraph, GraphSequence, OperatorVertex
 from .ops import KINDS, TensorStore
@@ -104,9 +111,13 @@ def lane_of(op: OperatorVertex) -> WorkerLane:
     return WorkerLane(op.location.host, op.location.device, op.thread)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One operator execution: timestamps are ns since the run's zero."""
+class TraceRecord(NamedTuple):
+    """One operator execution: timestamps are ns since the run's zero.
+
+    An immutable named tuple, built by position or by keyword: one is made
+    per operator run, and a tuple costs less to make than a frozen
+    dataclass.  Traces are sorted by ``(start, end)``.
+    """
 
     op: int
     name: str
@@ -126,10 +137,13 @@ class RunReport:
     graph_index: int = 0
 
 
+_BY_SPAN = itemgetter(3, 4)  # a TraceRecord's (start, end)
+
+
 def merged_trace(reports: list[RunReport]) -> list[TraceRecord]:
     """All records of several runs, in start-time order."""
     records = [r for rep in reports for r in rep.trace]
-    records.sort(key=lambda r: (r.start, r.end))
+    records.sort(key=_BY_SPAN)
     return records
 
 
@@ -441,7 +455,7 @@ class _GraphRunner:
                 raise DispatchError(f"operator {name!r} failed: {exc}") from exc
             trace.append(record)
             newly = state.complete(index)
-        trace.sort(key=lambda r: (r.start, r.end))
+        trace.sort(key=_BY_SPAN)
         return trace
 
     def _arrival(self, waiting: dict, block: bool) -> WorkerLane | None:

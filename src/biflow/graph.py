@@ -103,6 +103,7 @@ class BiGraph:
         self._op_names: dict[str, int] = {}
         self._producer: dict[int, int] = {}
         self._consumers: dict[int, list[tuple[int, int]]] = {}
+        self._io_names: dict[int, tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
     # --- construction -----------------------------------------------------
 
@@ -281,6 +282,22 @@ class BiGraph:
 
     def consumers_of(self, tensor_id: int) -> list[tuple[int, int]]:
         return list(self._consumers.get(tensor_id, ()))
+
+    def io_names(self, op: OperatorVertex) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """The names of ``op``'s input and output tensors, in edge order.
+
+        Resolved on the first call for each operator and kept: no vertex is
+        removed or renamed, and an operator's edges are fixed when it is
+        added.  Every execution hook in ``ops.KINDS`` reads names here.
+        """
+        names = self._io_names.get(op.id)
+        if names is None:
+            tensors = self.tensors
+            names = self._io_names[op.id] = (
+                tuple(tensors[t].name for t in op.inputs),
+                tuple(tensors[t].name for t in op.outputs),
+            )
+        return names
 
     def operators_in_order(self) -> list[OperatorVertex]:
         return [self.operators[i] for i in self.insertion_order]

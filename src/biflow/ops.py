@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from math import prod
+from math import isfinite, prod
 from typing import Callable
 
 import numpy as np
@@ -84,7 +84,10 @@ def _f32(a: np.ndarray) -> np.ndarray:
 
 def _finite(kind: str, *arrays: np.ndarray) -> None:
     for a in arrays:
-        if not np.isfinite(a).all():
+        # vdot(a, a) is finite only when every element is: NaN propagates,
+        # an infinity squares to +inf and no square is negative.  A sum that
+        # overflowed on large finite values is settled element by element.
+        if not isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
             raise KernelError(f"{kind}: non-finite value in output")
 
 
@@ -447,8 +450,11 @@ def softmax_xent(
     logits, labels = _f32(logits), _f32(labels)
     _softmax_xent_shapes((logits.shape, labels.shape), {})
     n, k = logits.shape
-    idx = labels.astype(np.int64)
-    if not ((idx == labels).all() and (idx >= 0).all() and (idx < k).all()):
+    # the range is checked on the floats: casting a NaN, an infinity or a
+    # label past int64 would warn instead of raising
+    in_range = (labels >= 0).all() and (labels < k).all()
+    idx = labels.astype(np.int64) if in_range else None
+    if not (in_range and (idx == labels).all()):
         raise KernelError(f"softmax_xent: labels must be integral and in [0, {k})")
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -531,7 +537,8 @@ class OpKindSpec:
     ``check_shapes(in_shapes, out_shapes, attrs)`` raises on any arity or
     shape-relation violation; ``execute(ctx, op)`` performs the operation
     against a run context exposing ``store``, ``graph``, ``iteration`` and
-    ``transport``.
+    ``transport``, and reads the names of ``op``'s tensors from
+    ``ctx.graph.io_names(op)``.
     """
 
     kind: str
@@ -540,48 +547,40 @@ class OpKindSpec:
     crosses_location: bool = False
 
 
-def _in_names(ctx, op) -> list[str]:
-    return [ctx.graph.tensors[i].name for i in op.inputs]
-
-
-def _out_names(ctx, op) -> list[str]:
-    return [ctx.graph.tensors[i].name for i in op.outputs]
-
-
 def _plain(fn: Callable[[list[np.ndarray], dict], list[np.ndarray]]):
     def execute(ctx, op) -> None:
-        ins = [ctx.store.array(n) for n in _in_names(ctx, op)]
-        outs = fn(ins, op.attrs)
-        for name, arr in zip(_out_names(ctx, op), outs):
-            ctx.store.set(name, arr)
+        in_names, out_names = ctx.graph.io_names(op)
+        store = ctx.store
+        outs = fn([store.array(n) for n in in_names], op.attrs)
+        for name, arr in zip(out_names, outs):
+            store.set(name, arr)
 
     return execute
 
 
 def _execute_copy(ctx, op) -> None:
-    src = ctx.graph.tensors[op.inputs[0]]
-    dst = ctx.graph.tensors[op.outputs[0]]
-    ctx.store.set(dst.name, ctx.store.array(src.name).copy())
+    (src,), (dst,) = ctx.graph.io_names(op)
+    ctx.store.set(dst, ctx.store.array(src).copy())
 
 
 def _execute_swap(ctx, op) -> None:
-    a, b = _out_names(ctx, op)
+    _, (a, b) = ctx.graph.io_names(op)
     ctx.store.swap(a, b)
 
 
 def _execute_send(ctx, op) -> None:
     if ctx.transport is None:
         raise KernelError(f"send {op.name!r}: no transport attached to this run")
-    ctx.transport.send(
-        int(op.attrs["channel"]), ctx.iteration, ctx.store.array(_in_names(ctx, op)[0])
-    )
+    (src,), _ = ctx.graph.io_names(op)
+    ctx.transport.send(int(op.attrs["channel"]), ctx.iteration, ctx.store.array(src))
 
 
 def _execute_recv(ctx, op) -> None:
     if ctx.transport is None:
         raise KernelError(f"recv {op.name!r}: no transport attached to this run")
     arr = ctx.transport.recv(int(op.attrs["channel"]), ctx.iteration)
-    ctx.store.set(_out_names(ctx, op)[0], arr)
+    _, (dst,) = ctx.graph.io_names(op)
+    ctx.store.set(dst, arr)
 
 
 # ---------------------------------------------------------------------------

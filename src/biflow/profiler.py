@@ -1,9 +1,9 @@
 """Trace analysis: overlap metrics, iteration gaps, and viewer export.
 
-Works on the immutable :class:`~biflow.dispatcher.TraceRecord` lists that
-runs produce.  Lanes are classified as compute, copy, or transport by a
-caller-supplied :class:`LaneClass`; the metrics are plain interval
-arithmetic over those classes.
+Works on the lists of :class:`~biflow.dispatcher.TraceRecord` named tuples
+that runs produce, sorted by start and then end.  Lanes are classified as
+compute, copy, or transport by a caller-supplied :class:`LaneClass`; the
+metrics are plain interval arithmetic over those classes.
 """
 
 from __future__ import annotations

@@ -1,16 +1,21 @@
 import dataclasses
+import os
 import random
+import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import biflow
 from biflow.builders import (
     LayerSpec,
     NetSpec,
     ParallelPlan,
     SyntheticFeed,
     build_data_parallel,
+    build_sgd_iteration,
     feeder,
     init_params,
 )
@@ -19,6 +24,8 @@ from biflow.dispatcher import (
     DispatchError,
     GraphPlan,
     ReadinessState,
+    RunReport,
+    TraceRecord,
     WorkerLane,
     lane_of,
     merged_trace,
@@ -378,6 +385,97 @@ def test_merged_trace_is_start_ordered():
     starts = [r.start for r in merged]
     assert starts == sorted(starts)
     assert len(merged) == 4
+
+
+def test_trace_record_is_an_immutable_named_tuple():
+    lane = WorkerLane("local", 0, 1)
+    by_keyword = TraceRecord(op=3, name="act", lane=lane, start=10, end=20)
+    assert by_keyword == TraceRecord(3, "act", lane, 10, 20, 0)
+    assert (by_keyword.op, by_keyword.name, by_keyword.lane) == (3, "act", lane)
+    assert (by_keyword.start, by_keyword.end, by_keyword.iteration) == (10, 20, 0)
+    assert TraceRecord(3, "act", lane, 10, 20, iteration=4).iteration == 4
+    with pytest.raises(AttributeError):
+        by_keyword.end = 30
+
+
+def test_traces_are_sorted_by_start_then_end():
+    rep = run(diamond(delay=0.01), fresh_store(), max_workers=4)
+    spans = [(r.start, r.end) for r in rep.trace]
+    assert spans == sorted(spans) and len(spans) == 3
+    lane = WorkerLane("local", 0, 0)
+    late, early = (TraceRecord(i, f"op{i}", lane, 5, end) for i, end in ((0, 9), (1, 7)))
+    first = TraceRecord(2, "op2", lane, 1, 2)
+    merged = merged_trace([RunReport([late, early], 9), RunReport([first], 2)])
+    assert merged == [first, early, late]
+
+
+MLP_NET = NetSpec(
+    input_shape=(20,),
+    layers=(LayerSpec("fc", 16), LayerSpec("relu"), LayerSpec("fc", 4)),
+    batch=8, lr=0.05,
+)
+CONV_NET = NetSpec(
+    input_shape=(3, 16, 16),
+    layers=(LayerSpec("conv", 8, kernel=3, pad=1), LayerSpec("relu"),
+            LayerSpec("conv", 8, kernel=3, pad=1), LayerSpec("relu"),
+            LayerSpec("fc", 10)),
+    batch=8, lr=0.05,
+)
+LOCAL2 = ParallelPlan(
+    scheme="data", peers=(Location("local", 0), Location("local", 1)),
+    server=Location("local", 0),
+)
+# the sequences of the benchmark's two in-process workloads
+DISPATCH_WORKLOADS = {
+    "mlp-single": (MLP_NET, lambda: build_sgd_iteration(MLP_NET)),
+    "conv-data2-split": (
+        CONV_NET, lambda: build_data_parallel(CONV_NET, LOCAL2, split_backward=True),
+    ),
+}
+
+
+# Calls into biflow's own functions per operator run, in steady state, on
+# CPython 3.11 (where each list comprehension is one call too): calls per
+# iteration over operators per iteration.  A change to the per-operator
+# path that adds calls fails here; one that removes calls should lower
+# these numbers.
+CALLS_PER_OP = {"mlp-single": 287 / 16, "conv-data2-split": 1324 / 90}
+
+
+def _biflow_calls(seq, store, iterations: int) -> int:
+    """Calls into functions defined in the biflow package during one
+    ``run_sequence`` of ``iterations``; numpy's own functions do not count."""
+    package = os.path.dirname(biflow.__file__) + os.sep
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            calls += 1
+
+    sys.setprofile(profile)
+    try:
+        run_sequence(seq, store, iterations=iterations)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(CALLS_PER_OP))
+def test_dispatch_calls_per_operator_do_not_grow(name):
+    """Deterministic guard on the fixed cost of each operator run: the calls
+    of 4 iterations minus those of 1 (which cancels validation and set-up),
+    over the operators of 3 iterations.  No time is measured."""
+    net, build = DISPATCH_WORKLOADS[name]
+    seq = build()
+    store = TensorStore()
+    init_params(net, store, 5, seq.layout)
+    feeder(SyntheticFeed.for_net(net, 5, peers=len(seq.layout.data_names)),
+           seq.layout)(0, store)
+    run_sequence(seq, store)  # resolves names, stores every output once
+    steady = _biflow_calls(seq, store, 4) - _biflow_calls(seq, store, 1)
+    ops = sum(len(g.operators) for g in seq.graphs)
+    assert steady / (3 * ops) <= CALLS_PER_OP[name]
 
 
 @pytest.mark.parametrize("count", [0, -2])

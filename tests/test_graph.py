@@ -126,6 +126,21 @@ def test_repeated_input_edge_allowed():
     assert g.validate().ok
 
 
+def test_io_names_are_resolved_once_per_operator():
+    g = make_chain(2)
+    loc = Location("local", 0)
+    op = g.operator_named("op1")
+    names = g.io_names(op)
+    assert names == (("t1",), ("t2",))
+    assert g.io_names(op) is names
+    t0, t2 = g.tensor_id("t0"), g.tensor_id("t2")
+    g.add_operator("gate", "relu_backward", [t0, t0], [g.add_tensor("y", (2, 2), loc)], loc)
+    g.add_operator("op2", "relu_forward", [t2], [g.add_tensor("t3", (2, 2), loc)], loc)
+    assert g.io_names(g.operator_named("gate")) == (("t0", "t0"), ("y",))
+    assert g.io_names(g.operator_named("op2")) == (("t2",), ("t3",))
+    assert g.io_names(op) is names
+
+
 @pytest.mark.parametrize("dims", [[2.7, True], [2.0], [True, 2], [np.float32(3)]])
 def test_non_integer_dims_rejected(dims):
     g = BiGraph()

@@ -3,6 +3,7 @@ import importlib
 import math
 import sys
 import threading
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -36,6 +37,7 @@ from biflow.ops import (
     swap,
     write_tensor_file,
 )
+from biflow.ops import _finite
 from oracles import (
     conv2d_backward_loops,
     conv2d_loops,
@@ -441,6 +443,50 @@ def test_softmax_bad_label_raises():
         softmax_xent(logits, f32([3.0]))
     with pytest.raises(KernelError):
         softmax_xent(logits, f32([0.5]))
+
+
+@pytest.mark.parametrize("label", [np.nan, np.inf, -np.inf, 1e20, -1e20, -1.0])
+def test_softmax_non_finite_or_huge_label_raises_kernel_error(label):
+    """The label is range-checked before its cast to int, which would warn on
+    a NaN, an infinity or a value past int64."""
+    logits = np.zeros((2, 3), dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KernelError, match=r"labels must be integral and in \[0, 3\)"):
+            softmax_xent(logits, f32([1.0, label]))
+
+
+# ---------------------------------------------------------------------------
+# the finite check every kernel output passes
+
+
+FINITE_CASES = {
+    "one": lambda: np.ones(1, dtype=np.float32),
+    "16k": lambda: np.ones(16384, dtype=np.float32),
+    # not contiguous: every other channel, the first column dropped
+    "view": lambda: np.ones((8, 8, 16, 16), dtype=np.float32)[:, ::2, :, 1:],
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("make", FINITE_CASES.values(), ids=FINITE_CASES)
+def test_finite_raises_on_a_non_finite_first_middle_or_last_element(make, bad):
+    n = make().size
+    for where in (0, n // 2, n - 1):
+        a = make()
+        a[np.unravel_index(where, a.shape)] = bad
+        with pytest.raises(KernelError, match="k: non-finite value in output"):
+            _finite("k", a)
+
+
+def test_finite_accepts_values_whose_squares_overflow():
+    """A sum of squares that overflows float32 is not a non-finite element."""
+    for a in (np.full(1, 1e20, dtype=np.float32),
+              np.full(16384, -1e20, dtype=np.float32),
+              np.full((4, 8, 6), 3e38, dtype=np.float32)[:, ::2, 1:]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _finite("k", np.ones(3, dtype=np.float32), a)
 
 
 # ---------------------------------------------------------------------------
