@@ -27,11 +27,13 @@ transport.  A ``send`` writes at once (its socket reads while a write
 would block).  A ``recv`` whose frame has not come when its lane reaches it
 is *pending*: the lane takes nothing else until the run loop takes that
 frame, in the lane's FIFO order, and the recv's traced span runs from the
-moment its lane reached it to that moment.  While a recv is pending the
-loop polls the transport without waiting between ready operators, and when
-nothing else can run it waits in the poll, up to the transport's timeout
-for the oldest pending recv, so a loopback host runs every operator and
-socket on one thread.
+moment its lane reached it to that moment.  The loop polls the transport
+only when no operator is ready and a recv is pending: a pending recv holds
+its own lane, not the loop, and one poll then takes every frame that has
+come.  When no pool thread is busy either, that poll waits, up to the
+transport's timeout for the oldest pending recv, so a loopback host runs
+every operator and socket on one thread and spends CPU on the network
+only when frames move.
 
 Every operator runs its kind's ``execute`` hook from ``ops.KINDS``, after
 sleeping its ``delay_s`` attribute, if any, inside its traced span; the
@@ -420,7 +422,7 @@ class _GraphRunner:
                     ready.append(i)
             newly = ()
             record = exc = None  # both stay None for an operator to run here
-            if waiting and (lane := self._arrival(waiting, not ready and not sent)):
+            if waiting and not ready and (lane := self._arrival(waiting, not sent)):
                 index, start = waiting.pop(lane)
                 ready.extendleft(reversed(held.pop(lane)))
                 if not transport.ready(channels[index]):  # waited out the timeout
@@ -459,10 +461,11 @@ class _GraphRunner:
         return trace
 
     def _arrival(self, waiting: dict, block: bool) -> WorkerLane | None:
-        """Poll the transport; returns the first lane whose recv can end:
-        its frame (or a fault) has come, or, when ``block``, it has waited
-        out the timeout.  With ``block`` and no frame queued yet, the poll
-        waits until the oldest recv's timeout; otherwise it does not wait."""
+        """Poll the transport, which the run loop does only when no operator
+        is ready; returns the first lane whose recv can end: its frame (or a
+        fault) has come, or, when ``block``, it has waited out the timeout.
+        With ``block`` and no frame queued yet, the poll waits until the
+        oldest recv's timeout; otherwise it does not wait."""
         transport, channels = self.ctx.transport, self.channels
         timeout_ns = transport.timeout * 1e9
         wait_s = 0.0

@@ -9,14 +9,17 @@ out of lockstep fail loudly instead of silently training on stale tensors.
 
 A transport starts no thread.  Its sockets are non-blocking and share one
 ``selectors`` selector, which the thread calling it drives: the dispatcher's
-run loop polls it between operators while a ``recv`` is pending, and blocks
-in it when nothing else can run, so every operator and socket of a host
-runs on that one thread.  In CPython a thread of its own pays only for work
-that gives up the GIL, and a loopback socket read rarely does.
+run loop polls it only when no operator is ready and a ``recv`` is pending,
+waiting in it until a frame comes or the oldest pending ``recv`` times out,
+so every operator and socket of a host runs on that one thread and the
+host spends CPU on the network only when frames move.  In CPython a thread
+of its own pays only for work that gives up the GIL, and a loopback socket
+read rarely does.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import selectors
 import socket
@@ -264,6 +267,13 @@ def recompose(partitions: dict[str, HostPartition]) -> BiGraph:
 # TCP transport
 
 
+def _size_fault(spec: ChannelSpec, elements: int) -> str:
+    return (
+        f"channel {spec.channel}: payload has {elements} elements, "
+        f"tensor {spec.shape} needs {math.prod(spec.shape)}"
+    )
+
+
 _HELLO = struct.Struct("<I")
 _MAX_NAME = 1024  # the longest host name a hello may announce, in bytes
 _CONNECT_RETRY_S = 0.02  # how long a refused connect polls before it retries
@@ -307,6 +317,11 @@ class Transport:
     other cannot deadlock; :meth:`recv` polls until its channel holds an
     item.  ``recv`` checks the frame's iteration tag against the caller's
     and raises on mismatch — a desynchronized peer is an error, not a hang.
+    A transport with routes checks each frame against its channel's route
+    once, when its header arrives (or, for a frame a host sends itself, in
+    ``send``): a channel it has no route for, a frame from a host other than
+    the channel's source, or a payload size other than the channel's tensor
+    is a malformed frame, rejected before any payload buffer is allocated.
     When the connection from a peer fails (a malformed frame, a reset, or
     the peer closing it), ``recv`` on that peer's channels raises at once,
     naming the fault, after the frames that arrived before it.
@@ -328,6 +343,8 @@ class Transport:
         self.peers = dict(peers)
         self.timeout = timeout
         self._route = {c.channel: c for c in channels}
+        # the payload bytes of each routed channel's frames
+        self._nbytes = {c.channel: 4 * math.prod(c.shape) for c in channels}
         # per channel: (iteration, payload) items, or (_FAULT, reason)
         self._frames: defaultdict[int, deque] = defaultdict(deque)
         self._out: dict[str, socket.socket] = {}
@@ -457,6 +474,16 @@ class Transport:
     def _on_header(self, inc: _Incoming) -> None:
         channel, iteration, length = HEADER.unpack(inc.view)
         _check_payload_length(length)
+        if self._route:
+            spec = self._route.get(channel)
+            if spec is None:
+                raise FrameError(f"channel {channel} has no route")
+            if spec.src_host != inc.peer:
+                raise FrameError(
+                    f"channel {channel} comes from {spec.src_host}, not {inc.peer}"
+                )
+            if length != self._nbytes[channel]:
+                raise FrameError(_size_fault(spec, length // 4))
         try:
             payload = np.empty(length // 4, dtype="<f4")
         except (MemoryError, ValueError):
@@ -498,10 +525,13 @@ class Transport:
             raise TransportError(f"no address known for host {dst!r}") from None
         deadline = time.monotonic() + self.timeout
         name = self.host.encode()
+        # getaddrinfo encodes a str host with the idna codec, importing it on
+        # the first connect; an ASCII name's IDNA encoding is the name itself
+        host = addr.encode("ascii") if addr.isascii() else addr
         while True:
             sock = None
             try:
-                sock = socket.create_connection((addr, port), timeout=self.timeout)
+                sock = socket.create_connection((host, port), timeout=self.timeout)
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 sock.sendall(_HELLO.pack(len(name)) + name)
             except OSError as e:
@@ -521,12 +551,12 @@ class Transport:
         spec = self._route.get(channel)
         if spec is None:
             raise TransportError(f"channel {channel} has no route")
-        if spec.dst_host == self.host:  # loopback short-circuit
-            self._frames[channel].append(
-                (iteration, np.ascontiguousarray(array, dtype="<f4").ravel().copy())
-            )
-            return
         payload = np.ascontiguousarray(array, dtype="<f4")
+        if spec.dst_host == self.host:  # loopback short-circuit
+            if payload.nbytes != self._nbytes[channel]:
+                raise TransportError(_size_fault(spec, payload.size))
+            self._frames[channel].append((iteration, payload.ravel().copy()))
+            return
         parts = [memoryview(HEADER.pack(channel, iteration, payload.nbytes))]
         if payload.nbytes:
             parts.append(memoryview(payload).cast("B"))
@@ -596,15 +626,8 @@ class Transport:
                 f"expected {iteration}"
             )
         spec = self._route.get(channel)
-        if spec is not None:
-            expected = int(np.prod(spec.shape))
-            if arr.size != expected:
-                raise TransportError(
-                    f"channel {channel}: payload has {arr.size} elements, "
-                    f"tensor {spec.shape} needs {expected}"
-                )
-            return arr.reshape(spec.shape)
-        return arr
+        # a routed channel's frames were checked against its size on arrival
+        return arr if spec is None else arr.reshape(spec.shape)
 
     def timed_out(self, channel: int) -> TransportError:
         """The error of a recv on ``channel`` that waited out the timeout."""

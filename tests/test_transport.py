@@ -2,11 +2,17 @@
 
 import multiprocessing
 import os
+import re
 import socket
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +288,168 @@ def test_malformed_frame_is_named_in_recv_error():
         t.close()
 
 
+def hello(peer: str) -> bytes:
+    return struct.pack("<I", len(peer)) + peer.encode()
+
+
+@pytest.mark.parametrize("channels, peer, header, recv_channel, cause", [
+    # 2**32 - 4 payload bytes announced on a 4-element channel
+    ([spec(1, (4,))], "a", HEADER.pack(1, 0, 2**32 - 4), 1,
+     "channel 1: payload has 1073741823 elements, tensor (4,) needs 4"),
+    ([spec(1, (4,))], "a", HEADER.pack(9, 0, 16), 1, "channel 9 has no route"),
+    # b sends on a's channel; b's own channel fails, a's keeps working
+    ([spec(1, (4,), src="a"), spec(2, (4,), src="b")], "b",
+     HEADER.pack(1, 0, 16), 2, "channel 1 comes from a, not b"),
+], ids=["oversized", "unknown-channel", "wrong-host"])
+def test_frame_is_checked_against_its_route_at_its_header(
+        channels, peer, header, recv_channel, cause):
+    # only the header is sent: a frame taken past it would wait out the
+    # timeout for its payload
+    t = Transport("b", {"b": ("127.0.0.1", 0)}, channels, timeout=30).start()
+    tracemalloc.start()
+    try:
+        with socket.create_connection(("127.0.0.1", t.port)) as s:
+            s.sendall(hello(peer) + header)
+            t0 = time.monotonic()
+            with pytest.raises(TransportError, match=re.escape(cause)) as err:
+                t.recv(recv_channel, 0)
+            assert time.monotonic() - t0 < 1.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        t.close()
+    assert f"malformed frame: {cause} (from {peer})" in str(err.value)
+    assert peak < 1 << 20  # no payload buffer was allocated
+
+
+def test_wrong_size_self_send_raises_at_send():
+    t = Transport("a", {"a": ("127.0.0.1", 0)}, [spec(1, (2,), src="a", dst="a")])
+    with pytest.raises(TransportError, match="payload has 3 elements, tensor "
+                       r"\(2,\) needs 2"):
+        t.send(1, 0, np.zeros(3, dtype=np.float32))
+    assert not t.ready(1)
+
+
+CHUNKED = [spec(1, (3,)), spec(2, (2, 2)), spec(3, (5,))]
+
+
+def chunked_frames(seed):
+    """Six frames on the three CHUNKED channels, two iterations each."""
+    rng = np.random.default_rng(seed)
+    return [
+        (c.channel, it, rng.standard_normal(c.shape).astype(np.float32))
+        for it in range(2) for c in CHUNKED
+    ]
+
+
+def write_in_chunks(t, data, rng):
+    """Send ``data`` to ``t`` as peer a in seeded chunks of 1-20 bytes,
+    polling ``t`` after each chunk; returns the open socket."""
+    s = socket.create_connection(("127.0.0.1", t.port))
+    at = 0
+    while at < len(data):
+        n = int(rng.integers(1, 21))
+        s.sendall(data[at:at + n])
+        at += n
+        t.poll(1.0)  # returns once the chunk is readable
+    return s
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_chunked_stream_is_delivered_bit_exact(seed):
+    frames = chunked_frames(seed)
+    data = hello("a") + b"".join(encode_frame(*f) for f in frames)
+    t = Transport("b", {"b": ("127.0.0.1", 0)}, CHUNKED, timeout=5).start()
+    try:
+        with write_in_chunks(t, data, np.random.default_rng(seed)):
+            for channel, it, payload in frames:
+                got = t.recv(channel, it)
+                assert got.tobytes() == payload.tobytes()
+    finally:
+        t.close()
+
+
+STREAM_FAULTS = ("cut", "channel", "iteration", "length", "ragged")
+
+
+@pytest.mark.parametrize("seed", [3, 17, 29])
+@pytest.mark.parametrize("fault", STREAM_FAULTS)
+def test_chunked_stream_fault_is_named(seed, fault):
+    # the stream is cut, or one header field of a seeded frame corrupted;
+    # the frames before the fault arrive intact and the faulty one's recv
+    # names the fault, without waiting out the timeout
+    rng = np.random.default_rng([seed, STREAM_FAULTS.index(fault)])
+    frames = chunked_frames(seed)
+    parts = [encode_frame(*f) for f in frames]
+    bad = int(rng.integers(len(frames)))
+    start = len(hello("a")) + sum(map(len, parts[:bad]))
+    channel, it, payload = frames[bad]
+    data = hello("a") + b"".join(parts)
+    if fault == "cut":  # inside the bad frame's header or payload
+        data = data[:start + int(rng.integers(len(parts[bad])))]
+        cause = "peer connection closed (from a)"
+    else:
+        header = {
+            "channel": HEADER.pack(99, it, payload.nbytes),
+            "iteration": HEADER.pack(channel, it + 7, payload.nbytes),
+            "length": HEADER.pack(channel, it, payload.nbytes + 4),
+            "ragged": HEADER.pack(channel, it, payload.nbytes + 1),
+        }[fault]
+        data = data[:start] + header + data[start + HEADER.size:]
+        cause = {
+            "channel": "channel 99 has no route (from a)",
+            "iteration": f"out of sync: got iteration {it + 7}, expected {it}",
+            "length": f"payload has {payload.size + 1} elements",
+            "ragged": "not a multiple of 4",
+        }[fault]
+        if fault != "iteration":  # nothing past a bad header is read
+            data = data[:start + HEADER.size]
+    t = Transport("b", {"b": ("127.0.0.1", 0)}, CHUNKED, timeout=5).start()
+    try:
+        s = write_in_chunks(t, data, rng)
+        if fault == "cut":
+            s.close()
+        with s:
+            for c, i, p in frames[:bad]:
+                assert t.recv(c, i).tobytes() == p.tobytes()
+            t0 = time.monotonic()
+            with pytest.raises(TransportError) as err:
+                t.recv(channel, it)
+            assert time.monotonic() - t0 < 1.0
+    finally:
+        t.close()
+    assert cause in str(err.value) and "timed out" not in str(err.value)
+
+
+def test_first_connect_imports_no_codec():
+    # getaddrinfo imports the idna codec for a str host name; the bench's
+    # host processes are fresh interpreters and would pay for it every time
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from biflow.transport import ChannelSpec, Transport
+
+        peers = {"a": ("127.0.0.1", 0), "b": ("127.0.0.1", 0)}
+        channels = [ChannelSpec(1, "c", "a", "b", (2,))]
+        ta = Transport("a", peers, channels).start()
+        tb = Transport("b", peers, channels).start()
+        table = {"a": ("127.0.0.1", ta.port), "b": ("127.0.0.1", tb.port)}
+        ta.peers.update(table)
+        tb.peers.update(table)
+        ta.send(1, 0, np.ones(2, dtype=np.float32))
+        assert tb.recv(1, 0).tolist() == [1.0, 1.0]
+        ta.close()
+        tb.close()
+        assert "encodings.idna" not in sys.modules, "connect imported encodings.idna"
+    """)
+    import biflow
+
+    src = str(Path(biflow.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+
+
 def test_cancel_fails_waiting_and_later_recvs():
     t = Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,)), spec(2, (2,))],
                   timeout=30)
@@ -295,15 +463,19 @@ def test_kernel_failure_does_not_wait_for_blocked_recv(monkeypatch):
     # a kernel fails on one lane while a recv on another lane is pending,
     # its frame never to come; the run must end with the kernel's error, not
     # the recv's 30 s timeout
-    polled = []
+    polled, asked = [], []
 
     class WatchedTransport(Transport):
         def poll(self, timeout=0.0):
-            polled.append(timeout)  # the run loop polls only for a pending recv
+            polled.append(timeout)
             super().poll(timeout)
 
+        def ready(self, channel):
+            asked.append(channel)  # the run loop asks when the recv's lane reaches it
+            return super().ready(channel)
+
     def fail_once_recv_waits(ctx, op):
-        if not polled:
+        if 1 not in asked:
             raise KernelError("ran before the recv was pending")
         raise KernelError("injected failure")
 
@@ -327,7 +499,7 @@ def test_kernel_failure_does_not_wait_for_blocked_recv(monkeypatch):
                            match="'bad_kernel' failed: injected failure"):
             run_sequence(GraphSequence([g]), store, transport=t)
         assert time.monotonic() - t0 < 1.0
-    assert polled == [0.0]  # it never waited in the poll
+    assert polled == []  # the kernel was ready, so the loop never polled or waited
 
 
 def test_pending_recv_times_out_with_the_transport_error():
@@ -363,6 +535,38 @@ def test_lane_waits_behind_its_pending_recv():
     assert span["give"][1] <= span["wait"][1] <= span["after"][0]
     assert span["wait"][0] <= span["give"][0]  # its span began when its lane reached it
     assert store.array("got").tolist() == [-1.0, 2.0]
+
+
+def test_loop_polls_only_when_no_operator_is_ready():
+    # a recv pending from the start, a chain of operators on another lane,
+    # then the send to this host that feeds the recv: the loop has an
+    # operator to run until the chain ends, so it polls once, not per operator
+    polls = []
+
+    class CountingTransport(Transport):
+        def poll(self, timeout=0.0):
+            polls.append(timeout)
+            super().poll(timeout)
+
+    loc = Location("a", 0)
+    g = BiGraph()
+    h = g.add_tensor("x", (2,), loc)
+    got = g.add_tensor("got", (2,), loc)
+    g.add_operator("wait", "recv", [], [got], loc, thread=1, attrs={"channel": 1})
+    for k in range(24):
+        out = g.add_tensor(f"h{k}", (2,), loc)
+        g.add_operator(f"step{k}", "relu_forward", [h], [out], loc, thread=0)
+        h = out
+    g.add_operator("give", "send", [h], [], loc, thread=0, attrs={"channel": 1})
+    store = TensorStore()
+    store.set("x", np.array([-1.0, 2.0], dtype=np.float32))
+    with CountingTransport("a", {"a": ("127.0.0.1", 0)},
+                           [spec(1, (2,), src="a", dst="a")], timeout=5).start() as t:
+        for _ in range(3):
+            polls.clear()
+            run_sequence(GraphSequence([g]), store, transport=t)
+            assert len(polls) <= 1
+    assert store.array("got").tolist() == [0.0, 2.0]
 
 
 def test_closed_peer_fails_only_its_own_channels():
