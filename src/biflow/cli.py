@@ -154,8 +154,9 @@ class ExperimentConfig:
 
 def _add_copy_latency(seq, seconds: float) -> None:
     """Set ``delay_s`` on every copy of ``seq`` between two locations: the
-    dispatcher sleeps it and the cost simulator counts it.  Nothing is set
-    for 0, since a ``delay_s`` outranks the simulator's per-kind costs."""
+    dispatcher holds the copy's worker for it and the cost simulator counts
+    it.  Nothing is set for 0, since a ``delay_s`` outranks the simulator's
+    per-kind costs."""
     if seconds <= 0:
         return
     for g in seq.graphs:

@@ -8,36 +8,42 @@ different lanes.
 
 A lane is the (host, device, thread) triple of an operator; each lane
 executes its operators one at a time in FIFO order of readiness (ties broken
-by graph insertion order).  Lanes run concurrently only where that can pay
-in CPython, which is where an operator gives up the GIL: a lane holding an
-operator with a ``delay_s`` above 0, which sleeps, gets a worker thread of
-its own, and every other lane shares one worker.  The numpy kernels and
-in-process copies are too small to gain from threads and only contend for
-the GIL: on a 2-core VM, conv-data2-split used 8.2–9.5 CPU ms per iteration
-with its 7 lanes on 7 threads and 4.7–5.5 ms with them on one (ten 30 s
-runs each).  The shared lanes form group 0, and each sleeping lane is one
-more group, numbered in sorted lane order; group ``k`` goes to worker
-``k mod min(groups, max_workers)``.  Neither the grouping nor the cap
-changes which lane an operator belongs to, only how many threads serve the
-lanes.
+by graph insertion order).  Every operator runs on the thread that calls
+:func:`run_sequence`: the numpy kernels and in-process copies are too small
+to gain from threads and only contend for the GIL (on a 2-core VM,
+conv-data2-split used 8.2–9.5 CPU ms per iteration with its 7 lanes on 7
+threads and 4.7–5.5 ms with them on one, ten 30 s runs each).  What lanes
+can overlap is waiting: an injected ``delay_s`` and a frame in flight.
 
-``send`` and ``recv`` do not block a thread either: a lane holding one
-stays in the shared group, and the calling thread drives the run's
+An operator with a ``delay_s`` above 0 holds a *worker* for that long
+before its kernel runs.  When it reaches a free worker, the run loop
+records its start and pushes its deadline, start plus delay, onto a heap;
+once the deadline has passed, the loop runs its kernel and frees the
+worker.  The operator's traced span runs from its start to the kernel's
+end, so injected cost counts as execution time, not queueing.  Operators
+that reach a held worker wait behind it in FIFO order.  Each lane holding a
+delayed operator is a worker group of its own and all other lanes form one
+group; group ``k`` goes to worker ``k mod min(groups, max_workers)``, so
+``max_workers`` is how many operators can hold a worker at once, and under
+``max_workers=1`` delayed operators never overlap.  Neither the grouping
+nor the cap changes which lane an operator belongs to.
+
+``send`` and ``recv`` run on the calling thread too, which drives the run's
 transport.  A ``send`` writes at once (its socket reads while a write
 would block).  A ``recv`` whose frame has not come when its lane reaches it
 is *pending*: the lane takes nothing else until the run loop takes that
 frame, in the lane's FIFO order, and the recv's traced span runs from the
-moment its lane reached it to that moment.  The loop polls the transport
-only when no operator is ready and a recv is pending: a pending recv holds
-its own lane, not the loop, and one poll then takes every frame that has
-come.  When no pool thread is busy either, that poll waits, up to the
-transport's timeout for the oldest pending recv, so a loopback host runs
-every operator and socket on one thread and spends CPU on the network
-only when frames move.
+moment its lane reached it to that moment.
 
-Every operator runs its kind's ``execute`` hook from ``ops.KINDS``, after
-sleeping its ``delay_s`` attribute, if any, inside its traced span; the
-cost simulator reads the same attribute.
+So the loop has three event sources: expired deadlines, ready operators
+and frame arrivals, taken in that order.  When none has an event, it waits
+until the next deadline or the oldest pending recv's timeout, whichever
+comes first: in the transport's poll while a recv is pending, which takes
+every frame that has come, and in a sleep otherwise.  The loop polls only
+then, so a loopback host spends CPU on the network only when frames move.
+
+Every operator runs its kind's ``execute`` hook from ``ops.KINDS``; the
+cost simulator reads the same ``delay_s`` attribute.
 
 What each operator run costs besides its kernel is kept small: the hook
 reads its tensor names from ``BiGraph.io_names``, which resolves them once
@@ -48,21 +54,9 @@ Each graph is compiled once, on its first run, into a :class:`GraphPlan`:
 the int-indexed scheduling facts of the graph.  Every run then resets the
 plan's counters (:class:`ReadinessState`) instead of rebuilding them.
 
-The thread that calls :func:`run_sequence` is the only one that reads or
-changes a run's counters and trace.  It runs worker 0's operators itself and
-hands each operator of worker ``k >= 1`` to pool thread ``k - 1``, which
-runs it and sends the outcome back to an inbox; the calling thread then
-marks it complete and routes the operators it made ready.  A graph whose
-lanes all map to one worker (every graph with no sleeping operator, and
-every graph under ``max_workers=1``) thus runs wholly in the calling thread
-and starts no thread.  The pool lives for the whole sequence, grows on first
-use to one thread fewer than the largest worker count of its graphs, and is
-shut down when the sequence returns or raises; after an error or an
-interrupt its threads drop what is still queued, and the sequence waits
-only for operators already running, none of which touches the transport.
-The first error wins, and a pending recv does not delay it: the loop stops
-waiting for its frame.  :func:`run` is :func:`run_sequence` over one graph,
-run once.
+No run starts a thread.  The first error wins: the run stops at once, and
+neither a pending recv nor a pending deadline delays the error.
+:func:`run` is :func:`run_sequence` over one graph, run once.
 
 The virtual-time cost simulator drives the same plan and counters, so both
 executors share one source of scheduling truth.
@@ -70,11 +64,10 @@ executors share one source of scheduling truth.
 
 from __future__ import annotations
 
-import queue
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -169,21 +162,18 @@ class GraphPlan:
     ``channels`` holds the channel of each ``recv`` operator, which the run
     loop waits on, and None for every other operator.
 
-    Lanes map to workers in groups: each lane holding an operator with a
-    ``delay_s`` above 0 and no ``send`` or ``recv`` is a group of its own,
-    since a sleep gives up the GIL; all other lanes form one group, since
-    their operators hold the GIL throughout and gain nothing from threads of
-    their own, and the transport is driven by the calling thread alone.
-    The shared group is group 0 and the sleeping lanes follow in sorted
-    lane order; group ``k`` goes to worker ``k mod worker_count``, and
-    ``worker_count`` is ``min(groups, cap)``.
+    Lanes map to workers in groups, and a worker is held by one delayed
+    operator at a time: each lane holding an operator with a ``delay_s``
+    above 0 is a group of its own, so delays on different lanes overlap;
+    all other lanes form one group, whose operators never hold their worker.
+    The shared group is group 0 and the delayed lanes follow in sorted lane
+    order; group ``k`` goes to worker ``k mod min(groups, cap)``.
     """
 
     graph: BiGraph
     ops: tuple[OperatorVertex, ...]
     lanes: tuple[WorkerLane, ...]
     workers: tuple[int, ...]
-    worker_count: int
     channels: tuple[int | None, ...]
     consumers: tuple[tuple[int, ...], ...]
     pending: tuple[int, ...]
@@ -199,16 +189,13 @@ class GraphPlan:
         ops = tuple(graph.operators_in_order())
         index = {op.id: i for i, op in enumerate(ops)}
         lanes = tuple(lane_of(op) for op in ops)
-        sleeping = (
-            {lane for op, lane in zip(ops, lanes) if _delay(op) > 0}
-            - {lane for op, lane in zip(ops, lanes) if op.kind in ("send", "recv")}
-        )
-        # each sleeping lane is a group of its own, the other lanes form
-        # group 0; sleeping groups follow in sorted lane order
-        shared = set(lanes) - sleeping
+        delayed = {lane for op, lane in zip(ops, lanes) if _delay(op) > 0}
+        # each delayed lane is a group of its own, the other lanes form
+        # group 0; delayed groups follow in sorted lane order
+        shared = set(lanes) - delayed
         groups: dict[WorkerLane | None, int] = {None: 0} if shared else {}
         group = {
-            lane: groups.setdefault(lane if lane in sleeping else None, len(groups))
+            lane: groups.setdefault(lane if lane in delayed else None, len(groups))
             for lane in sorted(set(lanes))
         }
         count = len(groups) if cap is None else min(len(groups), cap)
@@ -227,7 +214,6 @@ class GraphPlan:
             ops=ops,
             lanes=lanes,
             workers=tuple(slot[lane] for lane in lanes),
-            worker_count=count,
             channels=tuple(
                 int(op.attrs["channel"]) if op.kind == "recv" else None for op in ops
             ),
@@ -302,10 +288,6 @@ class ReadinessState:
         self._in_flight += len(newly) - 1
         return newly
 
-    def abandon(self, count: int = 1) -> None:
-        """Drop in-flight claims for operators discarded after an abort."""
-        self._in_flight -= count
-
     @property
     def in_flight(self) -> int:
         return self._in_flight
@@ -325,72 +307,24 @@ def _delay(op: OperatorVertex) -> float:
     return float(op.attrs.get("delay_s", 0.0) or 0.0)
 
 
-class _LanePool:
-    """Worker threads shared by every graph of one sequence run.
-
-    Pool thread ``k`` serves queue ``k``, which holds the operators of
-    worker ``k + 1`` as ``(runner, operator index)``.  A thread only runs
-    the operator and puts ``(index, record, exc)`` on the runner's
-    ``inbox``; ``None`` stops it.  Once ``aborting`` is set, it drops what
-    is still queued.
-    """
-
-    def __init__(self) -> None:
-        self.queues: list[queue.SimpleQueue] = []
-        self._threads: list[threading.Thread] = []
-        self.aborting = False
-
-    def grow(self, count: int) -> None:
-        while len(self._threads) < count:
-            lane_queue: queue.SimpleQueue = queue.SimpleQueue()
-            t = threading.Thread(
-                target=self._serve, args=(lane_queue,),
-                name=f"biflow-lane-{len(self._threads)}", daemon=True,
-            )
-            t.start()
-            self.queues.append(lane_queue)
-            self._threads.append(t)
-
-    def _serve(self, lane_queue: queue.SimpleQueue) -> None:
-        while (item := lane_queue.get()) is not None:
-            if self.aborting:
-                continue
-            runner, index = item
-            try:
-                runner.inbox.put((index, runner._call(index), None))
-            except BaseException as exc:  # noqa: BLE001 - the calling thread raises it
-                runner.inbox.put((index, None, exc))
-
-    def close(self) -> None:
-        """Drop what is still queued and wait for running operators."""
-        self.aborting = True
-        for lane_queue in self.queues:
-            lane_queue.put(None)
-        for t in self._threads:
-            t.join()
-
-
 class _GraphRunner:
-    """Runs one compiled graph, once per :meth:`run` call.  The calling
-    thread runs worker 0's operators, drives the transport, and owns every
-    counter and the trace; the pool's threads run the other workers'
-    operators."""
+    """Runs one compiled graph, once per :meth:`run` call, on the calling
+    thread, which also drives the transport and owns every counter and the
+    trace."""
 
-    def __init__(self, plan: GraphPlan, ctx: RunContext, pool: _LanePool) -> None:
+    def __init__(self, plan: GraphPlan, ctx: RunContext) -> None:
         self.plan = plan
         self.ctx = ctx
-        self.pool = pool
         self.state = ReadinessState(plan)
         self.steps = []
         for op in plan.ops:
             spec = KINDS.get(op.kind)
-            self.steps.append((None if spec is None else spec.execute, op, _delay(op)))
+            self.steps.append((None if spec is None else spec.execute, op))
+        self.delays = tuple(int(_delay(op) * 1e9) for op in plan.ops)  # ns
         # without a transport a recv runs at once and fails for want of one
         self.channels = (
             plan.channels if ctx.transport is not None else (None,) * len(plan.ops)
         )
-        pool.grow(plan.worker_count - 1)
-        self.inbox: queue.SimpleQueue = queue.SimpleQueue()
         self.zero = 0
 
     def run(self, iteration: int, zero: int) -> list[TraceRecord]:
@@ -399,105 +333,108 @@ class _GraphRunner:
         state.reset()
         self.ctx.iteration = iteration
         self.zero = zero
-        newly = state.arm()
+        ready = deque(state.arm())  # FIFO by readiness
         if not plan.ops:
             return []
-        if not newly:
+        if not ready:
             raise DispatchError("no operator is initially ready; graph cannot start")
-        workers, lanes, channels = plan.workers, plan.lanes, self.channels
-        queues, inbox, transport = self.pool.queues, self.inbox, self.ctx.transport
+        workers, lanes, delays = plan.workers, plan.lanes, self.delays
+        channels, transport = self.channels, self.ctx.transport
         trace: list[TraceRecord] = []
-        ready: deque[int] = deque()  # worker 0's operators, FIFO by readiness
-        sent = 0  # operators handed to pool threads and not yet back
-        # lanes whose recv waits for its frame: the recv and the time its lane
-        # reached it, and the operators that reached the lane since, in order
+        # (deadline, index, start) of each delayed operator holding its worker
+        deadlines: list[tuple[int, int, int]] = []
+        # lanes whose recv waits for its frame: the recv and the time its
+        # lane reached it
         waiting: dict[WorkerLane, tuple[int, int]] = {}
-        held: dict[WorkerLane, list[int]] = {}
+        # each lane behind its pending recv and each worker held until a
+        # deadline: the operators that reached it since, in order
+        held: dict[WorkerLane | int, list[int]] = {}
         while True:
-            for i in newly:
-                if workers[i]:
-                    queues[workers[i] - 1].put((self, i))
-                    sent += 1
-                else:
-                    ready.append(i)
-            newly = ()
-            record = exc = None  # both stay None for an operator to run here
-            if waiting and not ready and (lane := self._arrival(waiting, not sent)):
+            start = exc = None
+            if deadlines and deadlines[0][0] <= time.monotonic_ns() - zero:
+                _, index, start = heappop(deadlines)
+                ready.extendleft(reversed(held.pop(workers[index])))
+            elif waiting and not ready and (lane := self._arrival(waiting, deadlines)):
                 index, start = waiting.pop(lane)
                 ready.extendleft(reversed(held.pop(lane)))
                 if not transport.ready(channels[index]):  # waited out the timeout
                     exc = transport.timed_out(channels[index])
-            elif sent and (not ready or not inbox.empty()):
-                index, record, exc = inbox.get()
-                sent -= 1
             elif ready:
-                index, start = ready.popleft(), None
-                lane = lanes[index]
-                if held and lane in held:  # behind its lane's pending recv
-                    held[lane].append(index)
-                    continue
-                if channels[index] is not None and not transport.ready(channels[index]):
-                    waiting[lane] = (index, time.monotonic_ns() - self.zero)
-                    held[lane] = []
+                index = ready.popleft()
+                if held:
+                    lane = lanes[index]
+                    key = lane if lane in held else workers[index]
+                    if key in held:
+                        held[key].append(index)
+                        continue
+                if delays[index]:
+                    start = time.monotonic_ns() - zero
+                    heappush(deadlines, (start + delays[index], index, start))
+                    held[workers[index]] = []
                     continue
             elif waiting:
-                continue  # the poll woke for another channel
+                continue  # the poll woke for another channel, or a deadline
+            elif deadlines:
+                time.sleep(max(0, deadlines[0][0] - time.monotonic_ns() + zero) / 1e9)
+                continue
             else:
                 break
-            if record is None and exc is None:
+            if (channels[index] is not None and exc is None
+                    and not transport.ready(channels[index])):
+                if start is None:
+                    start = time.monotonic_ns() - zero
+                waiting[lanes[index]] = (index, start)
+                held[lanes[index]] = []
+                continue
+            if exc is None:
                 try:
                     record = self._call(index, start)
                 except Exception as e:  # noqa: BLE001 - reported below
                     exc = e
-            if exc is not None:  # first error wins; the queued rest is dropped
-                self.pool.aborting = True
-                state.abandon(1 + len(ready) + sent + len(waiting)
-                              + sum(map(len, held.values())))
+            if exc is not None:  # first error wins; the rest is dropped
                 name = plan.ops[index].name
                 raise DispatchError(f"operator {name!r} failed: {exc}") from exc
             trace.append(record)
-            newly = state.complete(index)
+            ready.extend(state.complete(index))
         trace.sort(key=_BY_SPAN)
         return trace
 
-    def _arrival(self, waiting: dict, block: bool) -> WorkerLane | None:
+    def _arrival(self, waiting: dict, deadlines: list) -> WorkerLane | None:
         """Poll the transport, which the run loop does only when no operator
         is ready; returns the first lane whose recv can end: its frame (or a
-        fault) has come, or, when ``block``, it has waited out the timeout.
-        With ``block`` and no frame queued yet, the poll waits until the
-        oldest recv's timeout; otherwise it does not wait."""
+        fault) has come, or it has waited out the timeout.  With no frame
+        queued yet, the poll waits until the oldest recv's timeout or the
+        next deadline, whichever comes first."""
         transport, channels = self.ctx.transport, self.channels
         timeout_ns = transport.timeout * 1e9
         wait_s = 0.0
         # a frame sent to this host itself is queued without a socket event
-        if block and not any(transport.ready(channels[i]) for i, _ in waiting.values()):
-            oldest = min(start for _, start in waiting.values())
-            now = time.monotonic_ns() - self.zero
-            wait_s = max(0.0, (oldest + timeout_ns - now) / 1e9)
+        if not any(transport.ready(channels[i]) for i, _ in waiting.values()):
+            wake = min(start for _, start in waiting.values()) + timeout_ns
+            if deadlines:
+                wake = min(wake, deadlines[0][0])
+            wait_s = max(0.0, (wake - time.monotonic_ns() + self.zero) / 1e9)
         transport.poll(wait_s)
         for lane, (index, _) in waiting.items():
             if transport.ready(channels[index]):
                 return lane
-        if block:
-            now = time.monotonic_ns() - self.zero
-            for lane, (_, start) in waiting.items():
-                if now - start >= timeout_ns:
-                    return lane
+        now = time.monotonic_ns() - self.zero
+        for lane, (_, start) in waiting.items():
+            if now - start >= timeout_ns:
+                return lane
         return None
 
     def _call(self, index: int, start: int | None = None) -> TraceRecord:
         """Execute one operator; returns its trace record.  ``start``, when
-        given, is when its span began (a recv's, when its lane reached it)."""
-        execute, op, delay = self.steps[index]
+        given, is when its span began: a delayed operator's, when it took its
+        worker; a recv's, when its lane reached it."""
+        execute, op = self.steps[index]
         if execute is None:
             raise DispatchError(
                 f"operator kind {op.kind!r} unknown to registry (op {op.name!r})"
             )
         if start is None:
             start = time.monotonic_ns() - self.zero
-        if delay > 0:
-            # injected cost counts as execution time, not queueing
-            time.sleep(delay)
         execute(self.ctx, op)
         end = time.monotonic_ns() - self.zero
         if end <= start:
@@ -538,8 +475,8 @@ def run(
 
     Raises :class:`DispatchError` if the graph fails validation, a source
     tensor is missing from the store, an operator kind is unknown to
-    ``ops.KINDS``, or a kernel fails (first error wins; operators already
-    running are drained, queued ones discarded).
+    ``ops.KINDS``, or a kernel fails (first error wins: the run stops
+    there, and the operators still ready, pending or delayed never run).
     """
     (report,) = run_sequence(
         GraphSequence([graph]), store, max_workers=max_workers, transport=transport
@@ -564,8 +501,8 @@ def run_sequence(
     ``before_iteration(iteration, store)`` hook runs before each iteration's
     first graph (data feeding); ``after_graph(report, store)`` runs after each
     graph completes (metric sampling).  The graphs are validated once, before
-    the first iteration; the lane pool lives until this call returns or
-    raises.  Raises :class:`DispatchError` when ``iterations`` or
+    the first iteration.  Every operator runs on the calling thread, and no
+    thread is started.  Raises :class:`DispatchError` when ``iterations`` or
     ``max_workers`` is below 1.
     """
     if iterations < 1:
@@ -575,24 +512,20 @@ def run_sequence(
     _validate(seq.graphs)
     runners: list[_GraphRunner | None] = [None] * len(seq.graphs)
     reports: list[RunReport] = []
-    pool = _LanePool()
-    try:
-        t0 = time.monotonic_ns()
-        for it in range(iterations):
-            if before_iteration is not None:
-                before_iteration(it, store)
-            for gi, g in enumerate(seq.graphs):
-                start_ns = time.monotonic_ns()
-                runner = runners[gi]
-                if runner is None:
-                    ctx = RunContext(store, g, it, transport)
-                    runner = _GraphRunner(GraphPlan.compile(g, max_workers), ctx, pool)
-                    runners[gi] = runner
-                trace = runner.run(it, t0)
-                rep = RunReport(trace, time.monotonic_ns() - start_ns, it, gi)
-                reports.append(rep)
-                if after_graph is not None:
-                    after_graph(rep, store)
-    finally:
-        pool.close()
+    t0 = time.monotonic_ns()
+    for it in range(iterations):
+        if before_iteration is not None:
+            before_iteration(it, store)
+        for gi, g in enumerate(seq.graphs):
+            start_ns = time.monotonic_ns()
+            runner = runners[gi]
+            if runner is None:
+                ctx = RunContext(store, g, it, transport)
+                runner = _GraphRunner(GraphPlan.compile(g, max_workers), ctx)
+                runners[gi] = runner
+            trace = runner.run(it, t0)
+            rep = RunReport(trace, time.monotonic_ns() - start_ns, it, gi)
+            reports.append(rep)
+            if after_graph is not None:
+                after_graph(rep, store)
     return reports

@@ -324,7 +324,8 @@ class Transport:
     is a malformed frame, rejected before any payload buffer is allocated.
     When the connection from a peer fails (a malformed frame, a reset, or
     the peer closing it), ``recv`` on that peer's channels raises at once,
-    naming the fault, after the frames that arrived before it.
+    naming the fault, after the frames that arrived before it; on every
+    channel, when the peer sources none.
     :meth:`cancel` ends every channel the same way.  A lock serializes
     parsing and each destination has a send lock, so threads may share a
     transport; the dispatcher drives it from a run's calling thread only.
@@ -504,11 +505,18 @@ class Transport:
 
     def _record_fault(self, peer: str | None, fault: str) -> None:
         """Name the fault and, once the peer is known, end each channel from
-        it with a fault item queued behind the frames already received."""
+        it with a fault item queued behind the frames already received; a
+        fault from a peer that sources no channel ends every channel, as
+        :meth:`cancel` does.  A connection that fails before its hello ends
+        no channel, since it may be a mere port probe."""
         self._fault = fault if peer is None else f"{fault} (from {peer})"
-        for spec in self._route.values():
-            if spec.src_host == peer:
-                self._frames[spec.channel].append((_FAULT, self._fault))
+        if peer is None:
+            return
+        sourced = [c for c, spec in self._route.items() if spec.src_host == peer]
+        if not sourced:
+            self.cancel(self._fault)
+        for channel in sourced:
+            self._frames[channel].append((_FAULT, self._fault))
 
     def cancel(self, reason: str) -> None:
         """End every channel with a fault item naming ``reason``: a ``recv``
@@ -631,9 +639,11 @@ class Transport:
 
     def timed_out(self, channel: int) -> TransportError:
         """The error of a recv on ``channel`` that waited out the timeout."""
+        spec = self._route.get(channel)
+        src = f" waiting for {spec.src_host}" if spec is not None else ""
         detail = f" ({self._fault})" if self._fault else ""
         return TransportError(
-            f"recv on channel {channel} timed out after {self.timeout}s{detail}"
+            f"recv on channel {channel} timed out after {self.timeout}s{src}{detail}"
         )
 
 

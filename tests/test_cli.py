@@ -330,6 +330,30 @@ def test_train_copy_latency_keeps_losses_and_delays_copies(tmp_path):
     assert crossing and all(ev["dur"] >= 3000 for ev in crossing)
 
 
+def test_train_copy_latency_starts_no_thread(tmp_path, capsys, monkeypatch):
+    # in process, so that the patched Thread.start sees every thread the
+    # run could start
+    import threading
+
+    from biflow.cli import main
+
+    path = write_config(tmp_path, DP_CONFIG)
+    assert main(["train", "--config", path]) == 0
+    plain = json_lines(capsys.readouterr().out)
+    started = []
+    real_start = threading.Thread.start
+
+    def start(self):
+        started.append(self.name)
+        real_start(self)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert main(["train", "--config", path, "--copy-latency-us", "50"]) == 0
+    delayed = json_lines(capsys.readouterr().out)
+    assert started == []
+    assert [l["loss"] for l in delayed] == [l["loss"] for l in plain]
+
+
 def test_train_host_id_writes_its_trace(tmp_path):
     path = write_config(tmp_path, MLP_CONFIG)
     trace_path = tmp_path / "trace.json"

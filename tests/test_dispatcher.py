@@ -4,6 +4,7 @@ import random
 import sys
 import threading
 from collections import Counter
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -517,7 +518,7 @@ def test_lane_of_uses_host_device_thread():
 
 
 # ---------------------------------------------------------------------------
-# inline runs and the lane pool
+# inline runs: no thread, whatever the delays
 # ---------------------------------------------------------------------------
 
 
@@ -564,13 +565,19 @@ def test_single_lane_runs_start_no_thread(started):
 
 @pytest.mark.parametrize("cap, most", [(None, 3), (2, 2)])
 def test_sequence_shares_one_lane_pool(started, cap, most):
-    # the delays make every lane block, so each one asks for its own worker
+    # the delays give every lane a worker of its own, up to the cap; each
+    # delayed operator holds its worker until its deadline, on no thread
     seq = GraphSequence([diamond(delay=0.001), fan_graph(3, delay=0.001)])
     reports = run_sequence(seq, fresh_store(), max_workers=cap, iterations=5)
-    lanes = [n for n in started if n.startswith("biflow-lane-")]
-    assert 0 < len(lanes) <= most
+    assert started == []
     assert len(reports) == 10
-    assert lane_threads() == []
+    delayed = {"branch_a", "branch_b", "fan_op0", "fan_op1", "fan_op2"}
+    for rep in reports:
+        # +1 at each delayed span's start, -1 at its end; an end sorts
+        # before a start at the same instant
+        events = sorted(e for r in rep.trace if r.name in delayed
+                        for e in ((r.start, 1), (r.end, -1)))
+        assert max(accumulate(step for _, step in events)) <= most
 
 
 def test_failing_kernel_leaves_no_lane_thread():
@@ -600,7 +607,7 @@ def test_inline_failure_is_the_same_dispatch_error():
 
 
 # ---------------------------------------------------------------------------
-# lane -> worker mapping: threads only for lanes that block
+# lane -> worker mapping: a worker of its own for each delayed lane
 # ---------------------------------------------------------------------------
 
 
@@ -628,7 +635,7 @@ def test_gil_bound_data_parallel_runs_inline(started):
     )
     seq = build_data_parallel(CONV_NET, plan, split_backward=True)
     assert len({lane_of(op) for op in seq.graphs[0].operators_in_order()}) == 7
-    assert [GraphPlan.compile(g).worker_count for g in seq.graphs] == [1, 1]
+    assert [len(set(GraphPlan.compile(g).workers)) for g in seq.graphs] == [1, 1]
     store = TensorStore()
     init_params(CONV_NET, store, 7, seq.layout)
     feed = SyntheticFeed.for_net(CONV_NET, 7, peers=2)
@@ -657,15 +664,15 @@ def test_loopback_hosts_give_each_send_recv_lane_a_worker():
             net_lanes = {lane_of(op) for op in compiled.ops
                          if op.kind in ("send", "recv")}
             assert {worker[lane] for lane in net_lanes} <= {0}
-            assert compiled.worker_count == 1
+            assert len(set(compiled.workers)) == 1
             checked += len(net_lanes)
     assert checked > 0
 
 
 def test_calling_thread_serves_no_blocking_lane():
     # the server on device 0 and peer 0 on device 1, a delay on every
-    # operator: the lanes that sleep block and get workers of their own,
-    # the send/recv lanes do not, so the calling thread serves exactly those
+    # operator: every lane, each send/recv lane included, is a worker group
+    # of its own
     from biflow.transport import partition_sequence
 
     plan = ParallelPlan(
@@ -679,11 +686,9 @@ def test_calling_thread_serves_no_blocking_lane():
         op.attrs["delay_s"] = 0.001
     compiled = GraphPlan.compile(g)
     net_lanes = {lane_of(op) for op in compiled.ops if op.kind in ("send", "recv")}
-    blocking = set(compiled.lanes) - net_lanes
-    assert net_lanes and blocking
-    assert compiled.worker_count == len(blocking) + 1
-    for lane, worker in zip(compiled.lanes, compiled.workers):
-        assert (worker == 0) == (lane not in blocking), lane
+    assert net_lanes and set(compiled.lanes) - net_lanes
+    worker = dict(zip(compiled.lanes, compiled.workers))
+    assert len(set(worker.values())) == len(worker)
 
 
 def test_delayed_op_gives_its_lane_a_worker():
@@ -692,20 +697,19 @@ def test_delayed_op_gives_its_lane_a_worker():
     compiled = GraphPlan.compile(g)
     worker = dict(zip(compiled.lanes, compiled.workers))
     lanes = [WorkerLane("local", 0, k) for k in range(3)]
-    assert compiled.worker_count == 2
+    assert len(set(compiled.workers)) == 2
     assert worker[lanes[0]] == worker[lanes[2]] != worker[lanes[1]]
-    assert GraphPlan.compile(fan_graph(3)).worker_count == 1
+    assert len(set(GraphPlan.compile(fan_graph(3)).workers)) == 1
 
 
 def test_lane_holding_a_recv_never_gets_a_thread():
-    # the transport is driven by the calling thread alone, so a delay on a
-    # recv's lane puts that lane in the shared group all the same
+    # a delay on a recv's lane makes it a worker group of its own, like any
+    # other delayed lane
     g = fan_graph(2, delay=0.001)
     out = g.add_tensor("got", (4, 4), LOC)
     g.add_operator("wait", "recv", [], [out], LOC, thread=1, attrs={"channel": 1})
     compiled = GraphPlan.compile(g)
-    assert compiled.worker_count == 2
-    assert dict(zip(compiled.lanes, compiled.workers))[WorkerLane("local", 0, 1)] == 0
+    assert compiled.workers == (0, 1, 1)
     assert compiled.channels == (None, None, 1)
 
 
@@ -721,9 +725,9 @@ def test_calling_thread_runs_worker_zero(started, monkeypatch):
     g = fan_graph(3)
     g.operator_named("fan_op1").attrs["delay_s"] = 0.001
     run(g, fresh_store())
-    assert [n for n in started if n.startswith("biflow-lane-")] == ["biflow-lane-0"]
+    assert started == []
     here = threading.current_thread().name
-    assert ran_on == {"fan_op0": here, "fan_op1": "biflow-lane-0", "fan_op2": here}
+    assert ran_on == {"fan_op0": here, "fan_op1": here, "fan_op2": here}
 
 
 def run_loopback_hosts(cap=None, iterations=2):
@@ -788,7 +792,7 @@ def test_loopback_hosts_start_one_lane_thread_fewer_than_workers():
     _, started = run_loopback_hosts()
     parts = partition_sequence(build_data_parallel(CONV_NET, LOOPBACK2))
     for part in parts.values():
-        counts = [GraphPlan.compile(g).worker_count for g in part.sequence.graphs]
+        counts = [len(set(GraphPlan.compile(g).workers)) for g in part.sequence.graphs]
         assert max(counts) == 1
     assert started == {"proc0": [], "proc1": []}
 
@@ -804,9 +808,9 @@ def test_loopback_hosts_finish_under_any_worker_cap():
 
 def test_worker_cap_still_applies_to_blocking_lanes():
     g = fan_graph(4, delay=0.001)
-    assert GraphPlan.compile(g).worker_count == 4
+    assert len(set(GraphPlan.compile(g).workers)) == 4
     capped = GraphPlan.compile(g, 2)
-    assert capped.worker_count == 2
+    assert len(set(capped.workers)) == 2
     assert list(capped.workers) == [0, 1, 0, 1]
 
 
@@ -824,7 +828,7 @@ def test_delayed_copies_match_serial_bitwise():
     )
     seq = build_data_parallel(net, plan, split_backward=True)
     _add_copy_latency(seq, 0.0005)
-    assert GraphPlan.compile(seq.graphs[0]).worker_count > 1
+    assert len(set(GraphPlan.compile(seq.graphs[0]).workers)) > 1
     params = []
     for cap in (None, 1):
         store = TensorStore()

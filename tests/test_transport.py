@@ -569,6 +569,59 @@ def test_loop_polls_only_when_no_operator_is_ready():
     assert store.array("got").tolist() == [0.0, 2.0]
 
 
+def test_frame_ends_a_recv_before_a_pending_deadline():
+    # a delayed operator holds lane 1's worker for 0.5 s while a recv on
+    # lane 0 waits; its frame, sent by peer a from inside the host's first
+    # waiting poll, must end the recv then, not after the delay
+    peers = {"a": ("127.0.0.1", 0), "b": ("127.0.0.1", 0)}
+    channels = [spec(1, (2,))]
+    sent = []
+
+    class PeerSendsInPoll(Transport):
+        def poll(self, timeout=0.0):
+            if timeout > 0 and not sent:
+                sent.append(timeout)
+                ta.send(1, 0, np.ones(2, dtype=np.float32))
+            super().poll(timeout)
+
+    loc = Location("b", 0)
+    g = BiGraph()
+    x = g.add_tensor("x", (2,), loc)
+    y = g.add_tensor("y", (2,), loc)
+    got = g.add_tensor("got", (2,), loc)
+    g.add_operator("slow", "relu_forward", [x], [y], loc, thread=1,
+                   attrs={"delay_s": 0.5})
+    g.add_operator("wait", "recv", [], [got], loc, thread=0, attrs={"channel": 1})
+    store = TensorStore()
+    store.set("x", np.zeros(2, dtype=np.float32))
+    with PeerSendsInPoll("b", peers, channels, timeout=5).start() as tb, \
+            Transport("a", peers, channels, timeout=5).start() as ta:
+        table = {"a": ("127.0.0.1", ta.port), "b": ("127.0.0.1", tb.port)}
+        ta.peers.update(table)
+        tb.peers.update(table)
+        (report,) = run_sequence(GraphSequence([g]), store, transport=tb)
+    span = {r.name: (r.start, r.end) for r in report.trace}
+    assert sent
+    assert span["wait"][1] < span["slow"][0] + 500_000_000
+    assert store.array("got").tolist() == [1.0, 1.0]
+
+
+def test_fault_from_a_host_that_sources_no_channel_fails_every_recv():
+    # z says hello, though no channel comes from it, and sends a frame on
+    # a's channel: the recv on that channel fails at once, naming z
+    t = Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))], timeout=1.0).start()
+    try:
+        assert str(t.timed_out(1)) == (
+            "recv on channel 1 timed out after 1.0s waiting for a")
+        with socket.create_connection(("127.0.0.1", t.port)) as s:
+            s.sendall(hello("z") + HEADER.pack(1, 0, 8))
+            with pytest.raises(TransportError, match="recv on channel 1 failed") as err:
+                t.recv(1, 0)
+    finally:
+        t.close()
+    assert "channel 1 comes from a, not z (from z)" in str(err.value)
+
+
 def test_closed_peer_fails_only_its_own_channels():
     # c receives channel 1 from a and channel 2 from b; a closes after one
     # frame, b keeps its connection
