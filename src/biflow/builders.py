@@ -5,6 +5,15 @@ parallelization schemes — iterated SGD, data parallelism with a parameter
 server, pipelined model parallelism — are expressed purely as graph wiring
 plus placement metadata.  No scheme has any runtime code of its own; the
 dispatcher's readiness rules do all the work.
+
+SGD and data parallelism start from one core graph per net: forward, loss
+and backward on one device's compute thread.  SGD adds its parameter
+updates to it.  Data parallelism replicates it once per peer with
+``graph.replicate``, renamed ``_p{k}`` and placed on the peer, and adds the
+glue in place: gradient copies up to the server, aggregates in rank order,
+the server's updates and copies back down.  The pipeline replicates a
+staged forward graph per micro-batch, sharing the parameters.  Every name
+in a replica is the core's name with the replica suffix appended.
 """
 
 from __future__ import annotations
@@ -404,43 +413,40 @@ def _step_output_name(step: _Step) -> str:
     return "x_flat" if step.pos == 1 else f"a{step.pos - 1}_flat"
 
 
-def _add_forward(g, steps, suffix, loc, thread):
+def _op(g, name, kind, ins, outs, loc, thread=COMPUTE_THREAD, attrs=None) -> None:
+    """Add operator ``name`` reading the tensors named ``ins`` and writing
+    those named ``outs``."""
+    g.add_operator(name, kind, map(g.tensor_id, ins), map(g.tensor_id, outs), loc,
+                   thread=thread, attrs=attrs)
+
+
+def _add_forward(g, steps, loc):
     """Add sources and the forward chain; returns the tape of
     (step, in_name, out_name) plus the logits tensor name."""
-    g.add_tensor(f"x{suffix}", steps[0].in_shape, loc)
+    g.add_tensor("x", steps[0].in_shape, loc)
     for step in steps:
         if step.w_shape is not None:
-            g.add_tensor(f"w{step.pos}{suffix}", step.w_shape, loc)
-            g.add_tensor(f"b{step.pos}{suffix}", step.b_shape, loc)
+            g.add_tensor(f"w{step.pos}", step.w_shape, loc)
+            g.add_tensor(f"b{step.pos}", step.b_shape, loc)
     tape = []
-    cur = f"x{suffix}"
+    cur = "x"
     for step in steps:
-        out = _step_output_name(step) + suffix
+        out = _step_output_name(step)
         g.add_tensor(out, step.out_shape, loc)
-        ins = [g.tensor_id(cur)]
-        if step.w_shape is not None:
-            ins += [g.tensor_id(f"w{step.pos}{suffix}"),
-                    g.tensor_id(f"b{step.pos}{suffix}")]
-        g.add_operator(
-            f"{step.kind}{step.pos}{suffix}", _FWD_OP[step.kind],
-            ins, [g.tensor_id(out)], loc, thread=thread, attrs=dict(step.attrs),
-        )
+        params = [] if step.w_shape is None else [f"w{step.pos}", f"b{step.pos}"]
+        _op(g, f"{step.kind}{step.pos}", _FWD_OP[step.kind], [cur, *params], [out],
+            loc, attrs=dict(step.attrs))
         tape.append((step, cur, out))
         cur = out
     return tape, cur
 
 
-def _add_loss(g, suffix, loc, thread, logits, batch):
-    g.add_tensor(f"labels{suffix}", (batch,), loc)
-    g.add_tensor(f"loss{suffix}", (1,), loc)
+def _add_loss(g, loc, logits, batch):
     dlogits = f"d{logits}"
+    g.add_tensor("labels", (batch,), loc)
+    g.add_tensor("loss", (1,), loc)
     g.add_tensor(dlogits, g.tensor_named(logits).shape, loc)
-    g.add_operator(
-        f"loss{suffix}", "softmax_xent",
-        [g.tensor_id(logits), g.tensor_id(f"labels{suffix}")],
-        [g.tensor_id(f"loss{suffix}"), g.tensor_id(dlogits)],
-        loc, thread=thread,
-    )
+    _op(g, "loss", "softmax_xent", [logits, "labels"], ["loss", dlogits], loc)
     return dlogits
 
 
@@ -452,8 +458,8 @@ _BWD_SPLIT = {
 }
 
 
-def _add_backward(g, tape, suffix, loc, thread, dlogits, split):
-    """Reverse walk over the tape.  Returns [(param, grad, shape)] pairs in
+def _add_backward(g, tape, loc, dlogits, split):
+    """Reverse walk over the tape.  Returns [(param, grad, shape)] triples in
     layer order.  With ``split`` the data/weight/bias gradients are separate
     operators.  On both paths the walk ends at the bottom parameter layer:
     it takes the split weight and bias operators, and neither its data
@@ -467,55 +473,63 @@ def _add_backward(g, tape, suffix, loc, thread, dlogits, split):
     for i in range(len(tape) - 1, bottom - 1, -1):
         step, x_name, _y_name = tape[i]
         dx = f"d{x_name}"
-        name = f"bwd_{step.kind}{step.pos}{suffix}"
+        name = f"bwd_{step.kind}{step.pos}"
         if step.kind in ("relu", "flatten"):
             kind = "relu_backward" if step.kind == "relu" else "flatten_backward"
             g.add_tensor(dx, step.in_shape, loc)
-            g.add_operator(
-                name, kind, [g.tensor_id(x_name), g.tensor_id(dy)],
-                [g.tensor_id(dx)], loc, thread=thread,
-            )
+            _op(g, name, kind, [x_name, dy], [dx], loc)
+            dy = dx
+            continue
+        attrs = dict(step.attrs)
+        w, b = f"w{step.pos}", f"b{step.pos}"
+        dw, db = f"d{w}", f"d{b}"
+        g.add_tensor(dw, step.w_shape, loc)
+        g.add_tensor(db, step.b_shape, loc)
+        grads_by_layer.append([(w, dw, step.w_shape), (b, db, step.b_shape)])
+        if i != bottom:
+            g.add_tensor(dx, step.in_shape, loc)
+        if not split and i != bottom:
+            _op(g, name, _BWD_OP[step.kind], [x_name, w, dy], [dx, dw, db], loc,
+                attrs=attrs)
         else:
-            w = f"w{step.pos}{suffix}"
-            b = f"b{step.pos}{suffix}"
-            dw, db = f"d{w}", f"d{b}"
-            g.add_tensor(dw, step.w_shape, loc)
-            g.add_tensor(db, step.b_shape, loc)
-            grads_by_layer.append([(w, dw, step.w_shape), (b, db, step.b_shape)])
-            if split or i == bottom:
-                data_kind, weight_kind, bias_kind = _BWD_SPLIT[step.kind]
-                if i != bottom:
-                    g.add_tensor(dx, step.in_shape, loc)
-                    data_in = (
-                        [g.tensor_id(w), g.tensor_id(dy)] if step.kind == "fc"
-                        else [g.tensor_id(x_name), g.tensor_id(w), g.tensor_id(dy)]
-                    )
-                    g.add_operator(
-                        name + "_data", data_kind, data_in, [g.tensor_id(dx)],
-                        loc, thread=thread, attrs=dict(step.attrs),
-                    )
-                weight_in = [g.tensor_id(x_name), g.tensor_id(dy)]
-                if step.kind == "conv":
-                    weight_in = [g.tensor_id(x_name), g.tensor_id(w), g.tensor_id(dy)]
-                g.add_operator(
-                    name + "_weight", weight_kind, weight_in, [g.tensor_id(dw)],
-                    loc, thread=thread, attrs=dict(step.attrs),
-                )
-                g.add_operator(
-                    name + "_bias", bias_kind, [g.tensor_id(dy)], [g.tensor_id(db)],
-                    loc, thread=thread,
-                )
-            else:
-                g.add_tensor(dx, step.in_shape, loc)
-                g.add_operator(
-                    name, _BWD_OP[step.kind],
-                    [g.tensor_id(x_name), g.tensor_id(w), g.tensor_id(dy)],
-                    [g.tensor_id(dx), g.tensor_id(dw), g.tensor_id(db)],
-                    loc, thread=thread, attrs=dict(step.attrs),
-                )
+            data_kind, weight_kind, bias_kind = _BWD_SPLIT[step.kind]
+            conv = step.kind == "conv"
+            if i != bottom:
+                _op(g, f"{name}_data", data_kind, [x_name, w, dy] if conv else [w, dy],
+                    [dx], loc, attrs=attrs)
+            _op(g, f"{name}_weight", weight_kind,
+                [x_name, w, dy] if conv else [x_name, dy], [dw], loc, attrs=attrs)
+            _op(g, f"{name}_bias", bias_kind, [dy], [db], loc)
         dy = dx
     # reverse the walk back into layer order: w1, b1, w2, b2, ...
-    return [pair for layer in reversed(grads_by_layer) for pair in layer]
+    return [triple for layer in reversed(grads_by_layer) for triple in layer]
+
+
+def _core_graph(net: NetSpec, loc: Location, split: bool):
+    """The core graph of ``net``: forward, loss and backward, all on ``loc``'s
+    compute thread.  Returns it with the [(param, grad, shape)] triples of
+    :func:`_add_backward`."""
+    g = BiGraph()
+    tape, logits = _add_forward(g, plan_steps(net), loc)
+    dlogits = _add_loss(g, loc, logits, net.batch)
+    return g, _add_backward(g, tape, loc, dlogits, split)
+
+
+def _add_update(g, pname, gname, loc, thread, lr) -> None:
+    """``{pname}_new`` = ``pname`` - lr * ``gname``."""
+    g.add_tensor(f"{pname}_new", g.tensor_named(pname).shape, loc)
+    _op(g, f"upd_{pname}", "sgd_update", [pname, gname], [f"{pname}_new"], loc,
+        thread=thread, attrs={"lr": lr})
+
+
+def _add_swaps(swaps, params, loc, thread, suffix="") -> None:
+    """One ``swap_{name}{suffix}`` per (name, shape) in ``params``, exchanging
+    ``{name}{suffix}`` with its update ``{name}_new{suffix}``."""
+    for pname, shape in params:
+        cur, new = pname + suffix, f"{pname}_new{suffix}"
+        swaps.add_tensor(cur, shape, loc)
+        swaps.add_tensor(new, shape, loc)
+        _op(swaps, f"swap_{cur}", "swap", [], [cur, new], loc, thread=thread)
 
 
 # ---------------------------------------------------------------------------
@@ -527,35 +541,16 @@ def build_sgd_iteration(
 ) -> GraphSequence:
     """[training graph, parameter-swap graph] for plain iterated SGD.
 
-    The training graph runs forward, loss, backward, and writes updated
-    parameters to fresh ``*_new`` tensors; the swap graph exchanges the
-    buffer handles so the next iteration reads the update without any
-    cyclic edge.
+    The training graph is the core graph (forward, loss, backward) plus one
+    update per parameter, written to a fresh ``*_new`` tensor; the swap
+    graph exchanges the buffer handles so the next iteration reads the
+    update without any cyclic edge.
     """
-    steps = plan_steps(net)
-    g = BiGraph()
-    tape, logits = _add_forward(g, steps, "", placement, COMPUTE_THREAD)
-    dlogits = _add_loss(g, "", placement, COMPUTE_THREAD, logits, net.batch)
-    grads = _add_backward(g, tape, "", placement, COMPUTE_THREAD, dlogits,
-                          split=False)
-    for pname, gname, shape in grads:
-        g.add_tensor(f"{pname}_new", shape, placement)
-        g.add_operator(
-            f"upd_{pname}", "sgd_update",
-            [g.tensor_id(pname), g.tensor_id(gname)],
-            [g.tensor_id(f"{pname}_new")],
-            placement, thread=COMPUTE_THREAD, attrs={"lr": net.lr},
-        )
-
+    g, grads = _core_graph(net, placement, split=False)
+    for pname, gname, _shape in grads:
+        _add_update(g, pname, gname, placement, COMPUTE_THREAD, net.lr)
     swaps = BiGraph()
-    for pname, _gname, shape in grads:
-        swaps.add_tensor(pname, shape, placement)
-        swaps.add_tensor(f"{pname}_new", shape, placement)
-        swaps.add_operator(
-            f"swap_{pname}", "swap", [],
-            [swaps.tensor_id(pname), swaps.tensor_id(f"{pname}_new")],
-            placement, thread=COMPUTE_THREAD,
-        )
+    _add_swaps(swaps, [(p, s) for p, _g, s in grads], placement, COMPUTE_THREAD)
 
     layout = Layout(
         data_names=("x",),
@@ -571,13 +566,16 @@ def build_data_parallel(
 ) -> GraphSequence:
     """Synchronous data parallelism against a parameter server.
 
-    Every peer owns a full replica (tensors suffixed ``_p{k}``) fed with its
-    own batch slice.  As soon as one layer's backward finishes, that layer's
-    gradients copy to the server on the peer's dedicated upload thread —
-    overlapping the copy with the backward of the layers below.  The server
-    averages the peers' gradients in rank order, applies one update to the
-    canonical parameters, and broadcast copies carry the result back on each
-    peer's download thread.  Swaps flip peer and server parameter buffers.
+    The training graph is the core graph, the one ``build_sgd_iteration``
+    adds its updates to, replicated once per peer: replica k is renamed
+    ``_p{k}``, placed on ``plan.peers[k]`` and fed its own batch slice.
+    Glue added in place joins the replicas to the server.  As soon as one
+    layer's backward finishes, that layer's gradients copy up to the server
+    on the peer's upload thread, overlapping the copy with the backward of
+    the layers below.  The server averages the peers' gradients in rank
+    order, applies one update to the canonical parameters, and broadcast
+    copies carry the result back down on each peer's download thread.
+    Swaps flip peer and server parameter buffers.
 
     ``split_backward`` emits separate data/weight/bias gradient operators,
     which only releases each layer's parameter gradients earlier: with or
@@ -586,83 +584,48 @@ def build_data_parallel(
     """
     if plan.scheme != "data":
         raise GraphError(f"plan scheme must be 'data', got {plan.scheme!r}")
-    steps = plan_steps(net)
     base = plan.copy_thread_base
     n_peers = len(plan.peers)
     server_thread = base + 2 * n_peers
     server = plan.server
 
-    g = BiGraph()
-    canonical = param_names(net)
-    for cname, shape in canonical:
-        g.add_tensor(cname, shape, server)
+    core, grads = _core_graph(net, plan.peers[0], split_backward)
+    g = replicate(core, n_peers, rename="_p{i}", place=plan.peers)
 
-    per_peer_grads: list[list[tuple[str, str, tuple[int, ...]]]] = []
+    for pname, _gname, shape in grads:
+        g.add_tensor(pname, shape, server)
     for k, loc in enumerate(plan.peers):
-        sfx = f"_p{k}"
-        tape, logits = _add_forward(g, steps, sfx, loc, COMPUTE_THREAD)
-        dlogits = _add_loss(g, sfx, loc, COMPUTE_THREAD, logits, net.batch)
-        grads = _add_backward(g, tape, sfx, loc, COMPUTE_THREAD, dlogits,
-                              split=split_backward)
-        per_peer_grads.append(grads)
-        for pname, gname, shape in grads:
-            g.add_tensor(f"{gname}_srv", shape, server)
-            g.add_operator(
-                f"up_{gname}", "copy",
-                [g.tensor_id(gname)], [g.tensor_id(f"{gname}_srv")],
-                loc, thread=base + 2 * k,
-            )
-
-    for j, (cname, shape) in enumerate(canonical):
-        parts = [per_peer_grads[k][j][1] + "_srv" for k in range(n_peers)]
-        g.add_tensor(f"d{cname}_avg", shape, server)
-        g.add_operator(
-            f"agg_{cname}", "aggregate",
-            [g.tensor_id(p) for p in parts], [g.tensor_id(f"d{cname}_avg")],
-            server, thread=server_thread, attrs={"mode": "mean"},
-        )
-        g.add_tensor(f"{cname}_new", shape, server)
-        g.add_operator(
-            f"upd_{cname}", "sgd_update",
-            [g.tensor_id(cname), g.tensor_id(f"d{cname}_avg")],
-            [g.tensor_id(f"{cname}_new")],
-            server, thread=server_thread, attrs={"lr": net.lr},
-        )
+        for _pname, gname, shape in grads:
+            peer_grad = f"{gname}_p{k}"
+            g.add_tensor(f"{peer_grad}_srv", shape, server)
+            _op(g, f"up_{peer_grad}", "copy", [peer_grad], [f"{peer_grad}_srv"], loc,
+                thread=base + 2 * k)
+    for pname, gname, shape in grads:
+        avg = f"{gname}_avg"
+        g.add_tensor(avg, shape, server)
+        parts = [f"{gname}_p{k}_srv" for k in range(n_peers)]
+        _op(g, f"agg_{pname}", "aggregate", parts, [avg], server, thread=server_thread,
+            attrs={"mode": "mean"})
+        _add_update(g, pname, avg, server, server_thread, net.lr)
         for k, loc in enumerate(plan.peers):
-            g.add_tensor(f"{cname}_new_p{k}", shape, loc)
-            g.add_operator(
-                f"down_{cname}_p{k}", "copy",
-                [g.tensor_id(f"{cname}_new")],
-                [g.tensor_id(f"{cname}_new_p{k}")],
-                loc, thread=base + 2 * k + 1,
-            )
+            g.add_tensor(f"{pname}_new_p{k}", shape, loc)
+            _op(g, f"down_{pname}_p{k}", "copy", [f"{pname}_new"],
+                [f"{pname}_new_p{k}"], loc, thread=base + 2 * k + 1)
 
     swaps = BiGraph()
-    for j, (cname, shape) in enumerate(canonical):
-        swaps.add_tensor(cname, shape, server)
-        swaps.add_tensor(f"{cname}_new", shape, server)
-        swaps.add_operator(
-            f"swap_{cname}", "swap", [],
-            [swaps.tensor_id(cname), swaps.tensor_id(f"{cname}_new")],
-            server, thread=server_thread,
-        )
+    for pname, _gname, shape in grads:
+        _add_swaps(swaps, [(pname, shape)], server, server_thread)
         for k, loc in enumerate(plan.peers):
-            swaps.add_tensor(f"{cname}_p{k}", shape, loc)
-            swaps.add_tensor(f"{cname}_new_p{k}", shape, loc)
-            swaps.add_operator(
-                f"swap_{cname}_p{k}", "swap", [],
-                [swaps.tensor_id(f"{cname}_p{k}"),
-                 swaps.tensor_id(f"{cname}_new_p{k}")],
-                loc, thread=base + 2 * k + 1,
-            )
+            _add_swaps(swaps, [(pname, shape)], loc, base + 2 * k + 1, f"_p{k}")
 
+    canonical = tuple(p for p, _g, _s in grads)
     layout = Layout(
         data_names=tuple(f"x_p{k}" for k in range(n_peers)),
         label_names=tuple(f"labels_p{k}" for k in range(n_peers)),
         loss_names=tuple(f"loss_p{k}" for k in range(n_peers)),
-        canonical_params=tuple(c for c, _s in canonical),
+        canonical_params=canonical,
         peer_params=tuple(
-            tuple(f"{c}_p{k}" for c, _s in canonical) for k in range(n_peers)
+            tuple(f"{c}_p{k}" for c in canonical) for k in range(n_peers)
         ),
         copy_threads=frozenset(
             list(range(base, base + 2 * n_peers)) + [server_thread]
@@ -726,34 +689,20 @@ def build_model_parallel_pipeline(net: NetSpec, plan: ParallelPlan) -> GraphSequ
             if cur_stage >= 0:
                 moved = f"{cur}_s{s}"
                 template.add_tensor(moved, template.tensor_named(cur).shape, loc)
-                template.add_operator(
-                    f"stage{s}_in", "copy",
-                    [template.tensor_id(cur)], [template.tensor_id(moved)],
-                    loc, thread=base,
-                )
+                _op(template, f"stage{s}_in", "copy", [cur], [moved], loc, thread=base)
                 cur = moved
             token = f"token_s{s}"
             template.add_tensor(token, stage_last[s].out_shape, loc)
             gated = f"{cur}_gate{s}"
             template.add_tensor(gated, template.tensor_named(cur).shape, loc)
-            template.add_operator(
-                f"gate{s}", "gate",
-                [template.tensor_id(cur), template.tensor_id(token)],
-                [template.tensor_id(gated)], loc, thread=base,
-            )
+            _op(template, f"gate{s}", "gate", [cur, token], [gated], loc, thread=base)
             cur = gated
             cur_stage = s
         out = _step_output_name(step)
         template.add_tensor(out, step.out_shape, loc)
-        ins = [template.tensor_id(cur)]
-        if step.w_shape is not None:
-            ins += [template.tensor_id(f"w{step.pos}"),
-                    template.tensor_id(f"b{step.pos}")]
-        template.add_operator(
-            f"{step.kind}{step.pos}", _FWD_OP[step.kind],
-            ins, [template.tensor_id(out)], loc,
-            thread=COMPUTE_THREAD, attrs=dict(step.attrs),
-        )
+        params = [] if step.w_shape is None else [f"w{step.pos}", f"b{step.pos}"]
+        _op(template, f"{step.kind}{step.pos}", _FWD_OP[step.kind], [cur, *params],
+            [out], loc, attrs=dict(step.attrs))
         cur = out
 
     shared = [c for c, _s in param_names(net)]
@@ -765,12 +714,8 @@ def build_model_parallel_pipeline(net: NetSpec, plan: ParallelPlan) -> GraphSequ
         loc = plan.stages[s].location
         last_out = _step_output_name(stage_last[s])
         for r in range(1, plan.replicas):
-            g.add_operator(
-                f"token_s{s}_r{r}_feed", "copy",
-                [g.tensor_id(f"{last_out}_r{r - 1}")],
-                [g.tensor_id(f"token_s{s}_r{r}")],
-                loc, thread=base + 1,
-            )
+            _op(g, f"token_s{s}_r{r}_feed", "copy", [f"{last_out}_r{r - 1}"],
+                [f"token_s{s}_r{r}"], loc, thread=base + 1)
 
     final = _step_output_name(stage_last[len(plan.stages) - 1])
     layout = Layout(

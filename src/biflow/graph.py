@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import ops as _ops
 
@@ -114,10 +114,6 @@ class BiGraph:
 
     def add_tensor(self, name: str, shape: Iterable[int], location: Location) -> int:
         """Register a tensor vertex; returns its graph-local id."""
-        if not name:
-            raise GraphError("tensor name must be non-empty")
-        if name in self._tensor_by_name:
-            raise GraphError(f"duplicate tensor name {name!r}")
         if not isinstance(location, Location):
             raise GraphError(f"location must be a Location, got {location!r}")
         dims = tuple(shape)
@@ -133,6 +129,16 @@ class BiGraph:
             _ops.check_shape(shape)
         except _ops.KernelError as exc:
             raise GraphError(str(exc)) from None
+        return self._insert_tensor(name, shape, location)
+
+    def _insert_tensor(
+        self, name: str, shape: tuple[int, ...], location: Location
+    ) -> int:
+        """Register a tensor whose shape and location are known to be valid."""
+        if not name:
+            raise GraphError("tensor name must be non-empty")
+        if name in self._tensor_by_name:
+            raise GraphError(f"duplicate tensor name {name!r}")
         vid = self._fresh_id()
         self.tensors[vid] = TensorVertex(vid, name, shape, location)
         self._tensor_by_name[name] = vid
@@ -172,10 +178,6 @@ class BiGraph:
         mismatches for registry-known kinds, location mismatches for
         non-copy kinds, a second producer for any output, or a cycle.
         """
-        if not name:
-            raise GraphError("operator name must be non-empty")
-        if name in self._op_names:
-            raise GraphError(f"duplicate operator name {name!r}")
         if not isinstance(location, Location):
             raise GraphError(f"location must be a Location, got {location!r}")
         if not isinstance(thread, int) or thread < 0:
@@ -193,19 +195,34 @@ class BiGraph:
             )
         if len(set(outputs)) != len(outputs):
             raise GraphError(f"operator {name!r} lists a duplicate output")
+        spec = _ops.KINDS.get(kind)
+        if spec is not None:
+            self._check_shapes(spec, name, inputs, outputs, attrs)
+        if self._would_cycle(inputs, outputs):
+            raise GraphError(f"operator {name!r} would close a cycle")
+        return self._insert_operator(
+            name, kind, inputs, outputs, location, thread, attrs
+        )
+
+    def _insert_operator(
+        self, name, kind, inputs, outputs, location, thread, attrs
+    ) -> int:
+        """Register an operator known to close no cycle and to fit its kind's
+        shape rule, with ``inputs`` and ``outputs`` distinct known tensor ids.
+        Checks the rest: a unique name, one producer per output, and that
+        only a copy crosses locations."""
+        if not name:
+            raise GraphError("operator name must be non-empty")
+        if name in self._op_names:
+            raise GraphError(f"duplicate operator name {name!r}")
         for tid in outputs:
             if tid in self._producer:
                 raise GraphError(
                     f"tensor {self.tensors[tid].name!r} already has a producer "
                     f"({self.operators[self._producer[tid]].name!r})"
                 )
-
         spec = _ops.KINDS.get(kind)
-        if spec is not None:
-            self._check_shapes(spec, name, inputs, outputs, attrs)
-
-        crosses = spec.crosses_location if spec is not None else False
-        if not crosses:
+        if spec is None or not spec.crosses_location:
             for tid in (*inputs, *outputs):
                 tloc = self.tensors[tid].location
                 if tloc != location:
@@ -213,9 +230,6 @@ class BiGraph:
                         f"operator {name!r} at {location} touches tensor "
                         f"{self.tensors[tid].name!r} at {tloc}; only copy may cross"
                     )
-
-        if self._would_cycle(inputs, outputs):
-            raise GraphError(f"operator {name!r} would close a cycle")
 
         vid = self._fresh_id()
         self.operators[vid] = OperatorVertex(
@@ -434,16 +448,30 @@ def _copy_into(
     tensor_name: Callable[[str], str],
     op_name: Callable[[str], str],
     skip_tensor: Callable[[str], bool] = lambda n: False,
+    location: Location | None = None,
 ) -> dict[int, int]:
-    """Copy src's vertices into dst with renamed identities; returns id map."""
+    """Copy src's vertices into dst with renamed identities, each moved to
+    ``location`` when one is given; returns the id map.  A skipped tensor is
+    not copied: dst's tensor of the same name stands in.
+
+    The copies keep src's shapes and edges, so src's shape rules hold and
+    they close no cycle: only the names, the producers and the locations
+    that renaming, skipping and moving can break are checked again.
+    """
     id_map: dict[int, int] = {}
     for tid, t in src.tensors.items():
         if skip_tensor(t.name):
             id_map[tid] = dst.tensor_id(t.name)
             continue
-        id_map[tid] = dst.add_tensor(tensor_name(t.name), t.shape, t.location)
+        id_map[tid] = dst._insert_tensor(
+            tensor_name(t.name), t.shape, t.location if location is None else location
+        )
     for op in src.operators_in_order():
-        dst.add_operator_from(op, id_map, op_name(op.name))
+        dst._insert_operator(
+            op_name(op.name), op.kind,
+            tuple(id_map[i] for i in op.inputs), tuple(id_map[o] for o in op.outputs),
+            op.location if location is None else location, op.thread, dict(op.attrs),
+        )
     return id_map
 
 
@@ -508,13 +536,17 @@ def replicate(
     k: int,
     rename: str = "_r{i}",
     shared: Iterable[str] = (),
+    place: Sequence[Location] | None = None,
 ) -> BiGraph:
     """Build ``k`` disjoint copies of a graph inside one new graph.
 
     Vertices are renamed per replica by appending ``rename`` formatted with
     the replica index.  Tensors named in ``shared`` appear once, under their
-    original name, and are referenced by every replica; everything else is
-    duplicated.  Raises on unknown shared names.
+    original name and at their own location, and are referenced by every
+    replica; everything else is duplicated.  With ``place``, one location
+    per replica, replica ``i``'s tensors and operators move to ``place[i]``;
+    the template's other vertices must then sit on one location.  Raises on
+    unknown shared names and on a placement that breaks either rule.
     """
     if k < 1:
         raise GraphError(f"replicate: k must be >= 1, got {k}")
@@ -522,6 +554,19 @@ def replicate(
     for name in shared:
         if not graph.has_tensor(name):
             raise GraphError(f"replicate: no tensor named {name!r} to share")
+    if place is not None:
+        place = tuple(place)
+        if len(place) != k:
+            raise GraphError(
+                f"replicate: placement names {len(place)} locations for {k} replicas"
+            )
+        spans = {t.location for t in graph.tensors.values() if t.name not in shared}
+        spans.update(op.location for op in graph.operators.values())
+        if len(spans) > 1:
+            raise GraphError(
+                f"replicate: a placed template must sit on one location, "
+                f"it spans {sorted(map(str, spans))}"
+            )
 
     out = BiGraph()
     for name in sorted(shared, key=graph.tensor_id):
@@ -535,6 +580,7 @@ def replicate(
             tensor_name=lambda n, s=suffix: n + s,
             op_name=lambda n, s=suffix: n + s,
             skip_tensor=lambda n: n in shared,
+            location=None if place is None else place[i],
         )
     return out
 

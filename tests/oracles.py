@@ -7,9 +7,13 @@ and they must not share structure with the implementations they check.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 
 import numpy as np
+
+from biflow.graph import graph_to_json
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -208,3 +212,20 @@ def topological_orders(n_ops, deps):
 
     extend([], set(range(n_ops)) if isinstance(n_ops, int) else set(n_ops))
     return orders
+
+
+def graph_digest(graph, ordered: bool = False) -> str:
+    """sha256 of a graph's ``graph_to_json``: every tensor's name, shape and
+    location, every operator's name, kind, input and output names,
+    location, thread and attrs.
+
+    Unordered (the default), tensors and operators are sorted by name, so
+    two graphs that differ only in insertion order hash alike.  The spec
+    holds no computed float, so the digest is the same on every BLAS build.
+    """
+    spec = graph_to_json(graph)
+    if not ordered:
+        spec = {key: sorted(entries, key=lambda e: e["name"])
+                for key, entries in spec.items()}
+    blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()

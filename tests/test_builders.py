@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from biflow.builders import (
+    COMPUTE_THREAD,
     LayerSpec,
     Layout,
     NetSpec,
@@ -21,11 +22,13 @@ from biflow.builders import (
     init_params,
     param_names,
     plan_steps,
+    _core_graph,
 )
 from biflow.costsim import CostModel, simulate
 from biflow.dispatcher import WorkerLane, merged_trace, run_sequence
 from biflow.graph import GraphError, Location
 from biflow.ops import TensorStore, fc_forward
+from oracles import graph_digest
 
 MLP = NetSpec(
     input_shape=(20,),
@@ -226,15 +229,15 @@ def test_split_backward_uploads_overlap_lower_layers():
     )
     recs = {r.name: r for r in merged_trace(reports)}
     first_up = recs["up_dw3_p0"]
-    last_bwd = recs["bwd_fc1_p0_weight"]
+    last_bwd = recs["bwd_fc1_weight_p0"]
     assert first_up.start < last_bwd.end
 
 
 def test_split_backward_omits_bottom_data_gradient():
     seq = build_data_parallel(TWO_FC, peers_plan(1), split_backward=True)
     names = {op.name for op in seq.graphs[0].operators.values()}
-    assert "bwd_fc2_p0_data" in names
-    assert "bwd_fc1_p0_data" not in names
+    assert "bwd_fc2_data_p0" in names
+    assert "bwd_fc1_data_p0" not in names
 
 
 def test_aggregate_inputs_follow_peer_rank_order():
@@ -441,6 +444,114 @@ def test_fused_backward_omits_bottom_data_gradient():
     assert kinds.count("conv2d_backward_weight") == 2
     assert kinds.count("conv2d_backward_bias") == 2
     assert "conv2d_backward_data" not in kinds
+
+
+# ---------------------------------------------------------------------------
+# data parallelism as one core graph, replicated per peer
+
+
+def two_host_plan(n):
+    return ParallelPlan(
+        scheme="data",
+        peers=tuple(Location(f"h{k % 2}", k) for k in range(n)),
+        server=Location("h1", n),
+    )
+
+
+PLANS = {"local": peers_plan, "two_host": two_host_plan}
+
+# graph_digest of CONV_NET's data-parallel training graphs, keyed by
+# (split_backward, plan, peers).  Pinned from the builder that assembled
+# each peer by hand, with its split-path operator names renamed to put the
+# replica suffix last (bwd_fc5_p0_weight -> bwd_fc5_weight_p0).
+DATA_PARALLEL_DIGESTS = {
+    (False, "local", 1):
+        "249406342f9382375255c6d1d551a1ab1e569062f46eb57fd424ceee6c6fcd44",
+    (False, "local", 2):
+        "66f34da3529d4a7e387af92058c1237a322e49b46852ad07c9035728bdee2639",
+    (False, "local", 3):
+        "b6367e62a9a6f042edd3d3d963371f4d4858d081d9acc7827c554c3db7018de6",
+    (False, "two_host", 1):
+        "d8b30ff4d1ffe2915981b36bf2fd0537b3f1bbfeb69ed4dbc84ed6115c4ba694",
+    (False, "two_host", 2):
+        "c9aaa29d57eda9a191977335eda939dc0132dde1790ea5a6273792cebfc3b9c4",
+    (False, "two_host", 3):
+        "4d2be0b2275929b0905cf46512eac9f859e75f4b76003c7dbc2b5d4de7adb7db",
+    (True, "local", 1):
+        "d83225b94d09d6ee2b9cfcbce4739ed8b2cb8660511cd67a940ad1726e5dd400",
+    (True, "local", 2):
+        "f0b036aa8a70d23879cd5ddeeebfddc71276d5dcc36f9c93752be35a98bd8178",
+    (True, "local", 3):
+        "f23956a221504f9233cd774b10b56a2da2a05421512203f48e07796b5d9406fb",
+    (True, "two_host", 1):
+        "6f77ff5fdb080b8dc3b465f7320507fd41fd004a8c97a0f0995032ecf931c43c",
+    (True, "two_host", 2):
+        "b5e3299eb574be300a7fbf2cb7013773735123f0e380946ffeba781ab78ce0e4",
+    (True, "two_host", 3):
+        "7eaf8c9d32717ccd4c3f067e9a75011660c01922f2a7afe2a418c092914c86d8",
+}
+# the swap graphs, in insertion order, keyed by (plan, peers)
+SWAP_DIGESTS = {
+    ("local", 1): "43f0852947bd3a0eb1f6bac4dd8b055ec6611f306d1524ea525fa6ad7d23bcbf",
+    ("local", 2): "ca2b220674d72ee4cf37a69ae41fdcabbac4c95e4152993abaacc154a815bf06",
+    ("local", 3): "4c23da0d940ec85a78ad0ab77fc179365c51bfacb8985128f0713fa3df169040",
+    ("two_host", 1): "1648feb4994c8317e83e63f3c9761c4e4d2bdf2686f64044431325b9042b95c9",
+    ("two_host", 2): "9648f1566c2cab7630bd8756ba0f99bd69668c1a4d80a8dfd94a80dc6be3ae5a",
+    ("two_host", 3): "30bc8acdb4529b43c6f4fecbb36aaadac41f8b774f84659ac0952425e69070b7",
+}
+# build_sgd_iteration's [training graph, swap graph], in insertion order
+SGD_DIGESTS = {
+    "MLP": ("fd5f1713fc244622e71761c2db6ffb3d70925a0ae84884d9592c086c1925b9d4",
+            "789514a57e3f01b1bb5ea25334b9c6e29a9c137975cdf030f50e5f087bf8bfcf"),
+    "CONV_NET": ("a043ec2ffa6923ea16f09af5c7961241d67ce38c9998864ce1f92f3cde115eba",
+                 "4977bc3096e187bf012efa9327e7a847d9f40f13036df45544a8fca1839a3a6b"),
+}
+
+
+DATA_PARALLEL_CASES = [
+    (split, plan, k) for split in (False, True) for plan in PLANS for k in (1, 2, 3)
+]
+
+
+def op_signature(g, op, suffix=""):
+    """An operator's name, kind, tensor names, attrs and thread, with
+    ``suffix`` stripped from every name; its location is left out."""
+
+    def strip(name):
+        assert name.endswith(suffix), (name, suffix)
+        return name[:len(name) - len(suffix)]
+
+    ins, outs = g.io_names(op)
+    return (strip(op.name), op.kind, tuple(map(strip, ins)),
+            tuple(map(strip, outs)), sorted(op.attrs.items()), op.thread)
+
+
+@pytest.mark.parametrize("split,plan,k", DATA_PARALLEL_CASES)
+def test_each_peer_runs_the_core_graph(split, plan, k):
+    plan = PLANS[plan](k)
+    g = build_data_parallel(CONV_NET, plan, split_backward=split).graphs[0]
+    core, _grads = _core_graph(CONV_NET, Location("local", 0), split)
+    want = sorted(op_signature(core, op) for op in core.operators.values())
+    for rank, loc in enumerate(plan.peers):
+        got = sorted(
+            op_signature(g, op, f"_p{rank}") for op in g.operators.values()
+            if op.location == loc and op.thread == COMPUTE_THREAD
+        )
+        assert got == want, rank
+
+
+@pytest.mark.parametrize("split,plan,k", DATA_PARALLEL_CASES)
+def test_data_parallel_graphs_match_pinned_digests(split, plan, k):
+    seq = build_data_parallel(CONV_NET, PLANS[plan](k), split_backward=split)
+    assert seq.graphs[0].validate().ok
+    assert graph_digest(seq.graphs[0]) == DATA_PARALLEL_DIGESTS[split, plan, k]
+    assert graph_digest(seq.graphs[1], ordered=True) == SWAP_DIGESTS[plan, k]
+
+
+@pytest.mark.parametrize("name,net", [("MLP", MLP), ("CONV_NET", CONV_NET)])
+def test_sgd_graphs_match_pinned_digests_in_insertion_order(name, net):
+    got = tuple(graph_digest(g, ordered=True) for g in build_sgd_iteration(net).graphs)
+    assert got == SGD_DIGESTS[name]
 
 
 # ---------------------------------------------------------------------------

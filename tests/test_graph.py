@@ -269,6 +269,91 @@ def test_replicate_zero_or_negative_rejected():
         replicate(g, 0)
 
 
+PLACES = (Location("h0", 0), Location("h0", 1), Location("h1", 0))
+SERVER = Location("srv", 0)
+
+
+def placed_template():
+    """x -> fc -> y on one device, with weights copied in from a tensor ``w``
+    on the server."""
+    g = BiGraph()
+    loc = Location("local", 0)
+    x = g.add_tensor("x", (1, 2), loc)
+    w = g.add_tensor("w", (2, 2), SERVER)
+    w_local = g.add_tensor("w_local", (2, 2), loc)
+    b = g.add_tensor("b", (2,), loc)
+    y = g.add_tensor("y", (1, 2), loc)
+    g.add_operator("pull", "copy", [w], [w_local], loc, thread=1)
+    g.add_operator("fc", "fc_forward", [x, w_local, b], [y], loc)
+    return g
+
+
+def test_replicate_places_each_replica():
+    r = replicate(placed_template(), 3, rename="_r{i}", shared=("w",), place=PLACES)
+    for i, loc in enumerate(PLACES):
+        for name in ("x", "w_local", "b", "y"):
+            assert r.tensor_named(f"{name}_r{i}").location == loc
+        for name in ("pull", "fc"):
+            assert r.operator_named(f"{name}_r{i}").location == loc
+    assert r.operator_named("pull_r2").thread == 1
+    assert len(r.tensors) == 1 + 4 * 3 and len(r.operators) == 2 * 3
+    assert r.validate().ok
+
+
+def test_replicate_keeps_shared_tensors_in_place():
+    r = replicate(placed_template(), 2, rename="_r{i}", shared=("w",), place=PLACES[:2])
+    assert r.tensor_named("w").location == SERVER
+    assert r.consumers_of(r.tensor_id("w")) == [
+        (r.operator_id("pull_r0"), 0), (r.operator_id("pull_r1"), 0)
+    ]
+    assert r.validate().ok
+
+
+def test_cross_location_glue_on_a_placed_replica_validates():
+    r = replicate(placed_template(), 3, rename="_r{i}", shared=("w",), place=PLACES)
+    ups = []
+    for i, loc in enumerate(PLACES):
+        ups.append(r.add_tensor(f"y_r{i}_srv", (1, 2), SERVER))
+        r.add_operator(f"up_r{i}", "copy", [r.tensor_id(f"y_r{i}")], [ups[-1]], loc,
+                       thread=2)
+    mean = r.add_tensor("y_mean", (1, 2), SERVER)
+    r.add_operator("agg", "aggregate", ups, [mean], SERVER, attrs={"mode": "mean"})
+    assert r.validate().ok
+
+
+def test_replicate_rejects_a_placement_of_the_wrong_length():
+    for place in (PLACES[:2], PLACES + (SERVER,), ()):
+        with pytest.raises(GraphError, match="placement"):
+            replicate(placed_template(), 3, shared=("w",), place=place)
+
+
+def test_replicate_rejects_placing_a_multi_location_template():
+    g = placed_template()  # w is on the server: fine only while shared
+    with pytest.raises(GraphError, match="one location"):
+        replicate(g, 2, place=PLACES[:2])
+    assert replicate(g, 2, shared=("w",), place=PLACES[:2]).validate().ok
+
+
+def test_placed_replica_may_not_compute_on_a_remote_shared_tensor():
+    g = BiGraph()
+    loc = Location("local", 0)
+    x = g.add_tensor("x", (1, 2), loc)
+    w = g.add_tensor("w", (2, 2), loc)
+    b = g.add_tensor("b", (2,), loc)
+    y = g.add_tensor("y", (1, 2), loc)
+    g.add_operator("fc", "fc_forward", [x, w, b], [y], loc)
+    assert replicate(g, 2, shared=("w", "b"), place=(loc, loc)).validate().ok
+    with pytest.raises(GraphError, match="only copy may cross"):
+        replicate(g, 2, shared=("w", "b"), place=PLACES[:2])
+
+
+def test_replicate_rejects_a_renamed_tensor_that_collides():
+    g = two_op_graph()
+    g.add_tensor("a_r0", (2, 2), Location("local", 0))
+    with pytest.raises(GraphError, match="duplicate tensor name"):
+        replicate(g, 1, rename="_r{i}", shared=("a_r0",))
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
