@@ -332,6 +332,12 @@ def _train_loopback(cfg: ExperimentConfig, procs: int, args, trace_out, dump) ->
 
 
 def cmd_train(args) -> int:
+    peer_entries = args.peers or []
+    loopback = len(peer_entries) == 1 and peer_entries[0].isdigit()
+    if loopback and args.host_id is not None:
+        raise ConfigError("--host-id needs a name=addr:port --peers table, not a count")
+    if peer_entries and not loopback and args.host_id is None:
+        raise ConfigError("a name=addr:port --peers table needs --host-id")
     cfg = ExperimentConfig.from_file(args.config)
     if args.iterations is not None:
         cfg = replace(cfg, iterations=args.iterations)
@@ -343,8 +349,7 @@ def cmd_train(args) -> int:
     if cfg.plan.scheme == "model":
         raise GraphError("the pipeline scheme is forward-only; nothing to train")
 
-    peer_entries = args.peers or []
-    if len(peer_entries) == 1 and peer_entries[0].isdigit():
+    if loopback:
         return _train_loopback(cfg, int(peer_entries[0]), args, trace_out, dump)
 
     # In process, or one named host of a multi-machine run: the same path,
@@ -389,16 +394,30 @@ def cmd_train(args) -> int:
 
 
 def _parse_peer_counts(text: str) -> list[int]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(p) for p in text.split(",") if p]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            counts = list(range(int(lo), int(hi) + 1))
+        else:
+            counts = [int(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"bad --peers {text!r}: expected '12', '1,2,3' or '1..4'"
+        ) from None
+    if not counts:
+        raise ConfigError("--peers matched no peer counts")
+    if min(counts) < 1:
+        raise ConfigError(f"--peers counts must be >= 1, got {min(counts)}")
+    return counts
 
 
 def _read_fit_table(path: str) -> list[tuple[float, float]]:
+    try:
+        fh = open(path, newline="")
+    except OSError as e:
+        raise ConfigError(f"cannot read fit table: {e}") from None
     rows = []
-    with open(path, newline="") as fh:
+    with fh:
         for row in csv.reader(fh):
             if not row or row[0].strip().startswith("#"):
                 continue
@@ -417,8 +436,6 @@ def cmd_simulate(args, parser) -> int:
     if have_fit == have_ac:
         parser.error("give either --fit CSV or both --a and --c")
     peer_counts = _parse_peer_counts(args.peers)
-    if not peer_counts:
-        parser.error("--peers matched no peer counts")
 
     if have_fit:
         table = _read_fit_table(args.fit)

@@ -1,23 +1,20 @@
 """Virtual-time twin of the dispatcher plus an analytic throughput model.
 
-The discrete-event simulator drives the *same* compiled plan and readiness
-counters as the real dispatcher (:class:`~biflow.dispatcher.GraphPlan`,
-:class:`~biflow.dispatcher.ReadinessState`), so lane serialization,
-FIFO-by-readiness ordering, and sequence sync points are shared with real
-execution rather than re-derived.  Durations come from a
-:class:`CostModel` instead of the wall clock, which makes runs exactly
-reproducible and lets one machine predict schedules for many.
+:func:`simulate` runs each graph through the dispatcher's own run loop on a
+virtual clock: each operator is a deadline of its :class:`CostModel`
+duration, and no kernel runs.  Lane serialization, the order of readiness
+and the sync points between graphs are the dispatcher's, not a copy of them.
+Runs are exactly reproducible, and one machine can predict schedules for many.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .dispatcher import GraphPlan, ReadinessState, TraceRecord, WorkerLane
+from .dispatcher import GraphPlan, RunContext, TraceRecord, _GraphRunner
 from .graph import BiGraph, GraphSequence, OperatorVertex
 
 _WIRE_KINDS = ("copy", "send", "recv", "gate")
@@ -75,6 +72,32 @@ class CostModel:
         return dur
 
 
+class _VirtualRunner(_GraphRunner):
+    """The dispatcher's run loop on a virtual clock in float seconds: each
+    operator with a duration holds its lane's worker until its deadline, and
+    no kernel runs."""
+
+    def __init__(self, graph: BiGraph, costs: CostModel) -> None:
+        durations = [costs.duration_of(op, graph) for op in graph.operators_in_order()]
+        plan = GraphPlan.compile(graph, None, durations)
+        super().__init__(plan, RunContext(None, graph))
+        self.delays = plan.durations  # in the clock's unit
+        self.clock = 0.0
+
+    def _now(self) -> float:
+        return self.clock
+
+    def _sleep_until(self, t: float) -> None:
+        self.clock = t
+
+    def _call(self, index: int, start: float | None = None) -> TraceRecord:
+        op, start = self.plan.ops[index], self.clock if start is None else start
+        return TraceRecord(
+            op.id, op.name, self.plan.lanes[index],
+            round(start * 1e9), round(self.clock * 1e9), self.ctx.iteration,
+        )
+
+
 @dataclass
 class SimReport:
     """Virtual-time schedule: total makespan, full trace, model throughput."""
@@ -91,14 +114,11 @@ def simulate(
     *,
     images_per_iteration: float | None = None,
 ) -> SimReport:
-    """Event-driven virtual-time execution of a graph or sequence, run
-    ``iterations`` times.
-
-    Scheduling matches ``dispatcher.run_sequence``: every lane is a serial
-    queue ordered by readiness time with graph-insertion-order tie breaks,
-    and each graph of the sequence starts only after the previous completed.
-    Deterministic: equal inputs give equal traces.  Raises :class:`SimError`
-    when ``iterations`` is below 1.
+    """Virtual-time run of a graph or sequence, ``iterations`` times, in the
+    dispatcher's run loop: lanes, order of readiness and the sync points
+    between graphs are those of ``dispatcher.run_sequence``.  Deterministic:
+    equal inputs give equal traces.  Raises :class:`SimError` when
+    ``iterations`` is below 1.
     """
     if iterations < 1:
         raise SimError(f"iterations must be >= 1, got {iterations}")
@@ -109,72 +129,14 @@ def simulate(
         if not report.ok:
             raise SimError("graph failed validation: " + "; ".join(report.violations))
 
-    plans = [GraphPlan.compile(g) for g in graphs]
-    states = [ReadinessState(p) for p in plans]
-    durations = [
-        [costs.duration_of(op, p.graph) for op in p.ops] for p in plans
-    ]
-
+    runners = [_VirtualRunner(g, costs) for g in graphs]
     trace: list[TraceRecord] = []
-    lane_free: dict[WorkerLane, float] = {}
-    floor = 0.0
-
+    floor = 0.0  # each graph starts when the previous one has ended
     for it in range(iterations):
-        for plan, state, durs in zip(plans, states, durations):
-            state.reset()
-            ready = state.arm()
-            if not plan.ops:
-                continue
-            lanes = plan.lanes
-
-            lane_queue: dict[WorkerLane, list] = {}
-            lane_busy: dict[WorkerLane, bool] = {}
-            events: list = []  # (end_time, op index, start_time)
-
-            def enqueue(index: int, ready_t: float) -> None:
-                queue = lane_queue.setdefault(lanes[index], [])
-                heapq.heappush(queue, (ready_t, index))
-
-            def start_idle_lanes() -> None:
-                for lane, queue in lane_queue.items():
-                    if lane_busy.get(lane) or not queue:
-                        continue
-                    ready_t, index = heapq.heappop(queue)
-                    start = max(ready_t, lane_free.get(lane, 0.0))
-                    end = start + durs[index]
-                    lane_busy[lane] = True
-                    heapq.heappush(events, (end, index, start))
-
-            for index in ready:
-                enqueue(index, floor)
-            start_idle_lanes()
-
-            last = floor
-            while events:
-                now = events[0][0]
-                batch = []
-                while events and events[0][0] == now:
-                    batch.append(heapq.heappop(events))
-                for end, index, start in batch:
-                    op = plan.ops[index]
-                    lane = lanes[index]
-                    lane_busy[lane] = False
-                    lane_free[lane] = end
-                    trace.append(
-                        TraceRecord(
-                            op.id,
-                            op.name,
-                            lane,
-                            int(round(start * 1e9)),
-                            int(round(end * 1e9)),
-                            it,
-                        )
-                    )
-                    for newly in state.complete(index):
-                        enqueue(newly, end)
-                start_idle_lanes()
-                last = now
-            floor = max(floor, last)
+        for runner in runners:
+            runner.clock = floor
+            trace.extend(runner.run(it, 0))
+            floor = runner.clock
 
     throughput = None
     if images_per_iteration is not None and floor > 0:

@@ -7,26 +7,29 @@ There is no global schedule — concurrency falls out of operators landing on
 different lanes.
 
 A lane is the (host, device, thread) triple of an operator; each lane
-executes its operators one at a time in FIFO order of readiness (ties broken
-by graph insertion order).  Every operator runs on the thread that calls
-:func:`run_sequence`: the numpy kernels and in-process copies are too small
-to gain from threads and only contend for the GIL (on a 2-core VM,
-conv-data2-split used 8.2–9.5 CPU ms per iteration with its 7 lanes on 7
-threads and 4.7–5.5 ms with them on one, ten 30 s runs each).  What lanes
-can overlap is waiting: an injected ``delay_s`` and a frame in flight.
+executes its operators one at a time in FIFO order of readiness: operators
+become ready in the order of the completions that readied them, and in graph
+insertion order among those one completion readied.  Every operator runs on
+the thread that calls :func:`run_sequence`: the numpy kernels and in-process
+copies are too small to gain from threads and only contend for the GIL (on a
+2-core VM, conv-data2-split used 8.2–9.5 CPU ms per iteration with its 7
+lanes on 7 threads and 4.7–5.5 ms with them on one, ten 30 s runs each).
+What lanes can overlap is waiting: an injected ``delay_s`` and a frame in
+flight.
 
-An operator with a ``delay_s`` above 0 holds a *worker* for that long
-before its kernel runs.  When it reaches a free worker, the run loop
-records its start and pushes its deadline, start plus delay, onto a heap;
-once the deadline has passed, the loop runs its kernel and frees the
-worker.  The operator's traced span runs from its start to the kernel's
-end, so injected cost counts as execution time, not queueing.  Operators
-that reach a held worker wait behind it in FIFO order.  Each lane holding a
-delayed operator is a worker group of its own and all other lanes form one
-group; group ``k`` goes to worker ``k mod min(groups, max_workers)``, so
-``max_workers`` is how many operators can hold a worker at once, and under
-``max_workers=1`` delayed operators never overlap.  Neither the grouping
-nor the cap changes which lane an operator belongs to.
+An operator with a duration above 0 (its ``delay_s``) holds a *worker* for
+that long before its kernel runs.  When it reaches a free worker, the run
+loop records its start and pushes its deadline, start plus duration, onto a
+heap; once the deadline has passed (equal deadlines in insertion order), the
+loop runs its kernel and frees the worker.  The operator's traced span runs
+from its start to the kernel's end, so injected cost counts as execution
+time, not queueing.  Operators that reach a held worker wait behind it in
+FIFO order.  Each lane holding a delayed operator is a worker group of its
+own and all other lanes form one group; group ``k`` goes to worker
+``k mod min(groups, max_workers)``, so ``max_workers`` is how many operators
+can hold a worker at once, and under ``max_workers=1`` delayed operators
+never overlap.  Neither the grouping nor the cap changes which lane an
+operator belongs to.
 
 ``send`` and ``recv`` run on the calling thread too, which drives the run's
 transport.  A ``send`` writes at once (its socket reads while a write
@@ -42,10 +45,8 @@ comes first: in the transport's poll while a recv is pending, which takes
 every frame that has come, and in a sleep otherwise.  The loop polls only
 then, so a loopback host spends CPU on the network only when frames move.
 
-Every operator runs its kind's ``execute`` hook from ``ops.KINDS``; the
-cost simulator reads the same ``delay_s`` attribute.
-
-What each operator run costs besides its kernel is kept small: the hook
+Every operator runs its kind's ``execute`` hook from ``ops.KINDS``.  What
+each operator run costs besides its kernel is kept small: the hook
 reads its tensor names from ``BiGraph.io_names``, which resolves them once
 per operator of the graph, and its span is one :class:`TraceRecord`, a
 named tuple; a run's trace is sorted by (start, end) once, when it ends.
@@ -58,8 +59,10 @@ No run starts a thread.  The first error wins: the run stops at once, and
 neither a pending recv nor a pending deadline delays the error.
 :func:`run` is :func:`run_sequence` over one graph, run once.
 
-The virtual-time cost simulator drives the same plan and counters, so both
-executors share one source of scheduling truth.
+The cost simulator (:func:`biflow.costsim.simulate`) drives this run loop on
+a virtual clock, through the runner's ``_now``, ``_sleep_until`` and
+``_call``: each operator is a deadline of its cost-model duration and no
+kernel runs, so real and simulated runs schedule in the same code.
 """
 
 from __future__ import annotations
@@ -147,7 +150,7 @@ class GraphPlan:
     """One graph compiled for repeated runs.
 
     Operators are numbered by graph insertion position, which is also the
-    tie break among operators that become ready together.  Per operator:
+    order among the operators that one completion readies.  Per operator:
     ``ops`` holds the vertex, ``lanes`` its lane, ``workers`` the worker
     that serves its lane, ``consumers`` the operators whose input edges its
     completion satisfies (one entry per edge, ascending), ``pending`` its
@@ -162,10 +165,12 @@ class GraphPlan:
     ``channels`` holds the channel of each ``recv`` operator, which the run
     loop waits on, and None for every other operator.
 
-    Lanes map to workers in groups, and a worker is held by one delayed
-    operator at a time: each lane holding an operator with a ``delay_s``
-    above 0 is a group of its own, so delays on different lanes overlap;
-    all other lanes form one group, whose operators never hold their worker.
+    ``durations`` holds each operator's duration in seconds (its
+    ``delay_s`` unless given).  Lanes map to workers in groups, and a worker
+    is held by one delayed operator at a time: each lane holding an operator
+    with a duration above 0 is a group of its own, so delays on different
+    lanes overlap; all other lanes form one group, whose operators never
+    hold their worker.
     The shared group is group 0 and the delayed lanes follow in sorted lane
     order; group ``k`` goes to worker ``k mod min(groups, cap)``.
     """
@@ -174,6 +179,7 @@ class GraphPlan:
     ops: tuple[OperatorVertex, ...]
     lanes: tuple[WorkerLane, ...]
     workers: tuple[int, ...]
+    durations: tuple[float, ...]
     channels: tuple[int | None, ...]
     consumers: tuple[tuple[int, ...], ...]
     pending: tuple[int, ...]
@@ -184,12 +190,17 @@ class GraphPlan:
     sources: tuple[tuple[str, tuple[int, ...]], ...]
 
     @classmethod
-    def compile(cls, graph: BiGraph, cap: int | None = None) -> "GraphPlan":
-        """Plan ``graph`` with at most ``cap`` workers (no cap when None)."""
+    def compile(
+        cls, graph: BiGraph, cap: int | None = None, durations=None
+    ) -> "GraphPlan":
+        """Plan ``graph`` with at most ``cap`` workers (no cap when None) and
+        the given operator ``durations`` (in insertion order)."""
         ops = tuple(graph.operators_in_order())
         index = {op.id: i for i, op in enumerate(ops)}
         lanes = tuple(lane_of(op) for op in ops)
-        delayed = {lane for op, lane in zip(ops, lanes) if _delay(op) > 0}
+        if durations is None:
+            durations = [float(op.attrs.get("delay_s", 0.0) or 0.0) for op in ops]
+        delayed = {lane for d, lane in zip(durations, lanes) if d > 0}
         # each delayed lane is a group of its own, the other lanes form
         # group 0; delayed groups follow in sorted lane order
         shared = set(lanes) - delayed
@@ -214,6 +225,7 @@ class GraphPlan:
             ops=ops,
             lanes=lanes,
             workers=tuple(slot[lane] for lane in lanes),
+            durations=tuple(durations),
             channels=tuple(
                 int(op.attrs["channel"]) if op.kind == "recv" else None for op in ops
             ),
@@ -303,14 +315,11 @@ class RunContext:
     transport: object | None = None
 
 
-def _delay(op: OperatorVertex) -> float:
-    return float(op.attrs.get("delay_s", 0.0) or 0.0)
-
-
 class _GraphRunner:
     """Runs one compiled graph, once per :meth:`run` call, on the calling
     thread, which also drives the transport and owns every counter and the
-    trace."""
+    trace.  The wall clock in ns is read by ``_now`` and waited on by
+    ``_sleep_until``; a virtual runner replaces both and ``_call``."""
 
     def __init__(self, plan: GraphPlan, ctx: RunContext) -> None:
         self.plan = plan
@@ -320,16 +329,14 @@ class _GraphRunner:
         for op in plan.ops:
             spec = KINDS.get(op.kind)
             self.steps.append((None if spec is None else spec.execute, op))
-        self.delays = tuple(int(_delay(op) * 1e9) for op in plan.ops)  # ns
+        self.delays = tuple(int(d * 1e9) for d in plan.durations)  # ns
         # without a transport a recv runs at once and fails for want of one
         self.channels = (
             plan.channels if ctx.transport is not None else (None,) * len(plan.ops)
         )
-        self.zero = 0
 
     def run(self, iteration: int, zero: int) -> list[TraceRecord]:
         plan, state = self.plan, self.state
-        _check_sources(plan, self.ctx.store)
         state.reset()
         self.ctx.iteration = iteration
         self.zero = zero
@@ -351,7 +358,7 @@ class _GraphRunner:
         held: dict[WorkerLane | int, list[int]] = {}
         while True:
             start = exc = None
-            if deadlines and deadlines[0][0] <= time.monotonic_ns() - zero:
+            if deadlines and deadlines[0][0] <= self._now():
                 _, index, start = heappop(deadlines)
                 ready.extendleft(reversed(held.pop(workers[index])))
             elif waiting and not ready and (lane := self._arrival(waiting, deadlines)):
@@ -368,21 +375,21 @@ class _GraphRunner:
                         held[key].append(index)
                         continue
                 if delays[index]:
-                    start = time.monotonic_ns() - zero
+                    start = self._now()
                     heappush(deadlines, (start + delays[index], index, start))
                     held[workers[index]] = []
                     continue
             elif waiting:
                 continue  # the poll woke for another channel, or a deadline
             elif deadlines:
-                time.sleep(max(0, deadlines[0][0] - time.monotonic_ns() + zero) / 1e9)
+                self._sleep_until(deadlines[0][0])
                 continue
             else:
                 break
             if (channels[index] is not None and exc is None
                     and not transport.ready(channels[index])):
                 if start is None:
-                    start = time.monotonic_ns() - zero
+                    start = self._now()
                 waiting[lanes[index]] = (index, start)
                 held[lanes[index]] = []
                 continue
@@ -398,6 +405,12 @@ class _GraphRunner:
             ready.extend(state.complete(index))
         trace.sort(key=_BY_SPAN)
         return trace
+
+    def _now(self) -> int:
+        return time.monotonic_ns() - self.zero
+
+    def _sleep_until(self, t: int) -> None:
+        time.sleep(max(0, t - time.monotonic_ns() + self.zero) / 1e9)
 
     def _arrival(self, waiting: dict, deadlines: list) -> WorkerLane | None:
         """Poll the transport, which the run loop does only when no operator
@@ -418,7 +431,7 @@ class _GraphRunner:
         for lane, (index, _) in waiting.items():
             if transport.ready(channels[index]):
                 return lane
-        now = time.monotonic_ns() - self.zero
+        now = self._now()
         for lane, (_, start) in waiting.items():
             if now - start >= timeout_ns:
                 return lane
@@ -523,6 +536,7 @@ def run_sequence(
                 ctx = RunContext(store, g, it, transport)
                 runner = _GraphRunner(GraphPlan.compile(g, max_workers), ctx)
                 runners[gi] = runner
+            _check_sources(runner.plan, store)
             trace = runner.run(it, t0)
             rep = RunReport(trace, time.monotonic_ns() - start_ns, it, gi)
             reports.append(rep)

@@ -287,6 +287,24 @@ def test_train_host_id_single_host_matches_in_process(tmp_path):
     assert line["final_loss"] == final_local
 
 
+def test_train_peer_table_without_host_id_is_usage_error(tmp_path):
+    path = write_config(tmp_path, DP_CONFIG)
+    r = cli("train", "--config", path, "--peers", "local=127.0.0.1:0")
+    assert r.returncode == 2
+    assert "--peers table needs --host-id" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
+def test_train_peer_count_with_host_id_is_usage_error(tmp_path):
+    path = write_config(tmp_path, DP_CONFIG)
+    r = cli("train", "--config", path, "--peers", "2", "--host-id", "local")
+    assert r.returncode == 2
+    assert "--host-id needs a name=addr:port --peers table" in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
+
+
 def test_copy_latency_marks_exactly_the_cross_location_copies():
     seq = build_sequence(ExperimentConfig.from_dict(DP_CONFIG))
     _add_copy_latency(seq, 50e-6)
@@ -443,6 +461,23 @@ def test_simulate_fit_and_manual_model_conflict(tmp_path):
     r = cli("simulate", "--fit", str(csv_path), "--a", "1", "--c", "0",
             "--peers", "1", "--batch", "1")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--a", "1", "--c", "0", "--peers", "x"), "bad --peers 'x'"),
+        (("--a", "1", "--c", "0", "--peers", "0..2"), "counts must be >= 1, got 0"),
+        (("--fit", "{tmp}/missing.csv", "--peers", "2"), "cannot read fit table"),
+    ],
+    ids=["peers-not-a-count", "peers-below-one", "fit-table-missing"],
+)
+def test_simulate_bad_input_is_usage_error(tmp_path, argv, message):
+    r = cli("simulate", "--batch", "8", *(a.format(tmp=tmp_path) for a in argv))
+    assert r.returncode == 2
+    assert r.stderr.count("error:") == 1 and message in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_unknown_subcommand_is_usage_error():

@@ -1,8 +1,12 @@
 import math
 import random
+import types
 
+import numpy as np
 import pytest
 
+from biflow import dispatcher
+from biflow.builders import LayerSpec, NetSpec, ParallelPlan, build_data_parallel
 from biflow.costsim import (
     CostModel,
     FitResult,
@@ -11,7 +15,10 @@ from biflow.costsim import (
     simulate,
     throughput_model,
 )
+from biflow.dispatcher import run
 from biflow.graph import BiGraph, GraphSequence, Location
+from biflow.ops import TensorStore
+from biflow.profiler import iteration_gap, overlap_fraction
 from oracles import critical_path, min_makespan_bruteforce
 
 LOC = Location("local", 0)
@@ -224,6 +231,63 @@ def test_sequence_iterations_and_sync_floor():
         ends[key] = max(r.end for r in recs)
     assert min(r.start for r in groups[(0, True)]) >= ends[(0, False)]
     assert min(r.start for r in groups[(1, False)]) >= ends[(0, True)]
+
+
+def tie_graph():
+    """p (lane 1) and q (lane 2) take 20 ms each; then cq and cp, inserted in
+    that order, share lane 3.  Each is a relu with an injected delay."""
+    g = BiGraph()
+    t = {n: g.add_tensor(n, (2,), LOC) for n in ("x", "p", "q", "cq", "cp")}
+    for name, src, thread, delay in (
+        ("p", "x", 1, 0.02), ("q", "x", 2, 0.02), ("cq", "q", 3, 0.001),
+        ("cp", "p", 3, 0.001),
+    ):
+        g.add_operator("run_" + name, "relu_forward", [t[src]], [t[name]], LOC,
+                       thread=thread, attrs={"delay_s": delay})
+    return g
+
+
+def lane3_order(trace):
+    return [r.name for r in trace if r.lane.thread == 3]
+
+
+def test_tie_rule_is_shared_by_run_and_simulate():
+    """Operators readied at one instant go in the order of the completions
+    that readied them: p completes before q (it took its deadline no later,
+    and equal deadlines go by insertion order), so cp runs before cq."""
+    g = tie_graph()
+    store = TensorStore()
+    store.set("x", np.array([1.0, -1.0], dtype=np.float32))
+    assert lane3_order(run(g, store).trace) == ["run_cp", "run_cq"]
+    assert lane3_order(simulate(g, CostModel()).trace) == ["run_cp", "run_cq"]
+
+
+def test_criterion_5_schedule_is_exact_in_virtual_time(monkeypatch):
+    """Criterion 5's graph and injected costs, simulated: the iteration gap
+    is exactly the 50 ms copy, and no wall clock is read."""
+    net = NetSpec(
+        input_shape=(8,),
+        layers=(LayerSpec("fc", 8), LayerSpec("fc", 8),
+                LayerSpec("fc", 8), LayerSpec("fc", 4)),
+        batch=4,
+    )
+    plan = ParallelPlan(
+        scheme="data",
+        peers=(Location("local", 0), Location("local", 1)),
+        server=Location("local", 2),
+    )
+    seq = build_data_parallel(net, plan, split_backward=True)
+    for op in seq.graphs[0].operators.values():
+        if op.name.startswith("bwd_"):
+            op.attrs["delay_s"] = 0.060
+        elif op.name.startswith("up_"):
+            op.attrs["delay_s"] = 0.050
+    kinds = {op.kind for g in seq.graphs for op in g.operators.values()}
+    monkeypatch.setattr(dispatcher, "time", types.SimpleNamespace())  # no clock
+    rep = simulate(seq, CostModel(kind_costs=dict.fromkeys(kinds, 0.0)), iterations=3)
+    classes = seq.layout.lane_class
+    assert iteration_gap(rep.trace, classes) == [50_000_000, 50_000_000]
+    assert overlap_fraction(rep.trace, classes) >= 0.8
 
 
 def test_missing_cost_entry_raises():
