@@ -478,6 +478,17 @@ def _non_negative(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    """argparse type for a count: an integer >= 1, else a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="biflow",
@@ -508,10 +519,10 @@ def make_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="model throughput from (a, c) or a fit")
     s.add_argument("--peers", required=True,
                    help="peer counts: '12', '1,2,3', or '1..4'")
-    s.add_argument("--batch", type=int, required=True)
+    s.add_argument("--batch", type=_count, required=True)
     s.add_argument("--fit", default=None,
                    help="CSV of batch,images_per_sec rows to fit (a, c) from")
-    s.add_argument("--fit-peers", type=int, default=None,
+    s.add_argument("--fit-peers", type=_count, default=None,
                    help="peer count the fit table was measured at "
                    "(default: max of --peers)")
     s.add_argument("--a", type=float, default=None)

@@ -2,9 +2,10 @@
 
 Execution is pure readiness propagation: an operator fires once every one of
 its input edges is satisfied, a tensor is ready once its producer (if any)
-has completed, and a run finishes when every sink vertex has been reached.
-There is no global schedule — concurrency falls out of operators landing on
-different lanes.
+has completed, and a run finishes when no operator is ready, waiting for a
+frame or delayed.  A validated graph is acyclic, so by then every operator
+has run exactly once.  There is no global schedule — concurrency falls out
+of operators landing on different lanes.
 
 A lane is the (host, device, thread) triple of an operator; each lane
 executes its operators one at a time in FIFO order of readiness: operators
@@ -52,8 +53,9 @@ per operator of the graph, and its span is one :class:`TraceRecord`, a
 named tuple; a run's trace is sorted by (start, end) once, when it ends.
 
 Each graph is compiled once, on its first run, into a :class:`GraphPlan`:
-the int-indexed scheduling facts of the graph.  Every run then resets the
-plan's counters (:class:`ReadinessState`) instead of rebuilding them.
+the int-indexed scheduling facts of the graph.  Every run then copies the
+plan's unsatisfied-edge counts and initial operators instead of rebuilding
+them.
 
 No run starts a thread.  The first error wins: the run stops at once, and
 neither a pending recv nor a pending deadline delays the error.
@@ -80,7 +82,6 @@ from .ops import KINDS, TensorStore
 __all__ = [
     "DispatchError",
     "GraphPlan",
-    "ReadinessState",
     "RunContext",
     "RunReport",
     "TraceRecord",
@@ -153,14 +154,11 @@ class GraphPlan:
     order among the operators that one completion readies.  Per operator:
     ``ops`` holds the vertex, ``lanes`` its lane, ``workers`` the worker
     that serves its lane, ``consumers`` the operators whose input edges its
-    completion satisfies (one entry per edge, ascending), ``pending`` its
-    input edges not yet satisfied when a run is armed, and ``sinks_reached``
-    the sink vertices its completion reaches (itself when it has no outputs,
-    plus its outputs that nothing consumes).  ``source_sinks`` counts the
-    source tensors that nothing consumes, reached when a run is armed;
-    ``initial`` lists the operators ready then; ``sources`` holds the name
-    and shape of every consumed source tensor, which the store must hold
-    before each run.
+    completion satisfies (one entry per edge, ascending) and ``pending`` its
+    input edges not yet satisfied when a run starts (repeated inputs count
+    once per edge).  ``initial`` lists the operators ready then; ``sources``
+    holds the name and shape of every consumed source tensor, which the
+    store must hold before each run.
 
     ``channels`` holds the channel of each ``recv`` operator, which the run
     loop waits on, and None for every other operator.
@@ -175,7 +173,6 @@ class GraphPlan:
     order; group ``k`` goes to worker ``k mod min(groups, cap)``.
     """
 
-    graph: BiGraph
     ops: tuple[OperatorVertex, ...]
     lanes: tuple[WorkerLane, ...]
     workers: tuple[int, ...]
@@ -183,9 +180,6 @@ class GraphPlan:
     channels: tuple[int | None, ...]
     consumers: tuple[tuple[int, ...], ...]
     pending: tuple[int, ...]
-    sinks_reached: tuple[int, ...]
-    source_sinks: int
-    sink_count: int
     initial: tuple[int, ...]
     sources: tuple[tuple[str, tuple[int, ...]], ...]
 
@@ -213,15 +207,8 @@ class GraphPlan:
         slot = {lane: k % count for lane, k in group.items()}
         consumed = {tid: graph.consumers_of(tid) for tid in graph.tensors}
         produced = {tid for tid in graph.tensors if graph.producer_of(tid) is not None}
-        sources = [tid for tid in graph.tensors if tid not in produced]
-        reached = tuple(
-            (not op.outputs) + sum(1 for tid in op.outputs if not consumed[tid])
-            for op in ops
-        )
         pending = tuple(sum(1 for tid in op.inputs if tid in produced) for op in ops)
-        source_sinks = sum(1 for tid in sources if not consumed[tid])
         return cls(
-            graph=graph,
             ops=ops,
             lanes=lanes,
             workers=tuple(slot[lane] for lane in lanes),
@@ -236,73 +223,13 @@ class GraphPlan:
                 for op in ops
             ),
             pending=pending,
-            sinks_reached=reached,
-            source_sinks=source_sinks,
-            sink_count=source_sinks + sum(reached),
             initial=tuple(i for i, p in enumerate(pending) if p == 0),
             sources=tuple(
                 (graph.tensors[tid].name, graph.tensors[tid].shape)
-                for tid in sources
-                if consumed[tid]
+                for tid in graph.tensors
+                if tid not in produced and consumed[tid]
             ),
         )
-
-
-class ReadinessState:
-    """The mutable counters of one :class:`GraphPlan`, reset for every run.
-
-    Operators are named by their plan index.  ``pending`` holds each
-    operator's remaining unsatisfied input edges (repeated inputs count once
-    per edge) and ``completed_sinks`` the sink vertices of either class
-    reached so far.  The counters only ever decrease between resets, which
-    is what makes exactly-once dispatch a structural property.
-    """
-
-    def __init__(self, plan: GraphPlan) -> None:
-        self.plan = plan
-        self._in_flight = 0
-        self.reset()
-
-    def reset(self) -> None:
-        """Restore every counter to its structural value.
-
-        Raises if called while operators are still in flight.
-        """
-        if self._in_flight:
-            raise DispatchError("reset() while operators are in flight")
-        self.pending = list(self.plan.pending)
-        self.completed_sinks = 0
-        self._armed = False
-
-    def arm(self) -> list[int]:
-        """Mark source tensors ready; returns the initially ready operators
-        in insertion order."""
-        if self._armed:
-            raise DispatchError("arm() on an already armed state")
-        self._armed = True
-        self.completed_sinks = self.plan.source_sinks
-        self._in_flight += len(self.plan.initial)
-        return list(self.plan.initial)
-
-    def complete(self, index: int) -> list[int]:
-        """Record an operator completion; returns the newly ready operators
-        in insertion order."""
-        plan = self.plan
-        self.completed_sinks += plan.sinks_reached[index]
-        pending = self.pending
-        newly: list[int] = []
-        # consumers are ascending, so each operator reaches zero at its last
-        # entry and ``newly`` comes out in insertion order
-        for i in plan.consumers[index]:
-            pending[i] -= 1
-            if not pending[i]:
-                newly.append(i)
-        self._in_flight += len(newly) - 1
-        return newly
-
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
 
 
 @dataclass
@@ -324,7 +251,6 @@ class _GraphRunner:
     def __init__(self, plan: GraphPlan, ctx: RunContext) -> None:
         self.plan = plan
         self.ctx = ctx
-        self.state = ReadinessState(plan)
         self.steps = []
         for op in plan.ops:
             spec = KINDS.get(op.kind)
@@ -336,17 +262,14 @@ class _GraphRunner:
         )
 
     def run(self, iteration: int, zero: int) -> list[TraceRecord]:
-        plan, state = self.plan, self.state
-        state.reset()
+        plan = self.plan
         self.ctx.iteration = iteration
         self.zero = zero
-        ready = deque(state.arm())  # FIFO by readiness
-        if not plan.ops:
-            return []
-        if not ready:
-            raise DispatchError("no operator is initially ready; graph cannot start")
-        workers, lanes, delays = plan.workers, plan.lanes, self.delays
-        channels, transport = self.channels, self.ctx.transport
+        # each operator's input edges not yet satisfied
+        pending = list(plan.pending)
+        ready = deque(plan.initial)  # FIFO by readiness
+        workers, lanes, consumers = plan.workers, plan.lanes, plan.consumers
+        delays, channels, transport = self.delays, self.channels, self.ctx.transport
         trace: list[TraceRecord] = []
         # (deadline, index, start) of each delayed operator holding its worker
         deadlines: list[tuple[int, int, int]] = []
@@ -402,7 +325,12 @@ class _GraphRunner:
                 name = plan.ops[index].name
                 raise DispatchError(f"operator {name!r} failed: {exc}") from exc
             trace.append(record)
-            ready.extend(state.complete(index))
+            # consumers are ascending, so each operator reaches zero at its
+            # last entry and one completion readies in insertion order
+            for i in consumers[index]:
+                pending[i] -= 1
+                if not pending[i]:
+                    ready.append(i)
         trace.sort(key=_BY_SPAN)
         return trace
 

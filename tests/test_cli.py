@@ -469,10 +469,17 @@ def test_simulate_fit_and_manual_model_conflict(tmp_path):
         (("--a", "1", "--c", "0", "--peers", "x"), "bad --peers 'x'"),
         (("--a", "1", "--c", "0", "--peers", "0..2"), "counts must be >= 1, got 0"),
         (("--fit", "{tmp}/missing.csv", "--peers", "2"), "cannot read fit table"),
+        # the last --batch given wins
+        (("--fit", "{tmp}/table.csv", "--peers", "2", "--batch", "0"),
+         "argument --batch: must be an integer >= 1, got 0"),
+        (("--fit", "{tmp}/table.csv", "--peers", "2", "--fit-peers", "0"),
+         "argument --fit-peers: must be an integer >= 1, got 0"),
     ],
-    ids=["peers-not-a-count", "peers-below-one", "fit-table-missing"],
+    ids=["peers-not-a-count", "peers-below-one", "fit-table-missing",
+         "fit-batch-zero", "fit-peers-zero"],
 )
 def test_simulate_bad_input_is_usage_error(tmp_path, argv, message):
+    (tmp_path / "table.csv").write_text(BATCH_TABLE_CSV)
     r = cli("simulate", "--batch", "8", *(a.format(tmp=tmp_path) for a in argv))
     assert r.returncode == 2
     assert r.stderr.count("error:") == 1 and message in r.stderr

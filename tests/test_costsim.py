@@ -6,7 +6,19 @@ import numpy as np
 import pytest
 
 from biflow import dispatcher
-from biflow.builders import LayerSpec, NetSpec, ParallelPlan, build_data_parallel
+from biflow.builders import (
+    LayerSpec,
+    NetSpec,
+    ParallelPlan,
+    Stage,
+    SyntheticFeed,
+    build_data_parallel,
+    build_model_parallel_pipeline,
+    build_sgd_iteration,
+    feeder,
+    fill_tokens,
+    init_params,
+)
 from biflow.costsim import (
     CostModel,
     FitResult,
@@ -15,9 +27,9 @@ from biflow.costsim import (
     simulate,
     throughput_model,
 )
-from biflow.dispatcher import run
+from biflow.dispatcher import run, run_sequence
 from biflow.graph import BiGraph, GraphSequence, Location
-from biflow.ops import TensorStore
+from biflow.ops import KINDS, TensorStore
 from biflow.profiler import iteration_gap, overlap_fraction
 from oracles import critical_path, min_makespan_bruteforce
 
@@ -260,6 +272,59 @@ def test_tie_rule_is_shared_by_run_and_simulate():
     store.set("x", np.array([1.0, -1.0], dtype=np.float32))
     assert lane3_order(run(g, store).trace) == ["run_cp", "run_cq"]
     assert lane3_order(simulate(g, CostModel()).trace) == ["run_cp", "run_cq"]
+
+
+ORDER_NET = NetSpec(
+    input_shape=(8,),
+    layers=(LayerSpec("fc", 8), LayerSpec("relu"), LayerSpec("fc", 8),
+            LayerSpec("fc", 4)),
+    batch=4,
+)
+ORDER_DATA = ParallelPlan(
+    scheme="data",
+    peers=(Location("local", 0), Location("local", 1)),
+    server=Location("local", 2),
+)
+ORDER_PIPELINE = ParallelPlan(
+    scheme="model",
+    replicas=3,
+    stages=(
+        Stage((0, 2), Location("local", 0)),
+        Stage((2, 3), Location("local", 1)),
+        Stage((3, 4), Location("local", 2)),
+    ),
+)
+ORDER_SCHEMES = {
+    "sgd": lambda: build_sgd_iteration(ORDER_NET),
+    "data-split": lambda: build_data_parallel(ORDER_NET, ORDER_DATA, split_backward=True),
+    "data-fused": lambda: build_data_parallel(ORDER_NET, ORDER_DATA, split_backward=False),
+    "pipeline": lambda: build_model_parallel_pipeline(ORDER_NET, ORDER_PIPELINE),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(ORDER_SCHEMES))
+def test_zero_costs_simulate_the_real_operator_order(scheme):
+    """With every kind costing 0 nothing waits on a clock, so the simulator
+    and a real run take the same path through the shared run loop: they
+    run the same operators in the same order, iteration after iteration."""
+    seq = ORDER_SCHEMES[scheme]()
+    store = TensorStore()
+    init_params(ORDER_NET, store, 3, seq.layout)
+    fill_tokens(store, seq)
+    if seq.layout.token_names:  # the pipeline's replicas read their own inputs
+        rng = np.random.default_rng(3)
+        for name in seq.layout.data_names:
+            shape = seq.graphs[0].tensor_named(name).shape
+            store.set(name, rng.standard_normal(shape).astype(np.float32))
+    else:
+        peers = len(seq.layout.data_names)
+        feeder(SyntheticFeed.for_net(ORDER_NET, 3, peers=peers), seq.layout)(0, store)
+    real = [(r.iteration, r.name)
+            for rep in run_sequence(seq, store, iterations=2) for r in rep.trace]
+    costs = CostModel(kind_costs=dict.fromkeys(KINDS, 0.0))
+    simulated = [(r.iteration, r.name) for r in simulate(seq, costs, 2).trace]
+    assert simulated == real
+    assert {it for it, _ in real} == {0, 1}
 
 
 def test_criterion_5_schedule_is_exact_in_virtual_time(monkeypatch):
