@@ -472,7 +472,10 @@ def cmd_simulate(args, parser) -> int:
 
 def _non_negative(text: str) -> float:
     """argparse type for a duration: a finite float >= 0, else a usage error."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
     return value

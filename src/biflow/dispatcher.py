@@ -46,11 +46,16 @@ comes first: in the transport's poll while a recv is pending, which takes
 every frame that has come, and in a sleep otherwise.  The loop polls only
 then, so a loopback host spends CPU on the network only when frames move.
 
-Every operator runs its kind's ``execute`` hook from ``ops.KINDS``.  What
-each operator run costs besides its kernel is kept small: the hook
-reads its tensor names from ``BiGraph.io_names``, which resolves them once
-per operator of the graph, and its span is one :class:`TraceRecord`, a
-named tuple; a run's trace is sorted by (start, end) once, when it ends.
+Each operator is bound once per run call, on its first run, through its
+kind's ``bind`` hook from ``ops.KINDS`` (a kind with only ``execute`` is
+bound as a call of it): the hook resolves the operator's tensors, evaluates
+its shape rule and parses its attrs, and returns a zero-argument step.
+Every run then calls the step, so what each operator run costs besides its
+kernel is kept small: no name is looked up and no attr is parsed, and its
+span is one :class:`TraceRecord`, a named tuple; a run's trace is sorted
+by (start, end) once, when it ends.  The sources of a graph are checked
+against the store before its first run only: a store removes no name and
+changes no shape, so they pass before every later run too.
 
 Each graph is compiled once, on its first run, into a :class:`GraphPlan`:
 the int-indexed scheduling facts of the graph.  Every run then copies the
@@ -72,6 +77,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
@@ -234,7 +240,7 @@ class GraphPlan:
 
 @dataclass
 class RunContext:
-    """Everything a kernel execution hook may touch."""
+    """Everything a kind's ``bind`` hook, and the step it returns, may touch."""
 
     store: TensorStore
     graph: BiGraph
@@ -251,10 +257,8 @@ class _GraphRunner:
     def __init__(self, plan: GraphPlan, ctx: RunContext) -> None:
         self.plan = plan
         self.ctx = ctx
-        self.steps = []
-        for op in plan.ops:
-            spec = KINDS.get(op.kind)
-            self.steps.append((None if spec is None else spec.execute, op))
+        # each operator's step, bound on its first call
+        self.steps: list = [None] * len(plan.ops)
         self.delays = tuple(int(d * 1e9) for d in plan.durations)  # ns
         # without a transport a recv runs at once and fails for want of one
         self.channels = (
@@ -368,21 +372,31 @@ class _GraphRunner:
     def _call(self, index: int, start: int | None = None) -> TraceRecord:
         """Execute one operator; returns its trace record.  ``start``, when
         given, is when its span began: a delayed operator's, when it took its
-        worker; a recv's, when its lane reached it."""
-        execute, op = self.steps[index]
-        if execute is None:
-            raise DispatchError(
-                f"operator kind {op.kind!r} unknown to registry (op {op.name!r})"
-            )
+        worker; a recv's, when its lane reached it.  An operator's first call
+        binds its step, inside its span."""
         if start is None:
             start = time.monotonic_ns() - self.zero
-        execute(self.ctx, op)
+        step = self.steps[index]
+        if step is None:
+            step = self.steps[index] = self._bind(self.plan.ops[index])
+        step()
         end = time.monotonic_ns() - self.zero
         if end <= start:
             end = start + 1
+        op = self.plan.ops[index]
         return TraceRecord(
             op.id, op.name, self.plan.lanes[index], start, end, self.ctx.iteration
         )
+
+    def _bind(self, op: OperatorVertex):
+        spec = KINDS.get(op.kind)
+        if spec is None:
+            raise DispatchError(
+                f"operator kind {op.kind!r} unknown to registry (op {op.name!r})"
+            )
+        if spec.bind is None:
+            return partial(spec.execute, self.ctx, op)
+        return spec.bind(self.ctx, op)
 
 
 def _check_sources(plan: GraphPlan, store: TensorStore) -> None:
@@ -442,9 +456,10 @@ def run_sequence(
     ``before_iteration(iteration, store)`` hook runs before each iteration's
     first graph (data feeding); ``after_graph(report, store)`` runs after each
     graph completes (metric sampling).  The graphs are validated once, before
-    the first iteration.  Every operator runs on the calling thread, and no
-    thread is started.  Raises :class:`DispatchError` when ``iterations`` or
-    ``max_workers`` is below 1.
+    the first iteration, and each graph's sources are checked against the
+    store before its first run.  Every operator runs on the calling thread,
+    and no thread is started.  Raises :class:`DispatchError` when
+    ``iterations`` or ``max_workers`` is below 1.
     """
     if iterations < 1:
         raise DispatchError(f"iterations must be >= 1, got {iterations}")
@@ -461,10 +476,12 @@ def run_sequence(
             start_ns = time.monotonic_ns()
             runner = runners[gi]
             if runner is None:
-                ctx = RunContext(store, g, it, transport)
-                runner = _GraphRunner(GraphPlan.compile(g, max_workers), ctx)
+                plan = GraphPlan.compile(g, max_workers)
+                # a store removes no name and changes no shape, so sources
+                # that pass before a graph's first run pass before every run
+                _check_sources(plan, store)
+                runner = _GraphRunner(plan, RunContext(store, g, it, transport))
                 runners[gi] = runner
-            _check_sources(runner.plan, store)
             trace = runner.run(it, t0)
             rep = RunReport(trace, time.monotonic_ns() - start_ns, it, gi)
             reports.append(rep)

@@ -302,7 +302,7 @@ class BiGraph:
 
         Resolved on the first call for each operator and kept: no vertex is
         removed or renamed, and an operator's edges are fixed when it is
-        added.  Every execution hook in ``ops.KINDS`` reads names here.
+        added.  Every ``bind`` hook in ``ops.KINDS`` reads names here.
         """
         names = self._io_names.get(op.id)
         if names is None:

@@ -9,12 +9,18 @@ shapes``, which raises :class:`KernelError` naming the kind and the shapes
 when the inputs do not conform.  Three callers read it, and nothing else
 decides a shape relation: the kind's ``check_shapes`` (arity, then the
 declared outputs must equal the rule's), which ``BiGraph.add_operator``
-runs; the kind's kernel, on the shapes of its arrays; and
-``builders.plan_steps``, through :func:`output_shapes`.  Only ``swap`` and
-``recv`` cannot infer their outputs from their inputs, so their checks are
-written by hand.  A rule also checks the attributes it reads (conv stride
-and pad, the aggregate mode, ``lr``, ``channel``); kernels then check what
-no shape fixes, label range and finite outputs, raising :class:`KernelError`.
+runs; the kind's kernel, on the shapes of its arrays, and its ``bind``, on
+the shapes of its input tensors; and ``builders.plan_steps``, through
+:func:`output_shapes`.  Only ``swap`` and ``recv`` cannot infer their
+outputs from their inputs, so their checks are written by hand.  A rule
+also checks the attributes it reads (conv stride and pad, the aggregate
+mode, ``lr``, ``channel``); kernels then check what no shape fixes, label
+range and finite outputs, raising :class:`KernelError`.
+
+Each public kernel is ``_f32`` on its arguments, then its kind's rule,
+then the kernel's *core*, which computes and checks finite outputs on
+arrays already known to conform.  A bound step (below) calls the same
+core, so each kernel has one implementation.
 
 Convolution is lowered to GEMM, as in Caffe, with one patch gather for
 all three kernels.  The gather lays each (image, channel) plane into a
@@ -37,14 +43,23 @@ pad 1).  One GEMM over the whole batch would cross it, and OpenBLAS's
 helper threads then spin against the dispatcher's lanes.
 
 The registry (`KINDS`) maps an operator-kind name to an :class:`OpKindSpec`
-carrying that shape check and an ``execute`` hook used by the dispatcher.
+carrying that shape check and a ``bind`` hook.  The dispatcher binds each
+operator once per run call, on its first run: the hook takes the operator's
+input and output :class:`Tensor` objects from the store, evaluates the rule
+and parses the attrs, and returns a zero-argument step.  Each run of the
+operator then calls the step, which reads the tensors' ``data`` (already
+C-contiguous float32), checks that each input still has the shape the
+rule accepted, calls the core and assigns each output after checking its
+shape.  ``execute(ctx, op)``, one bind and one call, runs an operator once.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import partial
 from math import isfinite, prod
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -107,7 +122,16 @@ def check_shape(shape: tuple[int, ...]) -> None:
 
 @dataclass
 class Tensor:
-    """A shaped float32 buffer.  ``data`` is the storage handle."""
+    """A shaped float32 buffer.  ``data`` is the storage handle.
+
+    Every assignment of ``data`` keeps ``shape``: :meth:`TensorStore.set`,
+    :func:`swap` and the bound steps of ``KINDS`` are the only writers, and
+    each checks the new array's shape against it first.  A bound step
+    relies on that, as it checks its input shapes against those its kind's
+    shape rule accepted when it was bound.  A tensor that a store has
+    declared (:meth:`TensorStore.slot`) but nothing has written yet holds
+    ``data`` None.
+    """
 
     shape: tuple[int, ...]
     data: np.ndarray
@@ -137,6 +161,8 @@ class TensorStore:
     Names are the cross-graph identity: two graphs of one sequence that
     mention the same name read and write the same buffer.  Once a name is
     set its shape is fixed; re-setting with a different shape is an error.
+    Each name keeps one :class:`Tensor` object for the life of the store,
+    which is what a bound step holds.
     """
 
     def __init__(self) -> None:
@@ -155,44 +181,86 @@ class TensorStore:
             t = Tensor(shape, arr)
             self._tensors[name] = t
             return t
-        raise KernelError(
-            f"store: shape mismatch writing {name!r}: "
-            f"{shape} vs existing {existing.shape}"
-        )
+        raise _mismatch(name, shape, existing.shape)
+
+    def slot(self, name: str, shape: tuple[int, ...]) -> Tensor:
+        """The tensor named ``name``, which must have ``shape``.  A name the
+        store does not hold yet is declared, with no data: until it is
+        written, ``get``, ``has`` and ``names`` do not see it."""
+        t = self._tensors.get(name)
+        if t is None:
+            check_shape(shape)
+            t = self._tensors[name] = Tensor(shape, None)
+        elif t.shape != shape:
+            raise _mismatch(name, shape, t.shape)
+        return t
 
     def get(self, name: str) -> Tensor:
-        try:
-            return self._tensors[name]
-        except KeyError:
-            raise KernelError(f"store: no tensor named {name!r}") from None
+        t = self._tensors.get(name)
+        if t is None or t.data is None:
+            raise KernelError(f"store: no tensor named {name!r}")
+        return t
 
     def array(self, name: str) -> np.ndarray:
         return self.get(name).data
 
     def has(self, name: str) -> bool:
-        return name in self._tensors
+        t = self._tensors.get(name)
+        return t is not None and t.data is not None
 
     def names(self) -> list[str]:
-        return sorted(self._tensors)
+        return sorted(n for n, t in self._tensors.items() if t.data is not None)
 
     def swap(self, name_a: str, name_b: str) -> None:
         swap(self.get(name_a), self.get(name_b))
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._tensors
+    __contains__ = has
+
+
+def _mismatch(name: str, shape, existing) -> KernelError:
+    return KernelError(
+        f"store: shape mismatch writing {name!r}: {shape} vs existing {existing}"
+    )
 
 
 # ---------------------------------------------------------------------------
-# Dense (fully connected) kernels
+# Dense (fully connected) kernels.  Each public kernel is ``_f32``, then the
+# kind's shape rule, then its core; a bound step calls the same core.
+
+
+def _fc_forward(x, w, b):
+    y = x @ w + b
+    _finite("fc_forward", y)
+    return y
 
 
 def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """y[n,m] = sum_d x[n,d] * w[d,m] + b[m]."""
     x, w, b = _f32(x), _f32(w), _f32(b)
     _fc_forward_shapes((x.shape, w.shape, b.shape), {})
-    y = x @ w + b
-    _finite("fc_forward", y)
-    return y
+    return _fc_forward(x, w, b)
+
+
+def _fc_backward_data(w, dy):
+    dx = dy @ w.T
+    _finite("fc_backward_data", dx)
+    return dx
+
+
+def _fc_backward_weight(x, dy):
+    dw = x.T @ dy
+    _finite("fc_backward_weight", dw)
+    return dw
+
+
+def _fc_backward_bias(dy):
+    db = dy.sum(axis=0)
+    _finite("fc_backward_bias", db)
+    return db
+
+
+def _fc_backward(x, w, dy):
+    return _fc_backward_data(w, dy), _fc_backward_weight(x, dy), _fc_backward_bias(dy)
 
 
 def fc_backward(
@@ -205,35 +273,25 @@ def fc_backward(
     """
     x, w, dy = _f32(x), _f32(w), _f32(dy)
     _fc_backward_shapes((x.shape, w.shape, dy.shape), {})
-    return (
-        fc_backward_data(w, dy),
-        fc_backward_weight(x, dy),
-        fc_backward_bias(dy),
-    )
+    return _fc_backward(x, w, dy)
 
 
 def fc_backward_data(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
     w, dy = _f32(w), _f32(dy)
     _fc_backward_data_shapes((w.shape, dy.shape), {})
-    dx = dy @ w.T
-    _finite("fc_backward_data", dx)
-    return dx
+    return _fc_backward_data(w, dy)
 
 
 def fc_backward_weight(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     x, dy = _f32(x), _f32(dy)
     _fc_backward_weight_shapes((x.shape, dy.shape), {})
-    dw = x.T @ dy
-    _finite("fc_backward_weight", dw)
-    return dw
+    return _fc_backward_weight(x, dy)
 
 
 def fc_backward_bias(dy: np.ndarray) -> np.ndarray:
     dy = _f32(dy)
     _fc_backward_bias_shapes((dy.shape,), {})
-    db = dy.sum(axis=0)
-    _finite("fc_backward_bias", db)
-    return db
+    return _fc_backward_bias(dy)
 
 
 # ---------------------------------------------------------------------------
@@ -310,20 +368,70 @@ def _patches(
     return taps.reshape(n, c * r * s, ho * wo), wo
 
 
-def conv2d_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """Cross-correlation of NCHW input with KCRS filters plus per-filter bias."""
-    x, w, b = _f32(x), _f32(w), _f32(b)
-    ((n, k, ho, wo),) = _conv2d_forward_shapes(
-        (x.shape, w.shape, b.shape), {"stride": stride, "pad": pad}
-    )
+def _conv2d_forward(x, w, b, *, stride, pad, y_shape):
+    n, k, ho, wo = y_shape
     cols, width = _patches(x, w.shape[2], w.shape[3], stride, pad, pad)
     y = np.matmul(w.reshape(k, -1), cols)
     y += b[:, None]
     y = _f32(y.reshape(n, k, ho, width)[:, :, :, :wo])
     _finite("conv2d_forward", y)
     return y
+
+
+def conv2d_forward(
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
+) -> np.ndarray:
+    """Cross-correlation of NCHW input with KCRS filters plus per-filter bias."""
+    x, w, b = _f32(x), _f32(w), _f32(b)
+    (y_shape,) = _conv2d_forward_shapes(
+        (x.shape, w.shape, b.shape), {"stride": stride, "pad": pad}
+    )
+    return _conv2d_forward(x, w, b, stride=stride, pad=pad, y_shape=y_shape)
+
+
+def _conv2d_backward_data(x, w, dy, *, stride, pad):
+    n, c, h, wd = x.shape
+    k, _, r, s = w.shape
+    cols, width = _patches(dy, r, s, 1, r - 1 - pad, s - 1 - pad, stride)
+    flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, k * r * s)
+    dx = np.matmul(flipped, cols)
+    dx = _f32(dx.reshape(n, c, h, width)[:, :, :, :wd])
+    _finite("conv2d_backward_data", dx)
+    return dx
+
+
+def _conv2d_backward_weight(x, w, dy, *, stride, pad):
+    n, k, ho, wo = dy.shape
+    cols, width = _patches(x, w.shape[2], w.shape[3], stride, pad, pad)
+    if width != wo:
+        wide = np.zeros((n, k, ho, width), dtype=np.float32)
+        wide[:, :, :, :wo] = dy
+        dy = wide
+    dw = np.matmul(dy.reshape(n, k, ho * width), cols.transpose(0, 2, 1))
+    dw = dw.sum(axis=0).reshape(w.shape)
+    _finite("conv2d_backward_weight", dw)
+    return dw
+
+
+def _conv2d_backward_bias(dy):
+    db = _f32(dy.sum(axis=(0, 2, 3)))
+    _finite("conv2d_backward_bias", db)
+    return db
+
+
+def _conv2d_backward(x, w, dy, *, stride, pad):
+    return (
+        _conv2d_backward_data(x, w, dy, stride=stride, pad=pad),
+        _conv2d_backward_weight(x, w, dy, stride=stride, pad=pad),
+        _conv2d_backward_bias(dy),
+    )
+
+
+def _conv_grad_inputs(kind: str, x, w, dy, stride: int, pad: int) -> tuple:
+    """``_f32`` and ``kind``'s shape rule for the public conv gradients."""
+    x, w, dy = _f32(x), _f32(w), _f32(dy)
+    _RULES[kind]((x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad})
+    return x, w, dy
 
 
 def conv2d_backward(
@@ -333,15 +441,8 @@ def conv2d_backward(
 
     The composition of the three split kernels below.
     """
-    x, w, dy = _f32(x), _f32(w), _f32(dy)
-    _conv2d_backward_shapes(
-        (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
-    )
-    return (
-        conv2d_backward_data(x, w, dy, stride=stride, pad=pad),
-        conv2d_backward_weight(x, w, dy, stride=stride, pad=pad),
-        conv2d_backward_bias(dy),
-    )
+    x, w, dy = _conv_grad_inputs("conv2d_backward", x, w, dy, stride, pad)
+    return _conv2d_backward(x, w, dy, stride=stride, pad=pad)
 
 
 def conv2d_backward_data(
@@ -355,18 +456,8 @@ def conv2d_backward_data(
     that is negative), with the filters flipped and transposed to
     [C, K·R·S].
     """
-    x, w, dy = _f32(x), _f32(w), _f32(dy)
-    _conv2d_backward_data_shapes(
-        (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
-    )
-    n, c, h, wd = x.shape
-    k, _, r, s = w.shape
-    cols, width = _patches(dy, r, s, 1, r - 1 - pad, s - 1 - pad, stride)
-    flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, k * r * s)
-    dx = np.matmul(flipped, cols)
-    dx = _f32(dx.reshape(n, c, h, width)[:, :, :, :wd])
-    _finite("conv2d_backward_data", dx)
-    return dx
+    x, w, dy = _conv_grad_inputs("conv2d_backward_data", x, w, dy, stride, pad)
+    return _conv2d_backward_data(x, w, dy, stride=stride, pad=pad)
 
 
 def conv2d_backward_weight(
@@ -375,47 +466,33 @@ def conv2d_backward_weight(
     """Filter gradient: dy times the patch matrix of x transposed, per
     image, summed over the batch; dy gets zero columns to meet the junk
     columns of a stride-1 patch matrix."""
-    x, w, dy = _f32(x), _f32(w), _f32(dy)
-    _conv2d_backward_weight_shapes(
-        (x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad}
-    )
-    n, k, ho, wo = dy.shape
-    cols, width = _patches(x, w.shape[2], w.shape[3], stride, pad, pad)
-    if width != wo:
-        wide = np.zeros((n, k, ho, width), dtype=np.float32)
-        wide[:, :, :, :wo] = dy
-        dy = wide
-    dw = np.matmul(dy.reshape(n, k, ho * width), cols.transpose(0, 2, 1))
-    dw = dw.sum(axis=0).reshape(w.shape)
-    _finite("conv2d_backward_weight", dw)
-    return dw
+    x, w, dy = _conv_grad_inputs("conv2d_backward_weight", x, w, dy, stride, pad)
+    return _conv2d_backward_weight(x, w, dy, stride=stride, pad=pad)
 
 
 def conv2d_backward_bias(dy: np.ndarray) -> np.ndarray:
     """Bias gradient only: dy summed over batch and spatial axes."""
     dy = _f32(dy)
     _conv2d_backward_bias_shapes((dy.shape,), {})
-    db = _f32(dy.sum(axis=(0, 2, 3)))
-    _finite("conv2d_backward_bias", db)
-    return db
+    return _conv2d_backward_bias(dy)
 
 
 # ---------------------------------------------------------------------------
 # Activation, loss, update, aggregation
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(x, 0)."""
-    x = _f32(x)
+def _relu_forward(x):
     y = np.maximum(x, np.float32(0))
     _finite("relu_forward", y)
     return y
 
 
-def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """dy gated by x > 0; the subgradient at exactly 0 is 0."""
-    x, dy = _f32(x), _f32(dy)
-    _relu_backward_shapes((x.shape, dy.shape), {})
+def relu_forward(x: np.ndarray) -> np.ndarray:
+    """Elementwise max(x, 0)."""
+    return _relu_forward(_f32(x))
+
+
+def _relu_backward(x, dy):
     # dy's bits where x > 0, +0.0 elsewhere: the bytes of
     # np.where(x > 0, dy, 0) for every input, without the per-element branch
     # that a random sign mask mispredicts.
@@ -426,16 +503,55 @@ def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     return dx
 
 
+def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """dy gated by x > 0; the subgradient at exactly 0 is 0."""
+    x, dy = _f32(x), _f32(dy)
+    _relu_backward_shapes((x.shape, dy.shape), {})
+    return _relu_backward(x, dy)
+
+
+def _flatten_forward(x):
+    return x.reshape(x.shape[0], -1)
+
+
 def flatten_forward(x: np.ndarray) -> np.ndarray:
     x = _f32(x)
-    ((n, flat),) = _flatten_forward_shapes((x.shape,), {})
-    return x.reshape(n, flat)
+    _flatten_forward_shapes((x.shape,), {})
+    return _flatten_forward(x)
+
+
+def _flatten_backward(x, dy):
+    return dy.reshape(x.shape)
 
 
 def flatten_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
     x, dy = _f32(x), _f32(dy)
     _flatten_backward_shapes((x.shape, dy.shape), {})
-    return dy.reshape(x.shape)
+    return _flatten_backward(x, dy)
+
+
+def _softmax_xent(logits, labels):
+    n, k = logits.shape
+    # each row's one-hot: a label hits exactly one class when it is integral
+    # and in [0, K), and none when it is fractional, out of range, NaN or
+    # infinite (the comparison needs no cast, which would warn on those)
+    onehot = labels[:, None] == np.arange(k, dtype=np.float32)
+    if np.count_nonzero(onehot) != n:
+        raise KernelError(f"softmax_xent: labels must be integral and in [0, {k})")
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    e = np.exp(z)
+    denom = np.add.reduce(e, axis=1, keepdims=True)
+    p = e / denom
+    log_p = z[onehot] - np.log(denom[:, 0])
+    # the bytes of -log_p.mean(): a float32 quotient rounds the same whether
+    # it is computed in float32 or in float64 and then rounded
+    loss = np.add.reduce(log_p, keepdims=True)
+    loss /= np.float32(-n)
+    # (p - onehot) / N, in place: p - 0 is p
+    p -= onehot
+    p /= np.float32(n)
+    _finite("softmax_xent", loss, p)
+    return loss, p
 
 
 def softmax_xent(
@@ -449,46 +565,37 @@ def softmax_xent(
     """
     logits, labels = _f32(logits), _f32(labels)
     _softmax_xent_shapes((logits.shape, labels.shape), {})
-    n, k = logits.shape
-    # the range is checked on the floats: casting a NaN, an infinity or a
-    # label past int64 would warn instead of raising
-    in_range = (labels >= 0).all() and (labels < k).all()
-    idx = labels.astype(np.int64) if in_range else None
-    if not (in_range and (idx == labels).all()):
-        raise KernelError(f"softmax_xent: labels must be integral and in [0, {k})")
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    denom = e.sum(axis=1, keepdims=True)
-    p = e / denom
-    log_p = z[np.arange(n), idx] - np.log(denom[:, 0])
-    loss = np.array([-log_p.mean()], dtype=np.float32)
-    onehot = np.zeros_like(p)
-    onehot[np.arange(n), idx] = np.float32(1)
-    dlogits = (p - onehot) / np.float32(n)
-    _finite("softmax_xent", loss, dlogits)
-    return loss, _f32(dlogits)
+    return _softmax_xent(logits, labels)
+
+
+def _sgd_update(w, grad, *, lr):
+    out = w - lr * grad  # lr is a np.float32
+    _finite("sgd_update", out)
+    return out
 
 
 def sgd_update(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
     """w - lr * grad, written to a fresh buffer (never in place)."""
     w, grad = _f32(w), _f32(grad)
     _sgd_update_shapes((w.shape, grad.shape), {"lr": lr})
-    out = w - np.float32(lr) * grad
-    _finite("sgd_update", out)
-    return out
+    return _sgd_update(w, grad, lr=np.float32(lr))
+
+
+def _aggregate(*parts, mode):
+    acc = parts[0].copy()
+    for a in parts[1:]:
+        acc += a
+    if mode == "mean":
+        acc /= np.float32(len(parts))
+    _finite("aggregate", acc)
+    return acc
 
 
 def aggregate(parts: list[np.ndarray], mode: str = "mean") -> np.ndarray:
     """Sum equal-shaped tensors in the given (peer-rank) order; mean divides by k."""
     arrays = [_f32(p) for p in parts]
     _aggregate_shapes([a.shape for a in arrays], {"mode": mode})
-    acc = arrays[0].copy()
-    for a in arrays[1:]:
-        acc += a
-    if mode == "mean":
-        acc /= np.float32(len(arrays))
-    _finite("aggregate", acc)
-    return acc
+    return _aggregate(*arrays, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -535,52 +642,118 @@ class OpKindSpec:
     """Static description of an operator kind.
 
     ``check_shapes(in_shapes, out_shapes, attrs)`` raises on any arity or
-    shape-relation violation; ``execute(ctx, op)`` performs the operation
-    against a run context exposing ``store``, ``graph``, ``iteration`` and
-    ``transport``, and reads the names of ``op``'s tensors from
-    ``ctx.graph.io_names(op)``.
+    shape-relation violation.  ``bind(ctx, op)`` binds one operator to a run
+    context exposing ``store``, ``graph``, ``iteration`` and ``transport``:
+    it reads the names of ``op``'s tensors from ``ctx.graph.io_names(op)``,
+    takes their :class:`Tensor` objects from the store, evaluates the shape
+    rule and parses the attrs, once, and returns a zero-argument *step* that
+    performs the operation each time it is called.  ``execute(ctx, op)``
+    performs it once; for every built-in kind it is ``bind(ctx, op)()``.
+    The dispatcher binds a kind with no ``bind`` as a call of its
+    ``execute``.
     """
 
     kind: str
     check_shapes: Callable[[list, list, dict], None]
     execute: Callable[[object, object], None]
     crosses_location: bool = False
+    bind: Callable[[object, object], Callable[[], None]] | None = None
 
 
-def _plain(fn: Callable[[list[np.ndarray], dict], list[np.ndarray]]):
-    def execute(ctx, op) -> None:
+_DATA = attrgetter("data")
+_SHAPE = attrgetter("shape")
+
+
+def _rebound(kind: str, rule, shapes: list, arrays: list, attrs: dict) -> KernelError:
+    """The error of a step whose input shapes are not those bound."""
+    now = [a.shape for a in arrays]
+    rule(now, attrs)  # raises the rule's own message when they do not conform
+    return KernelError(f"{kind}: input shapes {now} are not {shapes}, as bound")
+
+
+def _bind_plain(kind: str, rule, core, parse):
+    """``bind`` for a kind whose outputs are the results of its core.
+
+    The rule runs once, on the input shapes; each call of the step checks
+    that its input arrays still have them, then that each result has its
+    output tensor's shape.  ``parse(attrs, out_shapes)``, when given, makes
+    the core's keyword arguments.  Inputs are read as the store holds them,
+    C-contiguous float32, and every core returns C-contiguous float32.
+    """
+
+    def bind(ctx, op):
+        store, attrs = ctx.store, op.attrs
         in_names, out_names = ctx.graph.io_names(op)
-        store = ctx.store
-        outs = fn([store.array(n) for n in in_names], op.attrs)
-        for name, arr in zip(out_names, outs):
-            store.set(name, arr)
+        ins = [store.get(n) for n in in_names]
+        shapes = [t.data.shape for t in ins]
+        out_shapes = rule(shapes, attrs)
+        outs = [store.slot(n, s) for n, s in zip(out_names, out_shapes)]
+        fn = core if parse is None else partial(core, **parse(attrs, out_shapes))
+        if len(outs) == 1:
+            (out,), (name,) = outs, out_names
 
-    return execute
+            def step() -> None:
+                arrays = [*map(_DATA, ins)]
+                if [*map(_SHAPE, arrays)] != shapes:
+                    raise _rebound(kind, rule, shapes, arrays, attrs)
+                y = fn(*arrays)
+                if y.shape != out.shape:
+                    raise _mismatch(name, y.shape, out.shape)
+                out.data = y
+
+            return step
+
+        def steps() -> None:
+            arrays = [*map(_DATA, ins)]
+            if [*map(_SHAPE, arrays)] != shapes:
+                raise _rebound(kind, rule, shapes, arrays, attrs)
+            for t, name, y in zip(outs, out_names, fn(*arrays)):
+                if y.shape != t.shape:
+                    raise _mismatch(name, y.shape, t.shape)
+                t.data = y
+
+        return steps
+
+    return bind
 
 
-def _execute_copy(ctx, op) -> None:
-    (src,), (dst,) = ctx.graph.io_names(op)
-    ctx.store.set(dst, ctx.store.array(src).copy())
+def _transport(ctx, op):
+    if ctx.transport is None:
+        raise KernelError(f"{op.kind} {op.name!r}: no transport attached to this run")
+    return ctx.transport
 
 
-def _execute_swap(ctx, op) -> None:
+def _bind_swap(ctx, op):
     _, (a, b) = ctx.graph.io_names(op)
-    ctx.store.swap(a, b)
+    ta, tb = ctx.store.get(a), ctx.store.get(b)
+    _check_swap((), (ta.shape, tb.shape), {})
+
+    def step() -> None:
+        ta.data, tb.data = tb.data, ta.data
+
+    return step
 
 
-def _execute_send(ctx, op) -> None:
-    if ctx.transport is None:
-        raise KernelError(f"send {op.name!r}: no transport attached to this run")
+def _bind_send(ctx, op):
+    transport = _transport(ctx, op)
     (src,), _ = ctx.graph.io_names(op)
-    ctx.transport.send(int(op.attrs["channel"]), ctx.iteration, ctx.store.array(src))
+    t, channel = ctx.store.get(src), int(op.attrs["channel"])
+    return lambda: transport.send(channel, ctx.iteration, t.data)
 
 
-def _execute_recv(ctx, op) -> None:
-    if ctx.transport is None:
-        raise KernelError(f"recv {op.name!r}: no transport attached to this run")
-    arr = ctx.transport.recv(int(op.attrs["channel"]), ctx.iteration)
+def _bind_recv(ctx, op):
+    transport = _transport(ctx, op)
+    channel = int(op.attrs["channel"])
     _, (dst,) = ctx.graph.io_names(op)
-    ctx.store.set(dst, arr)
+    t = ctx.store.slot(dst, ctx.graph.tensors[op.outputs[0]].shape)
+
+    def step() -> None:
+        arr = _f32(transport.recv(channel, ctx.iteration))
+        if arr.shape != t.shape:
+            raise _mismatch(dst, arr.shape, t.shape)
+        t.data = arr
+
+    return step
 
 
 # ---------------------------------------------------------------------------
@@ -761,11 +934,23 @@ KINDS: dict[str, OpKindSpec] = {}
 _RULES: dict[str, Callable[[list, dict], list]] = {}
 
 
-def _register(kind, n_in, rule, execute, crosses_location: bool = False) -> None:
-    _RULES[kind] = rule
+def _execute(bind, ctx, op) -> None:
+    bind(ctx, op)()
+
+
+def _add(kind, check_shapes, bind, crosses_location: bool = False) -> None:
     KINDS[kind] = OpKindSpec(
-        kind, _check_by_rule(kind, n_in, rule), execute, crosses_location
+        kind, check_shapes, partial(_execute, bind), crosses_location, bind
     )
+
+
+def _register(kind, n_in, rule, core=None, parse=None, *, bind=None,
+              crosses_location: bool = False) -> None:
+    """Register ``kind`` with its shape rule and either a ``bind`` of its own
+    or the plain binding of ``core`` (see :func:`_bind_plain`)."""
+    _RULES[kind] = rule
+    _add(kind, _check_by_rule(kind, n_in, rule),
+         bind or _bind_plain(kind, rule, core, parse), crosses_location)
 
 
 def output_shapes(kind: str, in_shapes, attrs: dict) -> list[tuple[int, ...]]:
@@ -774,43 +959,40 @@ def output_shapes(kind: str, in_shapes, attrs: dict) -> list[tuple[int, ...]]:
     return _RULES[kind](list(in_shapes), attrs)
 
 
-_register("fc_forward", 3, _fc_forward_shapes,
-          _plain(lambda ins, a: [fc_forward(*ins)]))
-_register("fc_backward", 3, _fc_backward_shapes,
-          _plain(lambda ins, a: list(fc_backward(*ins))))
-_register("fc_backward_data", 2, _fc_backward_data_shapes,
-          _plain(lambda ins, a: [fc_backward_data(*ins)]))
-_register("fc_backward_weight", 2, _fc_backward_weight_shapes,
-          _plain(lambda ins, a: [fc_backward_weight(*ins)]))
-_register("fc_backward_bias", 1, _fc_backward_bias_shapes,
-          _plain(lambda ins, a: [fc_backward_bias(*ins)]))
-_register("conv2d_forward", 3, _conv2d_forward_shapes,
-          _plain(lambda ins, a: [conv2d_forward(*ins, *_conv_attrs(a))]))
-_register("conv2d_backward", 3, _conv2d_backward_shapes,
-          _plain(lambda ins, a: list(conv2d_backward(*ins, *_conv_attrs(a)))))
+def _conv_kw(attrs, out_shapes) -> dict:
+    stride, pad = _conv_attrs(attrs)
+    return {"stride": stride, "pad": pad}
+
+
+def _gate(x, token):
+    return x.copy()
+
+
+_register("fc_forward", 3, _fc_forward_shapes, _fc_forward)
+_register("fc_backward", 3, _fc_backward_shapes, _fc_backward)
+_register("fc_backward_data", 2, _fc_backward_data_shapes, _fc_backward_data)
+_register("fc_backward_weight", 2, _fc_backward_weight_shapes, _fc_backward_weight)
+_register("fc_backward_bias", 1, _fc_backward_bias_shapes, _fc_backward_bias)
+_register("conv2d_forward", 3, _conv2d_forward_shapes, _conv2d_forward,
+          lambda a, outs: {**_conv_kw(a, outs), "y_shape": outs[0]})
+_register("conv2d_backward", 3, _conv2d_backward_shapes, _conv2d_backward, _conv_kw)
 _register("conv2d_backward_data", 3, _conv2d_backward_data_shapes,
-          _plain(lambda ins, a: [conv2d_backward_data(*ins, *_conv_attrs(a))]))
+          _conv2d_backward_data, _conv_kw)
 _register("conv2d_backward_weight", 3, _conv2d_backward_weight_shapes,
-          _plain(lambda ins, a: [conv2d_backward_weight(*ins, *_conv_attrs(a))]))
+          _conv2d_backward_weight, _conv_kw)
 _register("conv2d_backward_bias", 1, _conv2d_backward_bias_shapes,
-          _plain(lambda ins, a: [conv2d_backward_bias(ins[0])]))
-_register("relu_forward", 1, _first_shape,
-          _plain(lambda ins, a: [relu_forward(*ins)]))
-_register("relu_backward", 2, _relu_backward_shapes,
-          _plain(lambda ins, a: [relu_backward(*ins)]))
-_register("flatten_forward", 1, _flatten_forward_shapes,
-          _plain(lambda ins, a: [flatten_forward(*ins)]))
-_register("flatten_backward", 2, _flatten_backward_shapes,
-          _plain(lambda ins, a: [flatten_backward(*ins)]))
-_register("softmax_xent", 2, _softmax_xent_shapes,
-          _plain(lambda ins, a: list(softmax_xent(*ins))))
-_register("sgd_update", 2, _sgd_update_shapes,
-          _plain(lambda ins, a: [sgd_update(ins[0], ins[1], float(a["lr"]))]))
-_register("aggregate", None, _aggregate_shapes,
-          _plain(lambda ins, a: [aggregate(ins, a.get("mode", "mean"))]))
-KINDS["swap"] = OpKindSpec("swap", _check_swap, _execute_swap)
-_register("copy", 1, _first_shape, _execute_copy, crosses_location=True)
-_register("send", 1, _send_shapes, _execute_send)
-KINDS["recv"] = OpKindSpec("recv", _check_recv, _execute_recv)
-_register("gate", 2, _first_shape,
-          _plain(lambda ins, a: [ins[0].copy()]))
+          _conv2d_backward_bias)
+_register("relu_forward", 1, _first_shape, _relu_forward)
+_register("relu_backward", 2, _relu_backward_shapes, _relu_backward)
+_register("flatten_forward", 1, _flatten_forward_shapes, _flatten_forward)
+_register("flatten_backward", 2, _flatten_backward_shapes, _flatten_backward)
+_register("softmax_xent", 2, _softmax_xent_shapes, _softmax_xent)
+_register("sgd_update", 2, _sgd_update_shapes, _sgd_update,
+          lambda a, outs: {"lr": np.float32(float(a["lr"]))})
+_register("aggregate", None, _aggregate_shapes, _aggregate,
+          lambda a, outs: {"mode": a.get("mode", "mean")})
+_add("swap", _check_swap, _bind_swap)
+_register("copy", 1, _first_shape, np.ndarray.copy, crosses_location=True)
+_register("send", 1, _send_shapes, bind=_bind_send)
+_add("recv", _check_recv, _bind_recv)
+_register("gate", 2, _first_shape, _gate)

@@ -410,14 +410,18 @@ def test_train_rejects_iterations_below_one(tmp_path, count):
     [
         ("--copy-latency-us", "-5"),
         ("--peers", "2", "--net-timeout", "-1"),
+        ("--copy-latency-us", "abc"),
+        ("--peers", "2", "--net-timeout", "abc"),
     ],
-    ids=["copy-latency-us", "net-timeout"],
+    ids=["copy-latency-us", "net-timeout", "copy-latency-us-not-a-number",
+         "net-timeout-not-a-number"],
 )
 def test_train_rejects_negative_durations(tmp_path, argv):
     path = write_config(tmp_path, DP_CONFIG)
     r = cli("train", "--config", path, "--iterations", "2", *argv)
     assert r.returncode == 2
-    assert f"argument {argv[-2]}: must be a finite number >= 0" in r.stderr
+    assert (f"argument {argv[-2]}: must be a finite number >= 0, got {argv[-1]}"
+            in r.stderr)
     assert "Traceback" not in r.stderr
     assert r.stdout == ""
 

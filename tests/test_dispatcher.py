@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import random
+import re
 import sys
 import threading
 from collections import Counter
@@ -10,20 +11,25 @@ import numpy as np
 import pytest
 
 import biflow
+from biflow import ops
 from biflow.builders import (
     LayerSpec,
     NetSpec,
     ParallelPlan,
+    Stage,
     SyntheticFeed,
     build_data_parallel,
+    build_model_parallel_pipeline,
     build_sgd_iteration,
     feeder,
+    fill_tokens,
     init_params,
 )
 from biflow.cli import _add_copy_latency
 from biflow.dispatcher import (
     DispatchError,
     GraphPlan,
+    RunContext,
     RunReport,
     TraceRecord,
     WorkerLane,
@@ -33,7 +39,7 @@ from biflow.dispatcher import (
     run_sequence,
 )
 from biflow.graph import BiGraph, GraphSequence, Location
-from biflow.ops import KINDS, TensorStore
+from biflow.ops import KINDS, KernelError, Tensor, TensorStore
 from oracles import topological_orders
 
 
@@ -191,6 +197,8 @@ def test_kernel_failure_names_operator():
     store.set("labels", f32([0.0, 9.0]))  # out of range at run time
     with pytest.raises(DispatchError, match="xent"):
         run(g, store)
+    # the outputs bound for the failed operator were never written
+    assert store.names() == ["labels", "logits"]
 
 
 def test_first_error_aborts_queued_work():
@@ -435,7 +443,7 @@ DISPATCH_WORKLOADS = {
 # iteration over operators per iteration.  A change to the per-operator
 # path that adds calls fails here; one that removes calls should lower
 # these numbers.
-CALLS_PER_OP = {"mlp-single": 267 / 16, "conv-data2-split": 1230 / 90}
+CALLS_PER_OP = {"mlp-single": 63 / 16, "conv-data2-split": 314 / 90}
 
 
 def _biflow_calls(seq, store, iterations: int) -> int:
@@ -472,6 +480,181 @@ def test_dispatch_calls_per_operator_do_not_grow(name):
     steady = _biflow_calls(seq, store, 4) - _biflow_calls(seq, store, 1)
     ops = sum(len(g.operators) for g in seq.graphs)
     assert steady / (3 * ops) <= CALLS_PER_OP[name]
+
+
+# ---------------------------------------------------------------------------
+# bound steps: each operator is bound on its first run, then runs its step
+# ---------------------------------------------------------------------------
+
+
+def trained(name, seed=5):
+    """A benchmark workload's sequence, store (parameters set) and feed hook."""
+    net, build = DISPATCH_WORKLOADS[name]
+    seq = build()
+    store = TensorStore()
+    init_params(net, store, seed, seq.layout)
+    feed = SyntheticFeed.for_net(net, seed, peers=len(seq.layout.data_names))
+    return seq, store, feeder(feed, seq.layout)
+
+
+def test_conv_attrs_are_parsed_only_when_bound(monkeypatch):
+    seq, store, feed = trained("conv-data2-split")
+    parsed = []
+    real = ops._conv_attrs
+    monkeypatch.setattr(ops, "_conv_attrs",
+                        lambda attrs: parsed.append(1) or real(attrs))
+    marks = []  # parses counted before each iteration, and after the last
+
+    def before(it, store):
+        marks.append(len(parsed))
+        feed(it, store)
+
+    run_sequence(seq, store, before_iteration=before, iterations=3)
+    marks.append(len(parsed))
+    assert marks[1] > marks[0]  # binding parses on the first iteration
+    assert marks[3] - marks[1] == 0  # and the two after it parse none
+
+
+PIPE_NET = NetSpec(
+    input_shape=(8,),
+    layers=(LayerSpec("fc", 8), LayerSpec("relu"), LayerSpec("fc", 4)),
+    batch=4,
+)
+PIPE_PLAN = ParallelPlan(
+    scheme="model", replicas=2,
+    stages=(Stage((0, 2), Location("local", 0)), Stage((2, 3), Location("local", 1))),
+)
+READ_ONLY_SCHEMES = {
+    "sgd": (MLP_NET, lambda: build_sgd_iteration(MLP_NET)),
+    "data-fused": (CONV_NET, lambda: build_data_parallel(CONV_NET, LOCAL2)),
+    "data-split": (
+        CONV_NET, lambda: build_data_parallel(CONV_NET, LOCAL2, split_backward=True),
+    ),
+    "pipeline": (PIPE_NET, lambda: build_model_parallel_pipeline(PIPE_NET, PIPE_PLAN)),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(READ_ONLY_SCHEMES))
+def test_no_hook_writes_a_stored_array_in_place(scheme, monkeypatch):
+    """Every array that becomes a tensor's data (at ``set``, at ``swap`` and
+    as a step's output) is made read-only, so any in-place write to a stored
+    array fails the run.  Each is also C-contiguous float32, which the bound
+    steps read without conversion."""
+    stored = []
+
+    def read_only(self, name, value):
+        if name == "data" and value is not None:
+            assert value.dtype == np.float32 and value.flags.c_contiguous
+            value.flags.writeable = False
+            stored.append(value)
+        object.__setattr__(self, name, value)
+
+    monkeypatch.setattr(Tensor, "__setattr__", read_only)
+    net, build = READ_ONLY_SCHEMES[scheme]
+    seq = build()
+    store = TensorStore()
+    init_params(net, store, 3, seq.layout)
+    fill_tokens(store, seq)
+    if seq.layout.token_names:  # the pipeline's replicas read their own inputs
+        rng = np.random.default_rng(3)
+        for name in seq.layout.data_names:
+            shape = seq.graphs[0].tensor_named(name).shape
+            store.set(name, rng.standard_normal(shape).astype(np.float32))
+        feed = None
+    else:
+        feed = feeder(SyntheticFeed.for_net(net, 3, peers=len(seq.layout.data_names)),
+                      seq.layout)
+    run_sequence(seq, store, before_iteration=feed, iterations=2)
+    assert len(stored) > sum(len(g.operators) for g in seq.graphs)
+    assert not any(store.array(n).flags.writeable for n in store.names())
+
+
+def test_non_finite_weight_fails_its_consumer_after_binding():
+    seq, store, feed = trained("mlp-single")
+    g = seq.graphs[0]
+    consumer = next(op.name for op in g.operators_in_order()
+                    if g.tensor_id("w1") in op.inputs)
+
+    def poison(it, store):
+        feed(it, store)
+        if it == 1:
+            w = store.array("w1").copy()
+            w[0, 0] = np.nan
+            store.set("w1", w)
+
+    with pytest.raises(DispatchError, match=f"operator '{consumer}' failed: "
+                       r"fc_forward: non-finite value in output") as err:
+        run_sequence(seq, store, before_iteration=poison, iterations=3)
+    assert isinstance(err.value.__cause__, KernelError)
+
+
+def test_label_out_of_range_fails_after_binding():
+    seq, store, feed = trained("mlp-single")
+
+    def bad_label(it, store):
+        feed(it, store)
+        if it == 1:
+            labels = store.array("labels").copy()
+            labels[-1] = MLP_NET.classes
+            store.set("labels", labels)
+
+    with pytest.raises(DispatchError, match=re.escape(
+            "softmax_xent: labels must be integral and in [0, 4)")):
+        run_sequence(seq, store, before_iteration=bad_label, iterations=3)
+
+
+def fc_graph():
+    g = BiGraph()
+    x, w, b = (g.add_tensor(n, s, LOC) for n, s in
+               (("x", (3, 4)), ("w", (4, 2)), ("b", (2,))))
+    y = g.add_tensor("y", (3, 2), LOC)
+    g.add_operator("fc", "fc_forward", [x, w, b], [y], LOC)
+    return g
+
+
+FC_NONCONFORMING = "fc_forward: input shapes [(3, 5), (4, 2), (2,)] do not conform"
+
+
+def test_inputs_breaking_the_rule_at_first_run_keep_the_kernel_message():
+    g = fc_graph()
+    store = TensorStore()
+    for name, shape in (("x", (3, 5)), ("w", (4, 2)), ("b", (2,))):
+        store.set(name, np.ones(shape, np.float32))
+    with pytest.raises(KernelError) as err:
+        KINDS["fc_forward"].execute(RunContext(store, g), g.operator_named("fc"))
+    assert str(err.value) == FC_NONCONFORMING
+
+
+def test_step_rechecks_its_input_shapes_on_every_call():
+    """An input whose data changes shape after binding (which only a write
+    past the store can do) fails the step with the rule's own message."""
+    g = fc_graph()
+    store = TensorStore()
+    for name, shape in (("x", (3, 4)), ("w", (4, 2)), ("b", (2,))):
+        store.set(name, np.ones(shape, np.float32))
+    x = store.get("x")
+
+    def reshape_x(it, store):
+        if it == 1:
+            x.data = np.ones((3, 5), np.float32)
+
+    with pytest.raises(DispatchError, match="'fc' failed") as err:
+        run_sequence(GraphSequence([g]), store, before_iteration=reshape_x,
+                     iterations=2)
+    assert str(err.value.__cause__) == FC_NONCONFORMING
+
+    # shapes the rule would accept still differ from those the step bound
+    store = fresh_store()
+    relu_x = store.get("x")
+
+    def shrink_x(it, store):
+        if it == 1:
+            relu_x.data = np.ones((2, 2), np.float32)
+
+    with pytest.raises(DispatchError, match=re.escape(
+            "relu_forward: input shapes [(2, 2)] are not [(4, 4)], as bound")):
+        run_sequence(GraphSequence([relu_graph()]), store,
+                     before_iteration=shrink_x, iterations=2)
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -712,11 +895,16 @@ def test_calling_thread_runs_worker_zero(started, monkeypatch):
     ran_on = {}
     spec = KINDS["relu_forward"]
 
-    def execute(ctx, op):
-        ran_on[op.name] = threading.current_thread().name
-        spec.execute(ctx, op)
+    def bind(ctx, op):
+        step = spec.bind(ctx, op)
 
-    monkeypatch.setitem(KINDS, "relu_forward", dataclasses.replace(spec, execute=execute))
+        def recorded():
+            ran_on[op.name] = threading.current_thread().name
+            step()
+
+        return recorded
+
+    monkeypatch.setitem(KINDS, "relu_forward", dataclasses.replace(spec, bind=bind))
     g = fan_graph(3)
     g.operator_named("fan_op1").attrs["delay_s"] = 0.001
     run(g, fresh_store())

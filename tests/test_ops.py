@@ -551,6 +551,18 @@ def test_store_swap_requires_matching_shapes():
 # ---------------------------------------------------------------------------
 
 
+def test_store_slot_declares_a_tensor_unseen_until_written():
+    store = TensorStore()
+    t = store.slot("y", (2,))
+    assert not store.has("y") and "y" not in store and store.names() == []
+    with pytest.raises(KernelError, match="no tensor named 'y'"):
+        store.get("y")
+    assert store.set("y", f32([1.0, 2.0])) is t and store.names() == ["y"]
+    assert store.slot("y", (2,)) is t
+    with pytest.raises(KernelError, match="shape mismatch writing 'y'"):
+        store.slot("y", (3,))
+
+
 def test_store_enforces_dtype_and_shape():
     store = TensorStore()
     store.set("x", f32([[1.0, 2.0]]))
