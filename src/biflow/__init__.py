@@ -9,7 +9,37 @@ Builders assemble training topologies (single device, parameter-server data
 parallelism, token-gated pipelines), a framed TCP transport splits a graph
 across processes along its cross-host copies, and a command-line front end
 drives the whole stack from JSON configs.
+
+Every kernel runs on its calling thread, so importing biflow loads numpy
+with a one-thread OpenBLAS pool (the ``ops`` docstring has the rule).
 """
+
+import contextlib
+import os
+import sys
+
+# OpenBLAS reads the first of these that is set, once, when it loads.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Within the block, an OpenBLAS that loads, in this process or in a
+    child started here, starts no helper thread, unless the user chose a
+    thread count.  ``os.environ`` is restored on exit."""
+    if any(v in os.environ for v in _BLAS_THREAD_VARS):
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)
+
+
+if "numpy" not in sys.modules:
+    with _one_blas_thread():
+        import numpy  # noqa: F401
 
 from .graph import (
     BiGraph,

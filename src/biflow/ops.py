@@ -34,13 +34,18 @@ weight gradient meets them with zero columns of dy.  Backward data is the
 transposed convolution, computed as a direct one: the same forward lowering
 at stride 1 over dy, dilated by the stride and padded by R-1-pad (cropped
 where negative), against the flipped filters transposed to [C, K·R·S], so
-no kernel scatters.  BLAS threading is left at OpenBLAS's default and needs
-no setting: OpenBLAS runs an sgemm on the calling thread while M·N·K is at
-most 65536 times its multithread threshold (4 by default), and a per-image
-GEMM at the shapes trained here stays below that (at most 8·(16·18)·72 =
-165888 multiply-adds for an 8-filter 3×3 layer over 8 channels at 16×16,
-pad 1).  One GEMM over the whole batch would cross it, and OpenBLAS's
-helper threads then spin against the dispatcher's lanes.
+no kernel scatters.  OpenBLAS runs an sgemm on the calling thread while
+M·N·K is at most 65536 times its multithread threshold (4 by default), and
+a per-image GEMM at the shapes trained here stays below that (at most
+8·(16·18)·72 = 165888 multiply-adds for an 8-filter 3×3 layer over 8
+channels at 16×16, pad 1).  One GEMM over the whole batch would cross it,
+and OpenBLAS's helper threads then spin against the dispatcher's lanes.
+Since no kernel needs a helper thread, biflow loads numpy with a one-thread
+OpenBLAS pool (``OPENBLAS_NUM_THREADS=1`` while numpy loads, and while
+``run_distributed`` starts its host processes), which saves each host the
+CPU its idle helpers spin for after the import.  Two cases keep OpenBLAS's
+default: a numpy loaded before biflow, and a thread count the user set in
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``.
 
 The registry (`KINDS`) maps an operator-kind name to an :class:`OpKindSpec`
 carrying that shape check and a ``bind`` hook.  The dispatcher binds each

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _one_blas_thread
 from .dispatcher import run_sequence
 from .graph import BiGraph, GraphError, GraphSequence, Location
 from .ops import TensorStore
@@ -551,6 +552,15 @@ class Transport:
                         f"within {self.timeout}s ({e})"
                     ) from None
                 self.poll(_CONNECT_RETRY_S)
+                # a fault that has failed a channel fails the run, so waiting
+                # on would only hide it; a port probe's fails none
+                fault = next((reason for items in self._frames.values()
+                              for tag, reason in items if tag is _FAULT), None)
+                if fault is not None:
+                    raise TransportError(
+                        f"{self.host}: gave up reaching {dst} at {addr}:{port} "
+                        f"({e}) on an earlier fault: {fault}"
+                    ) from None
                 continue
             sock.setblocking(False)
             return sock
@@ -770,7 +780,8 @@ def run_distributed(
                 daemon=True,
             )
             try:
-                p.start()
+                with _one_blas_thread():  # the child may load numpy first
+                    p.start()
             finally:
                 theirs.close()  # else the host's exit would not show as EOF
             procs[h] = p

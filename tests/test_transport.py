@@ -687,6 +687,48 @@ def test_send_to_dead_peer_times_out():
         ta.close()
 
 
+def test_connect_retry_fails_on_an_earlier_fault():
+    # a's first send targets a refusing port with a 30 s timeout; c has
+    # meanwhile sent a a malformed frame, so the send gives up on c's fault
+    peers = {"a": ("127.0.0.1", 0), "b": ("127.0.0.1", 1)}  # port 1: nothing there
+    channels = [spec(1, (2,), src="a", dst="b"), spec(2, (2,), src="c", dst="a")]
+    ta = Transport("a", peers, channels, timeout=30).start()
+    errors = []
+
+    def send():
+        try:
+            ta.send(1, 0, np.zeros(2, dtype=np.float32))
+        except TransportError as e:
+            errors.append(str(e))
+
+    sender = threading.Thread(target=send)
+    try:
+        with socket.create_connection(("127.0.0.1", ta.port)) as c:
+            c.sendall(hello("c") + HEADER.pack(2, 0, 6))
+            sender.start()
+            sender.join(10)  # hang guard only
+            assert not sender.is_alive()
+    finally:
+        ta.close()
+        sender.join(35)
+    (err,) = errors
+    assert err.startswith("a: gave up reaching b at 127.0.0.1:1")
+    assert err.endswith("on an earlier fault: malformed frame: payload length 6 "
+                        "is not a multiple of 4 (from c)")
+
+
+def test_port_probe_does_not_end_connect_retries():
+    peers = {"a": ("127.0.0.1", 0), "b": ("127.0.0.1", 1)}  # port 1: nothing there
+    ta = Transport("a", peers, [spec(1, (2,), src="a", dst="b")], timeout=0.5).start()
+    try:
+        socket.create_connection(("127.0.0.1", ta.port)).close()
+        with pytest.raises(TransportError, match="a: cannot reach b") as err:
+            ta.send(1, 0, np.zeros(2, dtype=np.float32))
+    finally:
+        ta.close()
+    assert "peer connection closed" not in str(err.value)
+
+
 def test_unreachable_host_does_not_stall_sends_to_others(monkeypatch):
     # a's connect to "dead" blocks until released; a send to the live peer
     # b must go through meanwhile
