@@ -51,7 +51,6 @@ from .graph import (
     ValidationReport,
     graph_from_json,
     graph_to_json,
-    merge,
     replicate,
 )
 from .ops import (
@@ -118,7 +117,6 @@ from .transport import (
     encode_frame,
     partition_by_host,
     partition_sequence,
-    recompose,
     run_distributed,
 )
 
@@ -174,14 +172,12 @@ __all__ = [
     "graph_to_json",
     "init_params",
     "iteration_gap",
-    "merge",
     "merged_trace",
     "overlap_fraction",
     "param_names",
     "partition_by_host",
     "partition_sequence",
     "read_tensor_file",
-    "recompose",
     "replicate",
     "run",
     "run_distributed",

@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import ops as _ops
 
@@ -34,7 +34,6 @@ __all__ = [
     "ValidationReport",
     "graph_from_json",
     "graph_to_json",
-    "merge",
     "replicate",
 ]
 
@@ -243,13 +242,12 @@ class BiGraph:
             self._producer[tid] = vid
         return vid
 
-    def add_operator_from(
-        self, op: OperatorVertex, tensor_ids, name: str | None = None
-    ) -> int:
-        """Re-add ``op`` of another graph here, under ``name`` (default: its
-        own), with its tensor ids translated through ``tensor_ids``."""
+    def add_operator_from(self, op: OperatorVertex, tensor_ids) -> int:
+        """Re-add ``op`` of another graph here, with its tensor ids
+        translated through ``tensor_ids``: ``transport.partition_by_host``
+        moves each operator into its host's subgraph this way."""
         return self.add_operator(
-            op.name if name is None else name,
+            op.name,
             op.kind,
             [tensor_ids[i] for i in op.inputs],
             [tensor_ids[o] for o in op.outputs],
@@ -442,95 +440,6 @@ class GraphSequence:
 # Structural transforms
 
 
-def _copy_into(
-    dst: BiGraph,
-    src: BiGraph,
-    tensor_name: Callable[[str], str],
-    op_name: Callable[[str], str],
-    skip_tensor: Callable[[str], bool] = lambda n: False,
-    location: Location | None = None,
-) -> dict[int, int]:
-    """Copy src's vertices into dst with renamed identities, each moved to
-    ``location`` when one is given; returns the id map.  A skipped tensor is
-    not copied: dst's tensor of the same name stands in.
-
-    The copies keep src's shapes and edges, so src's shape rules hold and
-    they close no cycle: only the names, the producers and the locations
-    that renaming, skipping and moving can break are checked again.
-    """
-    id_map: dict[int, int] = {}
-    for tid, t in src.tensors.items():
-        if skip_tensor(t.name):
-            id_map[tid] = dst.tensor_id(t.name)
-            continue
-        id_map[tid] = dst._insert_tensor(
-            tensor_name(t.name), t.shape, t.location if location is None else location
-        )
-    for op in src.operators_in_order():
-        dst._insert_operator(
-            op_name(op.name), op.kind,
-            tuple(id_map[i] for i in op.inputs), tuple(id_map[o] for o in op.outputs),
-            op.location if location is None else location, op.thread, dict(op.attrs),
-        )
-    return id_map
-
-
-def _fresh_name(base: str, taken: Callable[[str], bool]) -> str:
-    if not taken(base):
-        return base
-    i = 2
-    while taken(f"{base}_m{i}"):
-        i += 1
-    return f"{base}_m{i}"
-
-
-def merge(a: BiGraph, b: BiGraph, bind: dict[str, str] | None = None) -> BiGraph:
-    """Fuse two graphs into a new one, gluing tensors named in ``bind``.
-
-    ``bind`` maps a tensor name of ``a`` to a tensor name of ``b``; each
-    bound pair becomes a single vertex (keeping the ``a`` name).  All other
-    vertices are carried over, renamed only when names collide.  Inputs are
-    left untouched.  Raises on unknown names, shape or location mismatches
-    on a binding, a bound tensor produced in both graphs, or a cycle
-    created by the fusion.
-    """
-    bind = dict(bind or {})
-    for a_name, b_name in bind.items():
-        if not a.has_tensor(a_name):
-            raise GraphError(f"merge: graph a has no tensor named {a_name!r}")
-        if not b.has_tensor(b_name):
-            raise GraphError(f"merge: graph b has no tensor named {b_name!r}")
-        ta, tb = a.tensor_named(a_name), b.tensor_named(b_name)
-        if ta.shape != tb.shape:
-            raise GraphError(
-                f"merge: binding {a_name!r}->{b_name!r} joins shapes {ta.shape} and {tb.shape}"
-            )
-        if ta.location != tb.location:
-            raise GraphError(
-                f"merge: binding {a_name!r}->{b_name!r} joins locations "
-                f"{ta.location} and {tb.location}"
-            )
-
-    out = BiGraph()
-    _copy_into(out, a, lambda n: n, lambda n: n)
-
-    bound_b_names = {b_name: a_name for a_name, b_name in bind.items()}
-    id_map: dict[int, int] = {}
-    for tid, t in b.tensors.items():
-        if t.name in bound_b_names:
-            id_map[tid] = out.tensor_id(bound_b_names[t.name])
-        else:
-            name = _fresh_name(t.name, out.has_tensor)
-            id_map[tid] = out.add_tensor(name, t.shape, t.location)
-    for op in b.operators_in_order():
-        name = _fresh_name(op.name, lambda n: n in out._op_names)
-        try:
-            out.add_operator_from(op, id_map, name)
-        except GraphError as exc:
-            raise GraphError(f"merge: {exc}") from None
-    return out
-
-
 def replicate(
     graph: BiGraph,
     k: int,
@@ -572,16 +481,26 @@ def replicate(
     for name in sorted(shared, key=graph.tensor_id):
         t = graph.tensor_named(name)
         out.add_tensor(t.name, t.shape, t.location)
+    # A replica keeps the template's shapes and edges, so its shape rules
+    # hold and it closes no cycle: only the names, the producers and the
+    # locations that renaming, sharing and placing can break are checked.
     for i in range(k):
         suffix = rename.format(i=i)
-        _copy_into(
-            out,
-            graph,
-            tensor_name=lambda n, s=suffix: n + s,
-            op_name=lambda n, s=suffix: n + s,
-            skip_tensor=lambda n: n in shared,
-            location=None if place is None else place[i],
-        )
+        loc = None if place is None else place[i]
+        ids: dict[int, int] = {}
+        for tid, t in graph.tensors.items():
+            if t.name in shared:
+                ids[tid] = out.tensor_id(t.name)
+            else:
+                ids[tid] = out._insert_tensor(
+                    t.name + suffix, t.shape, t.location if loc is None else loc
+                )
+        for op in graph.operators_in_order():
+            out._insert_operator(
+                op.name + suffix, op.kind,
+                tuple(ids[t] for t in op.inputs), tuple(ids[t] for t in op.outputs),
+                op.location if loc is None else loc, op.thread, dict(op.attrs),
+            )
     return out
 
 

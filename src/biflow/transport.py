@@ -52,7 +52,6 @@ __all__ = [
     "owned_sources",
     "partition_by_host",
     "partition_sequence",
-    "recompose",
     "run_distributed",
 ]
 
@@ -219,47 +218,6 @@ def partition_sequence(seq: GraphSequence) -> dict[str, SequencePartition]:
             GraphSequence(graphs, layout=seq.layout),
             sends,
             recvs,
-        )
-    return out
-
-
-def recompose(partitions: dict[str, HostPartition]) -> BiGraph:
-    """Fuse send/recv pairs back into copies; inverse of partitioning."""
-    out = BiGraph()
-    specs: dict[int, ChannelSpec] = {}
-    for p in partitions.values():
-        for spec in p.sends + p.recvs:
-            specs[spec.channel] = spec
-    halves: dict[int, dict] = {}
-    pending: list[tuple] = []
-    ids = {
-        host: {
-            t.id: out.add_tensor(t.name, t.shape, t.location)
-            for t in partitions[host].graph.tensors.values()
-        }
-        for host in sorted(partitions)
-    }
-    for host in sorted(partitions):
-        g = partitions[host].graph
-        for op in sorted(g.operators.values(), key=lambda o: o.id):
-            if op.kind in ("send", "recv"):
-                half = halves.setdefault(int(op.attrs["channel"]), {})
-                if op.kind == "send":
-                    half["src"] = ids[host][op.inputs[0]]
-                else:
-                    half["dst"] = ids[host][op.outputs[0]]
-            else:
-                pending.append((op, host))
-    for op, host in pending:
-        out.add_operator_from(op, ids[host])
-    for channel in sorted(halves):
-        half = halves[channel]
-        spec = specs.get(channel)
-        if set(half) != {"src", "dst"} or spec is None or spec.op_location is None:
-            raise GraphError(f"channel {channel} has an unmatched endpoint")
-        out.add_operator(
-            spec.name, "copy", [half["src"]], [half["dst"]],
-            spec.op_location, thread=spec.op_thread,
         )
     return out
 

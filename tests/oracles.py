@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from biflow.graph import graph_to_json
+from biflow.graph import BiGraph, GraphError, graph_to_json
 
 
 def rel_error(a: np.ndarray, b: np.ndarray) -> float:
@@ -229,3 +229,46 @@ def graph_digest(graph, ordered: bool = False) -> str:
                 for key, entries in spec.items()}
     blob = json.dumps(spec, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def recompose(partitions):
+    """Fuse the send/recv pairs of ``partition_by_host``'s partitions back
+    into copies: the inverse of partitioning, from each channel's
+    ``ChannelSpec`` (the cut copy's name, placement and thread)."""
+    out = BiGraph()
+    specs = {}
+    for p in partitions.values():
+        for spec in p.sends + p.recvs:
+            specs[spec.channel] = spec
+    halves = {}
+    pending = []
+    ids = {
+        host: {
+            t.id: out.add_tensor(t.name, t.shape, t.location)
+            for t in partitions[host].graph.tensors.values()
+        }
+        for host in sorted(partitions)
+    }
+    for host in sorted(partitions):
+        g = partitions[host].graph
+        for op in sorted(g.operators.values(), key=lambda o: o.id):
+            if op.kind in ("send", "recv"):
+                half = halves.setdefault(int(op.attrs["channel"]), {})
+                if op.kind == "send":
+                    half["src"] = ids[host][op.inputs[0]]
+                else:
+                    half["dst"] = ids[host][op.outputs[0]]
+            else:
+                pending.append((op, host))
+    for op, host in pending:
+        out.add_operator_from(op, ids[host])
+    for channel in sorted(halves):
+        half = halves[channel]
+        spec = specs.get(channel)
+        if set(half) != {"src", "dst"} or spec is None or spec.op_location is None:
+            raise GraphError(f"channel {channel} has an unmatched endpoint")
+        out.add_operator(
+            spec.name, "copy", [half["src"]], [half["dst"]],
+            spec.op_location, thread=spec.op_thread,
+        )
+    return out

@@ -10,7 +10,6 @@ from biflow.graph import (
     Location,
     graph_from_json,
     graph_to_json,
-    merge,
     replicate,
 )
 
@@ -198,52 +197,19 @@ def test_validate_reports_instead_of_raising():
 
 
 # ---------------------------------------------------------------------------
-# merge / replicate
+# replicate
 # ---------------------------------------------------------------------------
 
 
-def two_op_graph(prefix=""):
+def two_op_graph():
     g = BiGraph()
     loc = Location("local", 0)
-    a = g.add_tensor(prefix + "a", (2, 2), loc)
-    b = g.add_tensor(prefix + "b", (2, 2), loc)
-    c = g.add_tensor(prefix + "c", (2, 2), loc)
-    g.add_operator(prefix + "f", "relu_forward", [a], [b], loc)
-    g.add_operator(prefix + "g", "relu_forward", [b], [c], loc)
+    a = g.add_tensor("a", (2, 2), loc)
+    b = g.add_tensor("b", (2, 2), loc)
+    c = g.add_tensor("c", (2, 2), loc)
+    g.add_operator("f", "relu_forward", [a], [b], loc)
+    g.add_operator("g", "relu_forward", [b], [c], loc)
     return g
-
-
-def test_merge_binds_named_tensors():
-    g1 = two_op_graph()
-    g2 = two_op_graph("x_")
-    merged = merge(g1, g2, bind={"c": "x_a"})  # a-tensor <- b-tensor
-    # g2's source tensor is identified with g1's sink: one fewer tensor
-    assert len(merged.tensors) == 5
-    assert len(merged.operators) == 4
-    rep = merged.validate()
-    assert rep.ok
-    assert [merged.tensors[t].name for t in rep.sources] == ["a"]
-    assert [merged.tensors[t].name for t in rep.sinks] == ["x_c"]
-
-
-def test_merge_rejects_shape_mismatch():
-    g1 = two_op_graph()
-    g2 = BiGraph()
-    loc = Location("local", 0)
-    g2.add_tensor("wide", (3, 3), loc)
-    with pytest.raises(GraphError):
-        merge(g1, g2, bind={"wide": "c"})
-
-
-def test_merge_renames_collisions():
-    g1 = two_op_graph()
-    g2 = two_op_graph()  # identical names, no binding
-    merged = merge(g1, g2, bind={})
-    assert len(merged.tensors) == 6
-    assert len(merged.operators) == 4
-    names = {merged.tensors[t].name for t in merged.tensors}
-    assert {"a", "b", "c"} <= names
-    assert len(names) == 6  # collided names got fresh suffixes
 
 
 def test_replicate_with_shared_tensors():

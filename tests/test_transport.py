@@ -32,6 +32,7 @@ from biflow.dispatcher import DispatchError, run_sequence
 from biflow.graph import BiGraph, GraphError, GraphSequence, Location
 from biflow.ops import KINDS, KernelError, OpKindSpec, TensorStore
 from biflow.transport import (
+    _HELLO,
     HEADER,
     FrameError,
     Transport,
@@ -40,9 +41,9 @@ from biflow.transport import (
     encode_frame,
     partition_by_host,
     partition_sequence,
-    recompose,
     run_distributed,
 )
+from oracles import recompose
 
 GOLDEN_FRAME = bytes.fromhex(
     "01000000000000000000000000000000040000000000803f"
@@ -242,6 +243,29 @@ def test_socket_send_recv_round_trip():
     finally:
         ta.close()
         tb.close()
+
+
+def test_send_writes_the_hello_then_the_codec_frame():
+    # a raw listener stands in for host b: what Transport.send puts on the
+    # wire is the hello naming a, then encode_frame's bytes, and nothing else
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen()
+    listener.settimeout(10)  # hang guard only
+    peers = {"a": ("127.0.0.1", 0), "b": ("127.0.0.1", listener.getsockname()[1])}
+    ta = Transport("a", peers, [spec(7, (3,))]).start()
+    try:
+        ta.send(7, 4, np.array([1.5, -2.0, 3.25], dtype=np.float32))
+        conn, _ = listener.accept()
+    finally:
+        ta.close()
+        listener.close()
+    with conn:
+        conn.settimeout(10)  # hang guard only
+        wire = b""
+        while chunk := conn.recv(4096):  # until a's close ends the stream
+            wire += chunk
+    assert wire == _HELLO.pack(1) + b"a" + encode_frame(7, 4, [1.5, -2.0, 3.25])
 
 
 def test_recv_rejects_iteration_desync():
