@@ -76,7 +76,6 @@ from .profiler import (
     COMPUTE,
     COPY,
     TRANSPORT,
-    LaneClass,
     export_trace,
     iteration_gap,
     overlap_fraction,
@@ -134,7 +133,6 @@ __all__ = [
     "HostPartition",
     "KINDS",
     "KernelError",
-    "LaneClass",
     "LayerSpec",
     "Layout",
     "Location",

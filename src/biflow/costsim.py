@@ -100,20 +100,13 @@ class _VirtualRunner(_GraphRunner):
 
 @dataclass
 class SimReport:
-    """Virtual-time schedule: total makespan, full trace, model throughput."""
+    """Virtual-time schedule: total makespan and full trace."""
 
     makespan: float
     trace: list[TraceRecord]
-    throughput: float | None = None
 
 
-def simulate(
-    graph_or_sequence,
-    costs: CostModel,
-    iterations: int = 1,
-    *,
-    images_per_iteration: float | None = None,
-) -> SimReport:
+def simulate(graph_or_sequence, costs: CostModel, iterations: int = 1) -> SimReport:
     """Virtual-time run of a graph or sequence, ``iterations`` times, in the
     dispatcher's run loop: lanes, order of readiness and the sync points
     between graphs are those of ``dispatcher.run_sequence``.  Deterministic:
@@ -137,11 +130,7 @@ def simulate(
             runner.clock = floor
             trace.extend(runner.run(it, 0))
             floor = runner.clock
-
-    throughput = None
-    if images_per_iteration is not None and floor > 0:
-        throughput = images_per_iteration * iterations / floor
-    return SimReport(makespan=floor, trace=trace, throughput=throughput)
+    return SimReport(makespan=floor, trace=trace)
 
 
 # ---------------------------------------------------------------------------

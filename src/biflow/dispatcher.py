@@ -47,15 +47,15 @@ every frame that has come, and in a sleep otherwise.  The loop polls only
 then, so a loopback host spends CPU on the network only when frames move.
 
 Each operator is bound once per run call, on its first run, through its
-kind's ``bind`` hook from ``ops.KINDS`` (a kind with only ``execute`` is
-bound as a call of it): the hook resolves the operator's tensors, evaluates
-its shape rule and parses its attrs, and returns a zero-argument step.
-Every run then calls the step, so what each operator run costs besides its
-kernel is kept small: no name is looked up and no attr is parsed, and its
-span is one :class:`TraceRecord`, a named tuple; a run's trace is sorted
-by (start, end) once, when it ends.  The sources of a graph are checked
-against the store before its first run only: a store removes no name and
-changes no shape, so they pass before every later run too.
+kind's ``bind`` hook from ``ops.KINDS``: the hook resolves the operator's
+tensors, evaluates its shape rule and parses its attrs, and returns a
+zero-argument step.  Every run then calls the step, so what each operator
+run costs besides its kernel is kept small: no name is looked up and no
+attr is parsed, and its span is one :class:`TraceRecord`, a named tuple; a
+run's trace is sorted by (start, end) once, when it ends.  The sources of a
+graph are checked against the store before its first run only: a store
+removes no name and changes no shape, so they pass before every later run
+too.
 
 Each graph is compiled once, on its first run, into a :class:`GraphPlan`:
 the int-indexed scheduling facts of the graph.  Every run then copies the
@@ -77,7 +77,6 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappop, heappush
 from operator import itemgetter
 from typing import NamedTuple
@@ -394,8 +393,6 @@ class _GraphRunner:
             raise DispatchError(
                 f"operator kind {op.kind!r} unknown to registry (op {op.name!r})"
             )
-        if spec.bind is None:
-            return partial(spec.execute, self.ctx, op)
         return spec.bind(self.ctx, op)
 
 

@@ -55,7 +55,8 @@ and parses the attrs, and returns a zero-argument step.  Each run of the
 operator then calls the step, which reads the tensors' ``data`` (already
 C-contiguous float32), checks that each input still has the shape the
 rule accepted, calls the core and assigns each output after checking its
-shape.  ``execute(ctx, op)``, one bind and one call, runs an operator once.
+shape.  The spec's ``execute(ctx, op)`` method, one bind and one call,
+runs an operator once.
 """
 
 from __future__ import annotations
@@ -140,12 +141,6 @@ class Tensor:
 
     shape: tuple[int, ...]
     data: np.ndarray
-
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "Tensor":
-        arr = _f32(array)
-        check_shape(arr.shape)
-        return cls(tuple(arr.shape), arr)
 
 
 def swap(a: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
@@ -652,17 +647,18 @@ class OpKindSpec:
     it reads the names of ``op``'s tensors from ``ctx.graph.io_names(op)``,
     takes their :class:`Tensor` objects from the store, evaluates the shape
     rule and parses the attrs, once, and returns a zero-argument *step* that
-    performs the operation each time it is called.  ``execute(ctx, op)``
-    performs it once; for every built-in kind it is ``bind(ctx, op)()``.
-    The dispatcher binds a kind with no ``bind`` as a call of its
-    ``execute``.
+    performs the operation each time it is called.  :meth:`execute` performs
+    it once.
     """
 
     kind: str
     check_shapes: Callable[[list, list, dict], None]
-    execute: Callable[[object, object], None]
+    bind: Callable[[object, object], Callable[[], None]]
     crosses_location: bool = False
-    bind: Callable[[object, object], Callable[[], None]] | None = None
+
+    def execute(self, ctx, op) -> None:
+        """Run ``op`` once in ``ctx``: one bind and one call of its step."""
+        self.bind(ctx, op)()
 
 
 _DATA = attrgetter("data")
@@ -939,23 +935,14 @@ KINDS: dict[str, OpKindSpec] = {}
 _RULES: dict[str, Callable[[list, dict], list]] = {}
 
 
-def _execute(bind, ctx, op) -> None:
-    bind(ctx, op)()
-
-
-def _add(kind, check_shapes, bind, crosses_location: bool = False) -> None:
-    KINDS[kind] = OpKindSpec(
-        kind, check_shapes, partial(_execute, bind), crosses_location, bind
-    )
-
-
 def _register(kind, n_in, rule, core=None, parse=None, *, bind=None,
               crosses_location: bool = False) -> None:
     """Register ``kind`` with its shape rule and either a ``bind`` of its own
     or the plain binding of ``core`` (see :func:`_bind_plain`)."""
     _RULES[kind] = rule
-    _add(kind, _check_by_rule(kind, n_in, rule),
-         bind or _bind_plain(kind, rule, core, parse), crosses_location)
+    KINDS[kind] = OpKindSpec(kind, _check_by_rule(kind, n_in, rule),
+                             bind or _bind_plain(kind, rule, core, parse),
+                             crosses_location)
 
 
 def output_shapes(kind: str, in_shapes, attrs: dict) -> list[tuple[int, ...]]:
@@ -996,8 +983,8 @@ _register("sgd_update", 2, _sgd_update_shapes, _sgd_update,
           lambda a, outs: {"lr": np.float32(float(a["lr"]))})
 _register("aggregate", None, _aggregate_shapes, _aggregate,
           lambda a, outs: {"mode": a.get("mode", "mean")})
-_add("swap", _check_swap, _bind_swap)
+KINDS["swap"] = OpKindSpec("swap", _check_swap, _bind_swap)
 _register("copy", 1, _first_shape, np.ndarray.copy, crosses_location=True)
 _register("send", 1, _send_shapes, bind=_bind_send)
-_add("recv", _check_recv, _bind_recv)
+KINDS["recv"] = OpKindSpec("recv", _check_recv, _bind_recv)
 _register("gate", 2, _first_shape, _gate)

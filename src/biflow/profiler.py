@@ -2,15 +2,15 @@
 
 Works on the lists of :class:`~biflow.dispatcher.TraceRecord` named tuples
 that runs produce, sorted by start and then end.  Lanes are classified as
-compute, copy, or transport by a caller-supplied :class:`LaneClass`; the
-metrics are plain interval arithmetic over those classes.
+compute, copy, or transport by a caller-supplied ``classify(lane) -> str``
+(``Layout.lane_class`` for a built sequence); the metrics are plain interval
+arithmetic over those classes.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable
 from pathlib import Path
 
 from .dispatcher import TraceRecord, WorkerLane
@@ -21,38 +21,13 @@ TRANSPORT = "transport"
 _CLASSES = (COMPUTE, COPY, TRANSPORT)
 
 
-@dataclass(frozen=True)
-class LaneClass:
-    """Total classification of worker lanes into compute / copy / transport."""
-
-    classify: Callable[[WorkerLane], str]
-
-    def __call__(self, lane: WorkerLane) -> str:
-        cls = self.classify(lane)
-        if cls not in _CLASSES:
-            raise ValueError(
-                f"lane {lane} classified as {cls!r}; expected one of {_CLASSES}"
-            )
-        return cls
-
-    @staticmethod
-    def of(classes: "LaneClass | Mapping | Callable") -> "LaneClass":
-        """Coerce a mapping or plain callable into a LaneClass."""
-        if isinstance(classes, LaneClass):
-            return classes
-        if isinstance(classes, Mapping):
-            def lookup(lane: WorkerLane, _m=classes) -> str:
-                try:
-                    return _m[lane]
-                except KeyError:
-                    raise ValueError(
-                        f"lane {lane} missing from class mapping; "
-                        "classification must cover every lane in the trace"
-                    ) from None
-            return LaneClass(lookup)
-        if callable(classes):
-            return LaneClass(classes)
-        raise TypeError(f"cannot build a lane classification from {classes!r}")
+def _class_of(classify: Callable[[WorkerLane], str], lane: WorkerLane) -> str:
+    cls = classify(lane)
+    if cls not in _CLASSES:
+        raise ValueError(
+            f"lane {lane} classified as {cls!r}; expected one of {_CLASSES}"
+        )
+    return cls
 
 
 def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -70,22 +45,25 @@ def _merge_intervals(intervals: list[tuple[int, int]]) -> list[tuple[int, int]]:
 
 
 def _split_by_class(
-    trace: Iterable[TraceRecord], classes
+    trace: Iterable[TraceRecord], classify: Callable[[WorkerLane], str]
 ) -> dict[str, list[tuple[int, int]]]:
-    classify = LaneClass.of(classes)
     out: dict[str, list[tuple[int, int]]] = {c: [] for c in _CLASSES}
     for rec in trace:
-        out[classify(rec.lane)].append((rec.start, rec.end))
+        out[_class_of(classify, rec.lane)].append((rec.start, rec.end))
     return out
 
 
-def overlap_fraction(trace: Iterable[TraceRecord], classes) -> float:
+def overlap_fraction(
+    trace: Iterable[TraceRecord], classify: Callable[[WorkerLane], str]
+) -> float:
     """Fraction of total copy time covered by the union of compute intervals.
 
     Raises ``ValueError`` if the trace holds no copy records: the metric is
-    undefined without a numerator's denominator.
+    undefined without a numerator's denominator.  Raises ``ValueError``
+    naming the lane when ``classify`` gives a lane a class other than
+    compute, copy or transport.
     """
-    split = _split_by_class(trace, classes)
+    split = _split_by_class(trace, classify)
     copies = split[COPY]
     if not copies:
         raise ValueError("overlap_fraction: trace has no copy records")
@@ -102,18 +80,20 @@ def overlap_fraction(trace: Iterable[TraceRecord], classes) -> float:
     return covered / total
 
 
-def iteration_gap(trace: Iterable[TraceRecord], classes) -> list[int]:
+def iteration_gap(
+    trace: Iterable[TraceRecord], classify: Callable[[WorkerLane], str]
+) -> list[int]:
     """Idle time between iterations, measured on compute lanes.
 
     For each adjacent iteration pair present in the trace, returns
     ``first compute start of the later - last compute end of the earlier``
     in nanoseconds.  Requires at least two iterations, each with at least
-    one compute record.
+    one compute record.  ``classify`` is checked as in
+    :func:`overlap_fraction`.
     """
-    classify = LaneClass.of(classes)
     by_iter: dict[int, list[TraceRecord]] = {}
     for rec in trace:
-        if classify(rec.lane) == COMPUTE:
+        if _class_of(classify, rec.lane) == COMPUTE:
             by_iter.setdefault(rec.iteration, []).append(rec)
     iters = sorted(by_iter)
     if len(iters) < 2:

@@ -7,14 +7,14 @@ joined by a numbered channel.  Every host then runs its own subgraph with a
 host pair.  Iteration tags ride along in every frame so two hosts that fall
 out of lockstep fail loudly instead of silently training on stale tensors.
 
-A transport starts no thread.  Its sockets are non-blocking and share one
-``selectors`` selector, which the thread calling it drives: the dispatcher's
-run loop polls it only when no operator is ready and a ``recv`` is pending,
-waiting in it until a frame comes or the oldest pending ``recv`` times out,
-so every operator and socket of a host runs on that one thread and the
-host spends CPU on the network only when frames move.  In CPython a thread
-of its own pays only for work that gives up the GIL, and a loopback socket
-read rarely does.
+A transport starts no thread and serves one.  Its sockets are non-blocking
+and share one ``selectors`` selector, which the thread calling it drives:
+the dispatcher's run loop polls it only when no operator is ready and a
+``recv`` is pending, waiting in it until a frame comes or the oldest pending
+``recv`` times out, so every operator and socket of a host runs on that one
+thread and the host spends CPU on the network only when frames move.  In
+CPython a thread of its own pays only for work that gives up the GIL, and a
+loopback socket read rarely does.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import multiprocessing as mp
 import selectors
 import socket
 import struct
-import threading
 import time
 import traceback
 from collections import defaultdict, deque
@@ -285,9 +284,9 @@ class Transport:
     the peer closing it), ``recv`` on that peer's channels raises at once,
     naming the fault, after the frames that arrived before it; on every
     channel, when the peer sources none.
-    :meth:`cancel` ends every channel the same way.  A lock serializes
-    parsing and each destination has a send lock, so threads may share a
-    transport; the dispatcher drives it from a run's calling thread only.
+    :meth:`cancel` ends every channel the same way.  One thread drives a
+    transport: the dispatcher's, from the thread that calls a run.  A
+    ``send`` after :meth:`close` raises and opens no connection.
     """
 
     def __init__(
@@ -308,13 +307,8 @@ class Transport:
         # per channel: (iteration, payload) items, or (_FAULT, reason)
         self._frames: defaultdict[int, deque] = defaultdict(deque)
         self._out: dict[str, socket.socket] = {}
-        # one per destination, held across connect and write, so a host that
-        # cannot be reached stalls only the sends addressed to it
-        self._send_locks: defaultdict[str, threading.Lock] = defaultdict(threading.Lock)
-        self._lock = threading.Lock()  # guards parsing and the socket tables
         self._selector: selectors.BaseSelector | None = None
         self._listener: socket.socket | None = None
-        self._closing = False
         self._fault: str | None = None
 
     # -- lifecycle
@@ -343,16 +337,14 @@ class Transport:
 
     def close(self) -> None:
         """Close the listener, every connection and the selector."""
-        with self._lock:
-            self._closing = True
-            selector, self._selector = self._selector, None
-            socks = set(self._out.values())
-            self._out.clear()
-            if self._listener is not None:
-                socks.add(self._listener)
-            if selector is not None:
-                socks.update(key.fileobj for key in selector.get_map().values())
-                selector.close()
+        selector, self._selector = self._selector, None
+        socks = set(self._out.values())
+        self._out.clear()
+        if self._listener is not None:
+            socks.add(self._listener)
+        if selector is not None:
+            socks.update(key.fileobj for key in selector.get_map().values())
+            selector.close()
         for sock in socks:
             sock.close()
 
@@ -372,17 +364,11 @@ class Transport:
             if timeout > 0:
                 time.sleep(timeout)
             return
-        events = selector.select(timeout)
-        if not events:
-            return
-        with self._lock:
-            if self._selector is None:
-                return  # closed meanwhile
-            for key, _ in events:
-                if key.data is None:
-                    self._accept()
-                elif key.data is not _WRITABLE:
-                    self._read(key.data)
+        for key, _ in selector.select(timeout):
+            if key.data is None:
+                self._accept()
+            elif key.data is not _WRITABLE:
+                self._read(key.data)
 
     def ready(self, channel: int) -> bool:
         """True when a frame or a fault waits on ``channel``."""
@@ -536,20 +522,16 @@ class Transport:
         parts = [memoryview(HEADER.pack(channel, iteration, payload.nbytes))]
         if payload.nbytes:
             parts.append(memoryview(payload).cast("B"))
-        with self._send_locks[spec.dst_host]:
-            sock = self._out.get(spec.dst_host)
-            if sock is None:
-                sock = self._connect(spec.dst_host)
-                with self._lock:
-                    if self._closing:
-                        sock.close()
-                        raise TransportError(f"{self.host}: transport is closed")
-                    self._out[spec.dst_host] = sock
-            self._write(sock, channel, parts)
+        if self._selector is None:
+            raise TransportError(f"{self.host}: transport is closed")
+        sock = self._out.get(spec.dst_host)
+        if sock is None:
+            sock = self._out[spec.dst_host] = self._connect(spec.dst_host)
+        self._write(sock, channel, parts)
 
     def _write(self, sock: socket.socket, channel: int, parts: list) -> None:
         """Write ``parts`` out; while the socket cannot take more, poll."""
-        selector = None
+        deadline = None  # set once the socket waits on the selector
         try:
             while True:
                 try:
@@ -563,11 +545,8 @@ class Transport:
                     n -= len(parts.pop(0))
                 if not parts:
                     return
-                if selector is None:
-                    selector = self._selector
-                    if selector is None:
-                        raise TransportError(f"{self.host}: transport is closed")
-                    selector.register(sock, selectors.EVENT_WRITE, _WRITABLE)
+                if deadline is None:
+                    self._selector.register(sock, selectors.EVENT_WRITE, _WRITABLE)
                     deadline = time.monotonic() + self.timeout
                 left = deadline - time.monotonic()
                 if left <= 0:
@@ -578,8 +557,8 @@ class Transport:
         except OSError as e:
             raise TransportError(f"send on channel {channel} failed: {e}") from e
         finally:
-            if selector is not None and self._selector is selector:
-                selector.unregister(sock)
+            if deadline is not None:
+                self._selector.unregister(sock)
 
     def recv(self, channel: int, iteration: int) -> np.ndarray:
         """Poll until ``channel`` holds an item, for up to the timeout, and

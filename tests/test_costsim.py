@@ -392,12 +392,6 @@ def test_simulate_rejects_iterations_below_one(count):
         simulate(g, CostModel(), iterations=count)
 
 
-def test_throughput_attached_to_report():
-    g = task_graph([("a", 2.0, ["x"], 0)])
-    rep = simulate(g, CostModel(), iterations=4, images_per_iteration=64)
-    assert rep.throughput == pytest.approx(64 * 4 / 8.0)
-
-
 # ---------------------------------------------------------------------------
 # analytic throughput model
 # ---------------------------------------------------------------------------

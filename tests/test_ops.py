@@ -529,8 +529,8 @@ def test_aggregate_bad_mode_raises():
 
 
 def test_swap_exchanges_handles():
-    a = Tensor.from_array(f32([1.0, 2.0]))
-    b = Tensor.from_array(f32([3.0, 4.0]))
+    a = Tensor((2,), f32([1.0, 2.0]))
+    b = Tensor((2,), f32([3.0, 4.0]))
     da, db = a.data, b.data
     swap(a, b)
     assert a.data is db and b.data is da

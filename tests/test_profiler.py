@@ -7,7 +7,6 @@ from biflow.profiler import (
     COMPUTE,
     COPY,
     TRANSPORT,
-    LaneClass,
     export_trace,
     iteration_gap,
     overlap_fraction,
@@ -32,17 +31,17 @@ def rec(name, lane, start, end, iteration=0):
 
 def test_copy_inside_compute_is_fully_overlapped():
     trace = [rec("c", CPU, 0, 100), rec("m", MOVER, 10, 20)]
-    assert overlap_fraction(trace, CLASSES) == 1.0
+    assert overlap_fraction(trace, CLASSES.get) == 1.0
 
 
 def test_disjoint_copy_is_unoverlapped():
     trace = [rec("c", CPU, 0, 50), rec("m", MOVER, 100, 110)]
-    assert overlap_fraction(trace, CLASSES) == 0.0
+    assert overlap_fraction(trace, CLASSES.get) == 0.0
 
 
 def test_partial_overlap_is_intersection_ratio():
     trace = [rec("c", CPU, 5, 30), rec("m", MOVER, 0, 10)]
-    assert overlap_fraction(trace, CLASSES) == 0.5
+    assert overlap_fraction(trace, CLASSES.get) == 0.5
 
 
 def test_overlap_counts_five_of_ten():
@@ -52,7 +51,7 @@ def test_overlap_counts_five_of_ten():
         rec("m", MOVER, 0, 10),
     ]
     # covered: [0,3) and [8,10) -> 5 of 10
-    assert overlap_fraction(trace, CLASSES) == 0.5
+    assert overlap_fraction(trace, CLASSES.get) == 0.5
 
 
 def test_overlap_uses_union_not_sum():
@@ -62,16 +61,16 @@ def test_overlap_uses_union_not_sum():
         rec("c2", CPU, 0, 4),
         rec("m", MOVER, 0, 10),
     ]
-    assert overlap_fraction(trace, CLASSES) == 0.4
+    assert overlap_fraction(trace, CLASSES.get) == 0.4
 
 
 def test_overlap_invariant_under_translation_and_splitting():
     base = [rec("c", CPU, 5, 30), rec("m", MOVER, 0, 10)]
     split = [rec("c1", CPU, 5, 17), rec("c2", CPU, 17, 30), rec("m", MOVER, 0, 10)]
     shifted = [rec(r.name, r.lane, r.start + 10**6, r.end + 10**6) for r in base]
-    want = overlap_fraction(base, CLASSES)
-    assert overlap_fraction(split, CLASSES) == want
-    assert overlap_fraction(shifted, CLASSES) == want
+    want = overlap_fraction(base, CLASSES.get)
+    assert overlap_fraction(split, CLASSES.get) == want
+    assert overlap_fraction(shifted, CLASSES.get) == want
 
 
 def test_overlap_monotone_in_compute():
@@ -79,33 +78,35 @@ def test_overlap_monotone_in_compute():
     prev = 0.0
     for i, (s, e) in enumerate([(0, 10), (50, 60), (5, 55), (90, 200)]):
         trace.append(rec(f"c{i}", CPU, s, e))
-        cur = overlap_fraction(trace, CLASSES)
+        cur = overlap_fraction(trace, CLASSES.get)
         assert 0.0 <= prev <= cur <= 1.0
         prev = cur
 
 
 def test_transport_records_do_not_count_as_compute():
     trace = [rec("w", WIRE, 0, 100), rec("m", MOVER, 10, 20)]
-    assert overlap_fraction(trace, CLASSES) == 0.0
+    assert overlap_fraction(trace, CLASSES.get) == 0.0
 
 
 def test_no_copy_records_is_an_error():
     with pytest.raises(ValueError):
-        overlap_fraction([rec("c", CPU, 0, 10)], CLASSES)
+        overlap_fraction([rec("c", CPU, 0, 10)], CLASSES.get)
 
 
 def test_classification_must_be_total():
     stranger = WorkerLane("elsewhere", 0, 0)
-    with pytest.raises(ValueError):
-        overlap_fraction([rec("x", stranger, 0, 5), rec("m", MOVER, 0, 5)], CLASSES)
+    with pytest.raises(ValueError, match="host='elsewhere'"):
+        overlap_fraction([rec("x", stranger, 0, 5), rec("m", MOVER, 0, 5)],
+                         CLASSES.get)
 
 
 def test_classifier_accepts_callable_and_rejects_bad_class():
-    fn = LaneClass(lambda lane: "banana")
-    with pytest.raises(ValueError):
-        overlap_fraction([rec("m", MOVER, 0, 5)], fn)
+    with pytest.raises(ValueError, match="classified as 'banana'"):
+        overlap_fraction([rec("m", MOVER, 0, 5)], lambda lane: "banana")
 
-    by_thread = LaneClass.of(lambda ln: COPY if ln.thread == 1 else COMPUTE)
+    def by_thread(ln):
+        return COPY if ln.thread == 1 else COMPUTE
+
     trace = [rec("c", CPU, 0, 10), rec("m", MOVER, 2, 4)]
     assert overlap_fraction(trace, by_thread) == 1.0
 
@@ -121,7 +122,7 @@ def test_gap_between_iterations():
         rec("c", CPU, 107, 200, iteration=1),
         rec("c", CPU, 230, 300, iteration=2),
     ]
-    assert iteration_gap(trace, CLASSES) == [7, 30]
+    assert iteration_gap(trace, CLASSES.get) == [7, 30]
 
 
 def test_back_to_back_iterations_have_zero_gap():
@@ -129,7 +130,7 @@ def test_back_to_back_iterations_have_zero_gap():
         rec("c", CPU, 0, 100, iteration=0),
         rec("c", CPU, 100, 180, iteration=1),
     ]
-    assert iteration_gap(trace, CLASSES) == [0]
+    assert iteration_gap(trace, CLASSES.get) == [0]
 
 
 def test_gap_ignores_copy_and_transport_records():
@@ -139,7 +140,7 @@ def test_gap_ignores_copy_and_transport_records():
         rec("w", WIRE, 100, 150, iteration=1),
         rec("c", CPU, 150, 220, iteration=1),
     ]
-    assert iteration_gap(trace, CLASSES) == [50]
+    assert iteration_gap(trace, CLASSES.get) == [50]
 
 
 def test_gap_uses_extreme_compute_records():
@@ -150,12 +151,12 @@ def test_gap_uses_extreme_compute_records():
         rec("c1", CPU, 95, 130, iteration=1),
         rec("c2", CPU, 97, 160, iteration=1),
     ]
-    assert iteration_gap(trace, CLASSES) == [5]
+    assert iteration_gap(trace, CLASSES.get) == [5]
 
 
 def test_gap_requires_two_iterations():
     with pytest.raises(ValueError):
-        iteration_gap([rec("c", CPU, 0, 10, iteration=0)], CLASSES)
+        iteration_gap([rec("c", CPU, 0, 10, iteration=0)], CLASSES.get)
 
 
 # ---------------------------------------------------------------------------

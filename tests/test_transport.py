@@ -753,52 +753,6 @@ def test_port_probe_does_not_end_connect_retries():
     assert "peer connection closed" not in str(err.value)
 
 
-def test_unreachable_host_does_not_stall_sends_to_others(monkeypatch):
-    # a's connect to "dead" blocks until released; a send to the live peer
-    # b must go through meanwhile
-    peers = {"a": ("127.0.0.1", 0), "b": ("127.0.0.1", 0), "dead": ("127.0.0.1", 0)}
-    channels = [spec(1, (2,), dst="dead"), spec(2, (2,), dst="b")]
-    tb = Transport("b", peers, channels, timeout=5).start()
-    ta = Transport("a", dict(peers, b=("127.0.0.1", tb.port)), channels,
-                   timeout=5).start()
-    entered, release = threading.Event(), threading.Event()
-    connect = ta._connect
-
-    def blocking_connect(dst):
-        if dst == "dead":
-            entered.set()
-            release.wait()
-            raise TransportError("dead: unreachable")
-        return connect(dst)
-
-    monkeypatch.setattr(ta, "_connect", blocking_connect)
-    errors = []
-
-    def send(ch):
-        try:
-            ta.send(ch, 0, np.full(2, float(ch), dtype=np.float32))
-        except TransportError as e:
-            errors.append((ch, str(e)))
-
-    to_dead = threading.Thread(target=send, args=(1,))
-    to_live = threading.Thread(target=send, args=(2,))
-    try:
-        to_dead.start()
-        assert entered.wait(5)
-        to_live.start()
-        to_live.join(5)  # hang guard only
-        assert not to_live.is_alive()
-        assert np.array_equal(tb.recv(2, 0), np.full(2, 2.0, dtype=np.float32))
-    finally:
-        release.set()
-        to_dead.join(5)
-        to_live.join(5)
-        ta.close()
-        tb.close()
-    assert not to_dead.is_alive()
-    assert errors == [(1, "dead: unreachable")]
-
-
 def test_hosts_sending_large_frames_to_each_other_do_not_deadlock():
     # each 16 MB frame is far larger than a loopback socket's buffers, so
     # each send finishes only if it reads the other host's frame meanwhile
@@ -848,6 +802,19 @@ def test_close_releases_every_socket():
     ta.close()
     tb.close()
     assert open_fds() == before
+
+
+def test_send_after_close_raises_and_leaks_no_socket():
+    ta, tb = make_pair([spec(1, (2,))])
+    try:
+        ta.close()
+        closed = open_fds()
+        with pytest.raises(TransportError, match="^a: transport is closed$"):
+            ta.send(1, 0, np.zeros(2, dtype=np.float32))
+        assert open_fds() == closed
+    finally:
+        ta.close()
+        tb.close()
 
 
 def test_loopback_channel_short_circuits():
