@@ -12,6 +12,9 @@ drives the whole stack from JSON configs.
 
 Every kernel runs on its calling thread, so importing biflow loads numpy
 with a one-thread OpenBLAS pool (the ``ops`` docstring has the rule).
+Parameter init and the synthetic feed draw from a counter-based generator
+in ``builders``, built from numpy array arithmetic, so biflow never loads
+``numpy.random``.
 """
 
 import contextlib

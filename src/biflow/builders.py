@@ -18,6 +18,7 @@ in a replica is the core's name with the replica suffix appended.
 
 from __future__ import annotations
 
+import operator
 import zlib
 from dataclasses import dataclass
 from functools import cached_property
@@ -263,19 +264,108 @@ class Layout:
 # deterministic initialization and synthetic data
 
 
+# Counter-based streams (Salmon et al., "Parallel Random Numbers: As Easy as
+# 1, 2, 3", SC 2011), from numpy array arithmetic alone, so no biflow
+# process loads numpy.random.  A stream is a 64-bit key; its word i is the
+# SplitMix64 finalizer of key + (i + 1)·γ, which is the (i + 1)-th output
+# of SplitMix64 started at the key.  The uint64 arithmetic wraps silently.
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1, _MUL2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_U_GAMMA, _U_MUL1, _U_MUL2 = np.uint64(_GAMMA), np.uint64(_MUL1), np.uint64(_MUL2)
+_S27, _S30, _S31, _S32 = (np.uint64(s) for s in (27, 30, 31, 32))
+_S9, _ONE = np.uint32(9), np.uint32(0x3F800000)  # float32 1.0
+_TURN = np.float32(2 * np.pi)
+_PHASE = np.array([[0.0], [-0.25]], dtype=np.float32)  # cos, then sin, in turns
+
+
+def _fmix(z: int) -> int:
+    z = (z ^ z >> 30) * _MUL1 & _MASK
+    z = (z ^ z >> 27) * _MUL2 & _MASK
+    return z ^ z >> 31
+
+
+def _stream_key(*parts: int) -> int:
+    """The key of the stream named by ``parts``: each part in turn is mixed
+    into the key by one SplitMix64 step.  A part outside [0, 2**64) raises
+    ``ValueError``."""
+    key = 0
+    for part in parts:
+        part = operator.index(part)
+        if not 0 <= part <= _MASK:
+            raise ValueError(f"random stream key parts must be in [0, 2**64), got {part}")
+        key = _fmix(key + _GAMMA & _MASK ^ part)
+    return key
+
+
+def _words(key: int, n: int) -> np.ndarray:
+    """Words 0..n-1 of stream ``key``, as a fresh uint64 array."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
+    z *= _U_GAMMA
+    z += np.uint64(key)
+    t = z >> _S30
+    z ^= t
+    z *= _U_MUL1
+    np.right_shift(z, _S27, out=t)
+    z ^= t
+    z *= _U_MUL2
+    np.right_shift(z, _S31, out=t)
+    z ^= t
+    return z
+
+
+def _labels(words: np.ndarray, classes: int) -> np.ndarray:
+    """One class in [0, classes) per word: the multiply-shift of its high
+    half."""
+    got = words >> _S32
+    got *= np.uint64(classes)
+    got >>= _S32
+    return got
+
+
+def _normals(words: np.ndarray, n: int, scale: float) -> np.ndarray:
+    """``n`` float32 normals of standard deviation ``scale`` from at least
+    n/2 words, which it overwrites.  Box–Muller over each word's two 32-bit
+    halves (through a uint32 view, so the byte order names the halves): the
+    top 23 bits of each become a float32 in [1, 2) by the mantissa trick;
+    one gives the radius, sqrt(-2·ln u) for u in (0, 1], the other the
+    angle.  The cosines of every word come first, then the sines."""
+    u = words.view(np.uint32)
+    u >>= _S9
+    u |= _ONE
+    f = u.view(np.float32).reshape(-1, 2).T
+    r = np.subtract(2.0, f[0])
+    np.log(r, out=r)
+    r *= np.float32(-2.0 * scale * scale)
+    np.sqrt(r, out=r)
+    out = np.add(_PHASE, f[1])
+    out *= _TURN
+    np.cos(out, out=out)
+    out *= r
+    return out.reshape(-1)[:n]
+
+
+def _gaussian(key: int, shape: tuple[int, ...], scale: float) -> np.ndarray:
+    n = prod(shape)
+    return _normals(_words(key, (n + 1) // 2), n, scale).reshape(shape)
+
+
 def _param_array(name: str, shape: tuple[int, ...], seed: int) -> np.ndarray:
     """Seeded per canonical name, so every replica of a parameter is
-    bit-identical no matter which graph asked for it."""
+    bit-identical no matter which graph asked for it.  A weight is drawn
+    from the stream keyed (seed, crc32(name)) at the He scale,
+    sqrt(2 / fan_in); a bias starts at zero."""
     if name.startswith("b"):
         return np.zeros(shape, dtype=np.float32)
-    rng = np.random.default_rng([seed, zlib.crc32(name.encode())])
     fan_in = prod(shape[:-1]) if len(shape) == 2 else prod(shape[1:])
-    scale = np.sqrt(2.0 / max(fan_in, 1))
-    return (rng.standard_normal(shape) * scale).astype(np.float32)
+    key = _stream_key(seed, zlib.crc32(name.encode()))
+    return _gaussian(key, shape, (2.0 / max(fan_in, 1)) ** 0.5)
 
 
 def init_params(net: NetSpec, store: TensorStore, seed: int, layout: Layout) -> None:
-    """Write every parameter tensor the layout names into the store."""
+    """Write every parameter tensor the layout names into the store, each
+    drawn by :func:`_param_array` from biflow's own counter-based
+    generator."""
     for j, (cname, shape) in enumerate(param_names(net)):
         if layout.canonical_params and layout.canonical_params[j] != cname:
             raise GraphError("layout does not match net parameters")
@@ -294,12 +384,14 @@ class SyntheticFeed:
 
     An iteration's samples are numbered across the whole ``batch * peers``
     batch and split contiguously by peer rank.  Each fixed block of
-    ``FEED_BLOCK`` samples has its own stream, keyed by (seed, iteration,
-    block), so sample i depends only on (seed, iteration, i): k peers at
-    batch B see exactly the same data as one peer at batch k·B, and a host
-    that feeds one rank draws only the blocks that rank's slice covers.
-    The blocks of the last iteration asked for are kept, read-only, so the
-    peers of an iteration share one draw.
+    ``FEED_BLOCK`` samples has its own stream of biflow's counter-based
+    generator, keyed by (seed, iteration, block), so sample i depends only
+    on (seed, iteration, i): k peers at batch B see exactly the same data
+    as one peer at batch k·B, and a host that feeds one rank draws only the
+    blocks that rank's slice covers.  The class centers and the evaluation
+    batch have streams of their own.  The blocks of the last iteration
+    asked for are kept, read-only, so the peers of an iteration share one
+    draw.  A negative seed raises ``ValueError`` at the first draw.
     """
 
     seed: int
@@ -322,16 +414,17 @@ class SyntheticFeed:
 
     @cached_property
     def _centers(self) -> np.ndarray:
-        rng = np.random.default_rng([self.seed, 5])
-        c = rng.standard_normal((self.classes, *self.input_shape))
-        return (c * self.spread).astype(np.float32)
+        key = _stream_key(self.seed, 5)
+        return _gaussian(key, (self.classes, *self.input_shape), self.spread)
 
     def _draw(self, n: int, *key: int) -> tuple[np.ndarray, np.ndarray]:
-        rng = np.random.default_rng([self.seed, *key])
-        labels = rng.integers(0, self.classes, n)
-        x = self._centers[labels] + (
-            rng.standard_normal((n, *self.input_shape)) * self.noise
-        ).astype(np.float32)
+        """``n`` samples from the stream keyed (seed, *key): its first n
+        words give the labels, the rest the noise."""
+        m = n * prod(self.input_shape)
+        words = _words(_stream_key(self.seed, *key), n + (m + 1) // 2)
+        labels = _labels(words[:n], self.classes)
+        x = self._centers.take(labels, axis=0)
+        x += _normals(words[n:], m, self.noise).reshape(x.shape)
         return x, labels.astype(np.float32)
 
     def _block(self, iteration: int, block: int) -> tuple[np.ndarray, np.ndarray]:

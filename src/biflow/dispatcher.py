@@ -290,7 +290,7 @@ class _GraphRunner:
             elif waiting and not ready and (lane := self._arrival(waiting, deadlines)):
                 index, start = waiting.pop(lane)
                 ready.extendleft(reversed(held.pop(lane)))
-                if not transport.ready(channels[index]):  # waited out the timeout
+                if not transport.ready(channels[index]):  # closed, or timed out
                     exc = transport.timed_out(channels[index])
             elif ready:
                 index = ready.popleft()
@@ -344,21 +344,23 @@ class _GraphRunner:
         time.sleep(max(0, t - time.monotonic_ns() + self.zero) / 1e9)
 
     def _arrival(self, waiting: dict, deadlines: list) -> WorkerLane | None:
-        """Poll the transport, which the run loop does only when no operator
-        is ready; returns the first lane whose recv can end: its frame (or a
-        fault) has come, or it has waited out the timeout.  With no frame
-        queued yet, the poll waits until the oldest recv's timeout or the
-        next deadline, whichever comes first."""
+        """Returns the first lane whose recv can end: its frame (or a fault)
+        has come, the transport is closed, or the recv has waited out the
+        timeout.  With no frame queued yet, it polls the transport, which
+        the run loop does only when no operator is ready, until the oldest
+        recv's timeout or the next deadline, whichever comes first."""
         transport, channels = self.ctx.transport, self.channels
-        timeout_ns = transport.timeout * 1e9
-        wait_s = 0.0
         # a frame sent to this host itself is queued without a socket event
-        if not any(transport.ready(channels[i]) for i, _ in waiting.values()):
-            wake = min(start for _, start in waiting.values()) + timeout_ns
-            if deadlines:
-                wake = min(wake, deadlines[0][0])
-            wait_s = max(0.0, (wake - time.monotonic_ns() + self.zero) / 1e9)
-        transport.poll(wait_s)
+        for lane, (index, _) in waiting.items():
+            if transport.ready(channels[index]):
+                return lane
+        if transport.closed:  # no frame can come
+            return next(iter(waiting))
+        timeout_ns = transport.timeout * 1e9
+        wake = min(start for _, start in waiting.values()) + timeout_ns
+        if deadlines:
+            wake = min(wake, deadlines[0][0])
+        transport.poll(max(0.0, (wake - time.monotonic_ns() + self.zero) / 1e9))
         for lane, (index, _) in waiting.items():
             if transport.ready(channels[index]):
                 return lane

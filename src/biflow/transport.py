@@ -286,7 +286,8 @@ class Transport:
     channel, when the peer sources none.
     :meth:`cancel` ends every channel the same way.  One thread drives a
     transport: the dispatcher's, from the thread that calls a run.  A
-    ``send`` after :meth:`close` raises and opens no connection.
+    ``send`` after :meth:`close` raises and opens no connection, and so do
+    ``poll`` and a ``recv`` that no queued item ends, before any start too.
     """
 
     def __init__(
@@ -332,6 +333,12 @@ class Transport:
         return self
 
     @property
+    def closed(self) -> bool:
+        """True before :meth:`start` and after :meth:`close`: no frame can
+        come."""
+        return self._selector is None
+
+    @property
     def port(self) -> int:
         return self._listener.getsockname()[1]
 
@@ -358,13 +365,11 @@ class Transport:
 
     def poll(self, timeout: float = 0.0) -> None:
         """Accept pending connections and read every frame that has arrived,
-        waiting up to ``timeout`` seconds for the first socket event."""
-        selector = self._selector
-        if selector is None:  # not started, or closed
-            if timeout > 0:
-                time.sleep(timeout)
-            return
-        for key, _ in selector.select(timeout):
+        waiting up to ``timeout`` seconds for the first socket event.  On a
+        transport that is closed or was never started it raises at once."""
+        if self.closed:
+            raise TransportError(f"{self.host}: transport is closed")
+        for key, _ in self._selector.select(timeout):
             if key.data is None:
                 self._accept()
             elif key.data is not _WRITABLE:
@@ -522,7 +527,7 @@ class Transport:
         parts = [memoryview(HEADER.pack(channel, iteration, payload.nbytes))]
         if payload.nbytes:
             parts.append(memoryview(payload).cast("B"))
-        if self._selector is None:
+        if self.closed:
             raise TransportError(f"{self.host}: transport is closed")
         sock = self._out.get(spec.dst_host)
         if sock is None:
@@ -562,7 +567,8 @@ class Transport:
 
     def recv(self, channel: int, iteration: int) -> np.ndarray:
         """Poll until ``channel`` holds an item, for up to the timeout, and
-        take it."""
+        take it.  On a transport that is closed or was never started, only
+        an item already queued can end it; else it raises at once."""
         frames = self._frames[channel]
         if not frames:
             deadline = time.monotonic() + self.timeout
@@ -585,7 +591,10 @@ class Transport:
         return arr if spec is None else arr.reshape(spec.shape)
 
     def timed_out(self, channel: int) -> TransportError:
-        """The error of a recv on ``channel`` that waited out the timeout."""
+        """The error of a recv on ``channel`` that ends with no item: the
+        transport is closed, or the recv waited out the timeout."""
+        if self.closed:
+            return TransportError(f"{self.host}: transport is closed")
         spec = self._route.get(channel)
         src = f" waiting for {spec.src_host}" if spec is not None else ""
         detail = f" ({self._fault})" if self._fault else ""

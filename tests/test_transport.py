@@ -817,6 +817,31 @@ def test_send_after_close_raises_and_leaks_no_socket():
         tb.close()
 
 
+def test_recv_and_poll_on_a_closed_transport_raise_at_once():
+    # with a 30 s timeout, a recv that slept it out would raise the timeout
+    # message; only the message is checked, so no clock is read
+    closed = "^a: transport is closed$"
+    ta, tb = make_pair([spec(1, (2,), src="a", dst="a"), spec(2, (2,), src="b")],
+                       timeout=30)
+    tb.close()
+    ta.send(1, 0, np.array([5.0, 6.0], dtype=np.float32))
+    ta.close()
+    # a frame queued before the close still ends its recv
+    assert ta.recv(1, 0).tolist() == [5.0, 6.0]
+    for call in (lambda: ta.recv(1, 1), lambda: ta.recv(2, 0), lambda: ta.poll(30)):
+        with pytest.raises(TransportError, match=closed):
+            call()
+    never = Transport("a", {"a": ("127.0.0.1", 0)}, [spec(1, (2,))], timeout=30)
+    with pytest.raises(TransportError, match=closed):
+        never.recv(1, 0)
+    loc = Location("a", 0)
+    g = BiGraph()
+    got = g.add_tensor("got", (2,), loc)
+    g.add_operator("wait", "recv", [], [got], loc, thread=1, attrs={"channel": 1})
+    with pytest.raises(DispatchError, match="'wait' failed: a: transport is closed$"):
+        run_sequence(GraphSequence([g]), TensorStore(), transport=never)
+
+
 def test_loopback_channel_short_circuits():
     peers = {"a": ("127.0.0.1", 0)}
     ta = Transport("a", peers, [spec(1, (2,), src="a", dst="a")]).start()
