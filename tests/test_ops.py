@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from biflow import ops
 from biflow.graph import BiGraph, GraphError, Location
 from biflow.ops import (
     KINDS,
@@ -725,7 +726,8 @@ def one_op_graph(kind, in_shapes, out_shapes, attrs):
 
 
 def execute(kind, g, op, arrays):
-    """Run ``kind``'s registered hook with ``arrays`` bound to its inputs."""
+    """Run ``kind``'s registered hook with ``arrays`` bound to its inputs;
+    returns its output arrays and the shapes it sent."""
     store = TensorStore()
     for tid, a in zip(op.inputs, arrays):
         store.set(g.tensors[tid].name, a)
@@ -733,7 +735,7 @@ def execute(kind, g, op, arrays):
     transport = SimpleNamespace(send=lambda ch, it, a: sent.append(a.shape))
     ctx = SimpleNamespace(store=store, graph=g, iteration=0, transport=transport)
     KINDS[kind].execute(ctx, op)
-    return [store.array(g.tensors[t].name).shape for t in op.outputs], sent
+    return [store.array(g.tensors[t].name) for t in op.outputs], sent
 
 
 def test_rule_cases_cover_every_kind_with_a_rule():
@@ -749,8 +751,28 @@ def test_kernel_output_shapes_equal_the_rule(kind):
     want = output_shapes(kind, in_shapes, attrs)
     g, op = one_op_graph(kind, in_shapes, want, attrs)
     got, sent = execute(kind, g, op, [np.zeros(s, np.float32) for s in in_shapes])
-    assert got == want
+    assert [a.shape for a in got] == want
     assert sent == ([in_shapes[0]] if kind == "send" else [])
+
+
+PUBLIC_KERNELS = sorted(set(RULE_CASES) - {"copy", "send", "gate"})
+
+
+@pytest.mark.parametrize("kind", PUBLIC_KERNELS)
+def test_public_kernel_matches_its_bound_step(kind):
+    in_shapes, attrs, _ = RULE_CASES[kind]
+    rng = np.random.default_rng(29)
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in in_shapes]
+    if kind == "softmax_xent":  # integral labels in [0, K)
+        arrays[1] = rng.integers(0, in_shapes[0][1], in_shapes[1]).astype(np.float32)
+    g, op = one_op_graph(kind, in_shapes, output_shapes(kind, in_shapes, attrs), attrs)
+    bound, _ = execute(kind, g, op, arrays)
+    kernel = getattr(ops, kind)
+    got = kernel(arrays, **attrs) if kind == "aggregate" else kernel(*arrays, **attrs)
+    got = list(got) if isinstance(got, tuple) else [got]
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
+        (a.dtype, a.shape, a.tobytes()) for a in bound
+    ]
 
 
 PERTURBED = [
