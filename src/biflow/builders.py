@@ -28,10 +28,11 @@ import numpy as np
 
 from .dispatcher import WorkerLane
 from .graph import BiGraph, GraphError, GraphSequence, Location, replicate
-from .ops import KernelError, TensorStore, output_shapes
+from .ops import KernelError, TensorStore, as_index, output_shapes
 from .profiler import COMPUTE, COPY, TRANSPORT
 
 COMPUTE_THREAD = 0
+COPY_THREAD_BASE = 1  # the first copy thread; copy threads follow it
 
 
 # ---------------------------------------------------------------------------
@@ -50,13 +51,12 @@ class LayerSpec:
 
     @classmethod
     def from_config(cls, raw: dict) -> "LayerSpec":
-        return cls(
-            kind=raw["kind"],
-            out=int(raw.get("out", 0)),
-            kernel=int(raw.get("kernel", 0)),
-            stride=int(raw.get("stride", 1)),
-            pad=int(raw.get("pad", 0)),
-        )
+        """A layer from its config entry; ``out``, ``kernel``, ``stride``
+        and ``pad`` must be integers (else ``TypeError``), not truncated."""
+        defaults = {"out": 0, "kernel": 0, "stride": 1, "pad": 0}
+        return cls(kind=raw["kind"], **{
+            key: as_index(raw.get(key, d), f"layer {key}") for key, d in defaults.items()
+        })
 
 
 @dataclass(frozen=True)
@@ -200,15 +200,12 @@ class ParallelPlan:
     server: Location | None = None
     stages: tuple[Stage, ...] = ()
     replicas: int = 1
-    copy_thread_base: int = 1
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "peers", tuple(self.peers))
         object.__setattr__(self, "stages", tuple(self.stages))
         if self.scheme not in ("single", "data", "model"):
             raise GraphError(f"unknown scheme {self.scheme!r}")
-        if self.copy_thread_base <= COMPUTE_THREAD:
-            raise GraphError("copy threads must not collide with compute threads")
         if self.scheme == "data":
             if not self.peers:
                 raise GraphError("data scheme needs at least one peer")
@@ -234,7 +231,6 @@ class ParallelPlan:
                 for s in raw.get("stages", [])
             ),
             replicas=int(raw.get("replicas", 1)),
-            copy_thread_base=int(raw.get("copy_thread_base", 1)),
         )
 
 
@@ -677,7 +673,7 @@ def build_data_parallel(
     """
     if plan.scheme != "data":
         raise GraphError(f"plan scheme must be 'data', got {plan.scheme!r}")
-    base = plan.copy_thread_base
+    base = COPY_THREAD_BASE
     n_peers = len(plan.peers)
     server_thread = base + 2 * n_peers
     server = plan.server
@@ -757,7 +753,7 @@ def build_model_parallel_pipeline(net: NetSpec, plan: ParallelPlan) -> GraphSequ
                 return s
         raise GraphError(f"layer {layer} not covered by any stage")
 
-    base = plan.copy_thread_base
+    base = COPY_THREAD_BASE
     template = BiGraph()
     first_loc = plan.stages[0].location
     template.add_tensor("x", steps[0].in_shape, first_loc)

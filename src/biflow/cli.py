@@ -90,6 +90,8 @@ class ExperimentConfig:
         # also guards the command-line override, applied with replace()
         if self.iterations < 1:
             raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -126,6 +128,14 @@ class ExperimentConfig:
                     raise ConfigError(f"data file missing: {e}") from None
         elif kind != "synthetic":
             raise ConfigError(f"unknown data kind {kind!r}")
+        for key in ("spread", "noise"):  # the synthetic feed's scales
+            value = data.get(key, 1.0)
+            try:
+                finite = type(value) in (int, float) and math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
+                raise ConfigError(f"data {key} must be a finite number, got {value!r}")
         return cls(
             net=net,
             plan=plan,

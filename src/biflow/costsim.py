@@ -10,7 +10,7 @@ Runs are exactly reproducible, and one machine can predict schedules for many.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -28,16 +28,16 @@ class SimError(ValueError):
 class CostModel:
     """Operator durations in virtual seconds, for the event simulation.
 
-    ``kind_costs`` maps operator kinds to a constant duration or to a
-    callable ``f(in_shapes, out_shapes) -> seconds``.  Data movement kinds
-    (copy/send/recv) fall back to ``latency + bytes / bandwidth`` when they
-    have no entry.  A per-operator ``delay_s`` attribute, when present,
-    wins over both: graphs built with injected costs simulate as built.
+    ``kind_costs`` maps operator kinds to a duration in seconds.  Data
+    movement kinds (copy/send/recv/gate) fall back to ``latency + bytes /
+    bandwidth`` when they have no entry.  A per-operator ``delay_s``
+    attribute, when present, wins over both: graphs built with injected
+    costs simulate as built.
     The closed-form model's constants are arguments of
     :func:`throughput_model`.
     """
 
-    kind_costs: Mapping[str, float | Callable] = field(default_factory=dict)
+    kind_costs: Mapping[str, float] = field(default_factory=dict)
     bandwidth: float = math.inf  # bytes per virtual second
     latency: float = 0.0  # virtual seconds per transfer
 
@@ -53,12 +53,7 @@ class CostModel:
         else:
             entry = self.kind_costs.get(op.kind)
             if entry is not None:
-                if callable(entry):
-                    in_shapes = [graph.tensors[t].shape for t in op.inputs]
-                    out_shapes = [graph.tensors[t].shape for t in op.outputs]
-                    dur = float(entry(in_shapes, out_shapes))
-                else:
-                    dur = float(entry)
+                dur = float(entry)
             elif op.kind in _WIRE_KINDS:
                 tids = op.outputs or op.inputs
                 nbytes = 4 * math.prod(graph.tensors[tids[0]].shape)

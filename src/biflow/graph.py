@@ -17,7 +17,6 @@ graph-local.
 
 from __future__ import annotations
 
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -116,14 +115,12 @@ class BiGraph:
         if not isinstance(location, Location):
             raise GraphError(f"location must be a Location, got {location!r}")
         dims = tuple(shape)
-        # index() takes ints and numpy ints but no float, where int() would
-        # truncate 2.7 to 2; bool is an int subclass, so it is refused by type
-        try:
-            shape = tuple(map(operator.index, dims))
+        try:  # no float, which int() would truncate, and no bool
+            shape = tuple(map(_ops.as_index, dims))
         except TypeError:
-            shape = None
-        if shape is None or bool in map(type, dims):
-            raise GraphError(f"tensor {name!r}: dims must be integers, got {dims!r}")
+            raise GraphError(
+                f"tensor {name!r}: dims must be integers, got {dims!r}"
+            ) from None
         try:
             _ops.check_shape(shape)
         except _ops.KernelError as exc:

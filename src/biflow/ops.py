@@ -17,10 +17,14 @@ also checks the attributes it reads (conv stride and pad, the aggregate
 mode, ``lr``, ``channel``); kernels then check what no shape fixes, label
 range and finite outputs, raising :class:`KernelError`.
 
-Each public kernel is ``_f32`` on its arguments, then its kind's rule,
-then the kernel's *core*, which computes and checks finite outputs on
-arrays already known to conform.  A bound step (below) calls the same
-core, so each kernel has one implementation.
+A kind whose outputs are the results of a *core*, which computes and
+checks finite outputs on arrays already known to conform, is declared
+once, by its ``_register`` line: rule, core, attr parser and the names of
+the attrs it reads.  Its bound step (below) and its public kernel, such as
+``conv2d_forward(x, w, b, stride=2, pad=1)``, both come from that entry:
+the kernel takes arrays, made C-contiguous float32, and attrs as keywords,
+runs the rule and parser as a bound step does, and returns the core's
+outputs, so it means exactly what one operator of its kind means.
 
 Convolution is lowered to GEMM, as in Caffe, with one patch gather for
 all three kernels.  The gather lays each (image, channel) plane into a
@@ -65,8 +69,8 @@ import struct
 from dataclasses import dataclass
 from functools import partial
 from math import isfinite, prod
-from operator import attrgetter
-from typing import Callable
+from operator import attrgetter, index
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -79,9 +83,17 @@ __all__ = [
     "TensorStore",
     "aggregate",
     "conv2d_backward",
+    "conv2d_backward_bias",
+    "conv2d_backward_data",
+    "conv2d_backward_weight",
     "conv2d_forward",
     "fc_backward",
+    "fc_backward_bias",
+    "fc_backward_data",
+    "fc_backward_weight",
     "fc_forward",
+    "flatten_backward",
+    "flatten_forward",
     "output_shapes",
     "read_tensor_file",
     "relu_backward",
@@ -110,6 +122,18 @@ def _finite(kind: str, *arrays: np.ndarray) -> None:
         # overflowed on large finite values is settled element by element.
         if not isfinite(np.vdot(a, a)) and not np.isfinite(a).all():
             raise KernelError(f"{kind}: non-finite value in output")
+
+
+def as_index(value, what: str = "value") -> int:
+    """``value`` as an int, by ``operator.index``: ints and numpy ints pass,
+    and a float, which ``int()`` would truncate (2.7 to 2), or a bool, an
+    int subclass, raises ``TypeError`` naming ``what``."""
+    try:
+        if type(value) is not bool:
+            return index(value)
+    except TypeError:
+        pass
+    raise TypeError(f"{what} must be an integer, got {value!r}")
 
 
 def check_shape(shape: tuple[int, ...]) -> None:
@@ -224,84 +248,59 @@ def _mismatch(name: str, shape, existing) -> KernelError:
 
 
 # ---------------------------------------------------------------------------
-# Dense (fully connected) kernels.  Each public kernel is ``_f32``, then the
-# kind's shape rule, then its core; a bound step calls the same core.
+# Dense (fully connected) cores.  A core computes on arrays that its kind's
+# rule accepted; the kind's bound step and its public kernel, both made by
+# the kind's ``_register`` line below, call it.
 
 
 def _fc_forward(x, w, b):
+    """y[n,m] = sum_d x[n,d] * w[d,m] + b[m]."""
     y = x @ w + b
     _finite("fc_forward", y)
     return y
 
 
-def fc_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """y[n,m] = sum_d x[n,d] * w[d,m] + b[m]."""
-    x, w, b = _f32(x), _f32(w), _f32(b)
-    _fc_forward_shapes((x.shape, w.shape, b.shape), {})
-    return _fc_forward(x, w, b)
-
-
 def _fc_backward_data(w, dy):
+    """Input gradient of the dense layer: dx = dy.w^T."""
     dx = dy @ w.T
     _finite("fc_backward_data", dx)
     return dx
 
 
 def _fc_backward_weight(x, dy):
+    """Weight gradient of the dense layer: dw = x^T.dy."""
     dw = x.T @ dy
     _finite("fc_backward_weight", dw)
     return dw
 
 
 def _fc_backward_bias(dy):
+    """Bias gradient of the dense layer: db = colsum(dy)."""
     db = dy.sum(axis=0)
     _finite("fc_backward_bias", db)
     return db
 
 
 def _fc_backward(x, w, dy):
-    return _fc_backward_data(w, dy), _fc_backward_weight(x, dy), _fc_backward_bias(dy)
-
-
-def fc_backward(
-    x: np.ndarray, w: np.ndarray, dy: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of the dense layer: dx = dy.w^T, dw = x^T.dy, db = colsum(dy).
 
     The composition of :func:`fc_backward_data`, :func:`fc_backward_weight`
     and :func:`fc_backward_bias`.
     """
-    x, w, dy = _f32(x), _f32(w), _f32(dy)
-    _fc_backward_shapes((x.shape, w.shape, dy.shape), {})
-    return _fc_backward(x, w, dy)
-
-
-def fc_backward_data(w: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    w, dy = _f32(w), _f32(dy)
-    _fc_backward_data_shapes((w.shape, dy.shape), {})
-    return _fc_backward_data(w, dy)
-
-
-def fc_backward_weight(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    x, dy = _f32(x), _f32(dy)
-    _fc_backward_weight_shapes((x.shape, dy.shape), {})
-    return _fc_backward_weight(x, dy)
-
-
-def fc_backward_bias(dy: np.ndarray) -> np.ndarray:
-    dy = _f32(dy)
-    _fc_backward_bias_shapes((dy.shape,), {})
-    return _fc_backward_bias(dy)
+    return _fc_backward_data(w, dy), _fc_backward_weight(x, dy), _fc_backward_bias(dy)
 
 
 # ---------------------------------------------------------------------------
-# Convolution kernels (cross-correlation, NCHW / KCRS): one patch gather,
-# then one sgemm per image on the calling thread (see the module docstring)
+# Convolution cores (cross-correlation, NCHW / KCRS): one patch gather, then
+# one sgemm per image on the calling thread (see the module docstring)
 
 
 def _conv_attrs(attrs: dict) -> tuple[int, int]:
-    stride = int(attrs.get("stride", 1))
-    pad = int(attrs.get("pad", 0))
+    try:
+        stride = as_index(attrs.get("stride", 1), "stride")
+        pad = as_index(attrs.get("pad", 0), "pad")
+    except TypeError as e:
+        raise KernelError(f"conv2d: {e}") from None
     if stride < 1:
         raise KernelError(f"conv2d: stride must be >= 1, got {stride}")
     if pad < 0:
@@ -369,6 +368,7 @@ def _patches(
 
 
 def _conv2d_forward(x, w, b, *, stride, pad, y_shape):
+    """Cross-correlation of NCHW input with KCRS filters plus per-filter bias."""
     n, k, ho, wo = y_shape
     cols, width = _patches(x, w.shape[2], w.shape[3], stride, pad, pad)
     y = np.matmul(w.reshape(k, -1), cols)
@@ -378,18 +378,15 @@ def _conv2d_forward(x, w, b, *, stride, pad, y_shape):
     return y
 
 
-def conv2d_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """Cross-correlation of NCHW input with KCRS filters plus per-filter bias."""
-    x, w, b = _f32(x), _f32(w), _f32(b)
-    (y_shape,) = _conv2d_forward_shapes(
-        (x.shape, w.shape, b.shape), {"stride": stride, "pad": pad}
-    )
-    return _conv2d_forward(x, w, b, stride=stride, pad=pad, y_shape=y_shape)
-
-
 def _conv2d_backward_data(x, w, dy, *, stride, pad):
+    """Input gradient, as the transposed convolution (``x`` supplies only
+    its shape).
+
+    That is the forward lowering at stride 1, applied to ``dy`` dilated by
+    the stride and padded by R-1-pad in H and S-1-pad in W (cropped where
+    that is negative), with the filters flipped and transposed to
+    [C, K·R·S].
+    """
     n, c, h, wd = x.shape
     k, _, r, s = w.shape
     cols, width = _patches(dy, r, s, 1, r - 1 - pad, s - 1 - pad, stride)
@@ -401,6 +398,9 @@ def _conv2d_backward_data(x, w, dy, *, stride, pad):
 
 
 def _conv2d_backward_weight(x, w, dy, *, stride, pad):
+    """Filter gradient: dy times the patch matrix of x transposed, per
+    image, summed over the batch; dy gets zero columns to meet the junk
+    columns of a stride-1 patch matrix."""
     n, k, ho, wo = dy.shape
     cols, width = _patches(x, w.shape[2], w.shape[3], stride, pad, pad)
     if width != wo:
@@ -414,12 +414,17 @@ def _conv2d_backward_weight(x, w, dy, *, stride, pad):
 
 
 def _conv2d_backward_bias(dy):
+    """Bias gradient only: dy summed over batch and spatial axes."""
     db = _f32(dy.sum(axis=(0, 2, 3)))
     _finite("conv2d_backward_bias", db)
     return db
 
 
 def _conv2d_backward(x, w, dy, *, stride, pad):
+    """Gradients of conv2d_forward with respect to input, filters, and bias.
+
+    The composition of the three split kernels above.
+    """
     return (
         _conv2d_backward_data(x, w, dy, stride=stride, pad=pad),
         _conv2d_backward_weight(x, w, dy, stride=stride, pad=pad),
@@ -427,72 +432,19 @@ def _conv2d_backward(x, w, dy, *, stride, pad):
     )
 
 
-def _conv_grad_inputs(kind: str, x, w, dy, stride: int, pad: int) -> tuple:
-    """``_f32`` and ``kind``'s shape rule for the public conv gradients."""
-    x, w, dy = _f32(x), _f32(w), _f32(dy)
-    _RULES[kind]((x.shape, w.shape, dy.shape), {"stride": stride, "pad": pad})
-    return x, w, dy
-
-
-def conv2d_backward(
-    x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of conv2d_forward with respect to input, filters, and bias.
-
-    The composition of the three split kernels below.
-    """
-    x, w, dy = _conv_grad_inputs("conv2d_backward", x, w, dy, stride, pad)
-    return _conv2d_backward(x, w, dy, stride=stride, pad=pad)
-
-
-def conv2d_backward_data(
-    x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """Input gradient, as the transposed convolution (``x`` supplies only
-    its shape).
-
-    That is the forward lowering at stride 1, applied to ``dy`` dilated by
-    the stride and padded by R-1-pad in H and S-1-pad in W (cropped where
-    that is negative), with the filters flipped and transposed to
-    [C, K·R·S].
-    """
-    x, w, dy = _conv_grad_inputs("conv2d_backward_data", x, w, dy, stride, pad)
-    return _conv2d_backward_data(x, w, dy, stride=stride, pad=pad)
-
-
-def conv2d_backward_weight(
-    x: np.ndarray, w: np.ndarray, dy: np.ndarray, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """Filter gradient: dy times the patch matrix of x transposed, per
-    image, summed over the batch; dy gets zero columns to meet the junk
-    columns of a stride-1 patch matrix."""
-    x, w, dy = _conv_grad_inputs("conv2d_backward_weight", x, w, dy, stride, pad)
-    return _conv2d_backward_weight(x, w, dy, stride=stride, pad=pad)
-
-
-def conv2d_backward_bias(dy: np.ndarray) -> np.ndarray:
-    """Bias gradient only: dy summed over batch and spatial axes."""
-    dy = _f32(dy)
-    _conv2d_backward_bias_shapes((dy.shape,), {})
-    return _conv2d_backward_bias(dy)
-
-
 # ---------------------------------------------------------------------------
-# Activation, loss, update, aggregation
+# Activation, loss, update, aggregation cores
 
 
 def _relu_forward(x):
+    """Elementwise max(x, 0)."""
     y = np.maximum(x, np.float32(0))
     _finite("relu_forward", y)
     return y
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    """Elementwise max(x, 0)."""
-    return _relu_forward(_f32(x))
-
-
 def _relu_backward(x, dy):
+    """dy gated by x > 0; the subgradient at exactly 0 is 0."""
     # dy's bits where x > 0, +0.0 elsewhere: the bytes of
     # np.where(x > 0, dy, 0) for every input, without the per-element branch
     # that a random sign mask mispredicts.
@@ -503,34 +455,23 @@ def _relu_backward(x, dy):
     return dx
 
 
-def relu_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    """dy gated by x > 0; the subgradient at exactly 0 is 0."""
-    x, dy = _f32(x), _f32(dy)
-    _relu_backward_shapes((x.shape, dy.shape), {})
-    return _relu_backward(x, dy)
-
-
 def _flatten_forward(x):
+    """x as [N, the product of its other dims], a view."""
     return x.reshape(x.shape[0], -1)
 
 
-def flatten_forward(x: np.ndarray) -> np.ndarray:
-    x = _f32(x)
-    _flatten_forward_shapes((x.shape,), {})
-    return _flatten_forward(x)
-
-
 def _flatten_backward(x, dy):
+    """dy in the shape of x, a view."""
     return dy.reshape(x.shape)
 
 
-def flatten_backward(x: np.ndarray, dy: np.ndarray) -> np.ndarray:
-    x, dy = _f32(x), _f32(dy)
-    _flatten_backward_shapes((x.shape, dy.shape), {})
-    return _flatten_backward(x, dy)
-
-
 def _softmax_xent(logits, labels):
+    """Row-stabilized softmax cross-entropy.
+
+    Returns a length-1 loss tensor holding the mean negative log-likelihood
+    and the logits gradient ``(softmax - onehot) / N``.  Labels are a float
+    tensor of integral class indices in ``[0, K)``.
+    """
     n, k = logits.shape
     # each row's one-hot: a label hits exactly one class when it is integral
     # and in [0, K), and none when it is fractional, out of range, NaN or
@@ -554,34 +495,15 @@ def _softmax_xent(logits, labels):
     return loss, p
 
 
-def softmax_xent(
-    logits: np.ndarray, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row-stabilized softmax cross-entropy.
-
-    Returns a length-1 loss tensor holding the mean negative log-likelihood
-    and the logits gradient ``(softmax - onehot) / N``.  Labels are a float
-    tensor of integral class indices in ``[0, K)``.
-    """
-    logits, labels = _f32(logits), _f32(labels)
-    _softmax_xent_shapes((logits.shape, labels.shape), {})
-    return _softmax_xent(logits, labels)
-
-
 def _sgd_update(w, grad, *, lr):
+    """w - lr * grad, written to a fresh buffer (never in place)."""
     out = w - lr * grad  # lr is a np.float32
     _finite("sgd_update", out)
     return out
 
 
-def sgd_update(w: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    """w - lr * grad, written to a fresh buffer (never in place)."""
-    w, grad = _f32(w), _f32(grad)
-    _sgd_update_shapes((w.shape, grad.shape), {"lr": lr})
-    return _sgd_update(w, grad, lr=np.float32(lr))
-
-
 def _aggregate(*parts, mode):
+    """Sum equal-shaped tensors in the given (peer-rank) order; mean divides by k."""
     acc = parts[0].copy()
     for a in parts[1:]:
         acc += a
@@ -589,13 +511,6 @@ def _aggregate(*parts, mode):
         acc /= np.float32(len(parts))
     _finite("aggregate", acc)
     return acc
-
-
-def aggregate(parts: list[np.ndarray], mode: str = "mean") -> np.ndarray:
-    """Sum equal-shaped tensors in the given (peer-rank) order; mean divides by k."""
-    arrays = [_f32(p) for p in parts]
-    _aggregate_shapes([a.shape for a in arrays], {"mode": mode})
-    return _aggregate(*arrays, mode=mode)
 
 
 # ---------------------------------------------------------------------------
@@ -672,24 +587,45 @@ def _rebound(kind: str, rule, shapes: list, arrays: list, attrs: dict) -> Kernel
     return KernelError(f"{kind}: input shapes {now} are not {shapes}, as bound")
 
 
-def _bind_plain(kind: str, rule, core, parse):
+class _Kind(NamedTuple):
+    """A kind's entry in ``_RULES``: its shape rule and, for a kind whose
+    outputs are the results of its core, the core, ``parse(attrs,
+    out_shapes)``, which makes the core's keyword arguments when given, and
+    the names of the attrs it reads."""
+
+    rule: Callable[[list, dict], list]
+    core: Callable | None = None
+    parse: Callable[[dict, list], dict] | None = None
+    attrs: tuple[str, ...] = ()
+
+
+def _planned(entry: _Kind, shapes: list, attrs: dict):
+    """``entry``'s rule on the input ``shapes``, then its attrs parsed: the
+    output shapes, and the core with its keyword arguments bound."""
+    out_shapes = entry.rule(shapes, attrs)
+    if entry.parse is None:
+        return out_shapes, entry.core
+    return out_shapes, partial(entry.core, **entry.parse(attrs, out_shapes))
+
+
+def _bind_plain(kind: str, entry: _Kind):
     """``bind`` for a kind whose outputs are the results of its core.
 
-    The rule runs once, on the input shapes; each call of the step checks
-    that its input arrays still have them, then that each result has its
-    output tensor's shape.  ``parse(attrs, out_shapes)``, when given, makes
-    the core's keyword arguments.  Inputs are read as the store holds them,
-    C-contiguous float32, and every core returns C-contiguous float32.
+    The rule runs once, on the input shapes, and the attrs are parsed once;
+    each call of the step checks that its input arrays still have those
+    shapes, then that each result has its output tensor's shape.  Inputs
+    are read as the store holds them, C-contiguous float32, and every core
+    returns C-contiguous float32.
     """
+    rule = entry.rule
 
     def bind(ctx, op):
         store, attrs = ctx.store, op.attrs
         in_names, out_names = ctx.graph.io_names(op)
         ins = [store.get(n) for n in in_names]
         shapes = [t.data.shape for t in ins]
-        out_shapes = rule(shapes, attrs)
+        out_shapes, fn = _planned(entry, shapes, attrs)
         outs = [store.slot(n, s) for n, s in zip(out_names, out_shapes)]
-        fn = core if parse is None else partial(core, **parse(attrs, out_shapes))
         if len(outs) == 1:
             (out,), (name,) = outs, out_names
 
@@ -716,6 +652,28 @@ def _bind_plain(kind: str, rule, core, parse):
         return steps
 
     return bind
+
+
+def _public(kind: str, n_in: int | None, entry: _Kind):
+    """The public kernel of a kind whose outputs are the results of its
+    core: what one operator of the kind does, on arrays.  It takes the
+    input arrays, each made C-contiguous float32, and the attrs as
+    keywords, runs the kind's rule and parser as a bound step does, and
+    returns the core's outputs.  A keyword the kind does not read, or a
+    number of arrays other than its arity, raises ``TypeError``."""
+
+    def kernel(*arrays, **attrs):
+        if n_in is not None and len(arrays) != n_in:
+            raise TypeError(f"{kind}() takes {n_in} arrays, got {len(arrays)}")
+        unknown = sorted(attrs.keys() - entry.attrs)
+        if unknown:
+            raise TypeError(f"{kind}() got unexpected keyword arguments {unknown}")
+        arrays = [*map(_f32, arrays)]
+        return _planned(entry, [a.shape for a in arrays], attrs)[1](*arrays)
+
+    kernel.__name__ = kernel.__qualname__ = kind
+    kernel.__doc__ = entry.core.__doc__
+    return kernel
 
 
 def _transport(ctx, op):
@@ -932,23 +890,24 @@ def _check_by_rule(kind: str, n_in: int | None, rule):
 
 
 KINDS: dict[str, OpKindSpec] = {}
-_RULES: dict[str, Callable[[list, dict], list]] = {}
+_RULES: dict[str, _Kind] = {}
 
 
-def _register(kind, n_in, rule, core=None, parse=None, *, bind=None,
-              crosses_location: bool = False) -> None:
+def _register(kind, n_in, rule, core=None, parse=None, attrs=(), *, bind=None,
+              crosses_location: bool = False):
     """Register ``kind`` with its shape rule and either a ``bind`` of its own
-    or the plain binding of ``core`` (see :func:`_bind_plain`)."""
-    _RULES[kind] = rule
+    or the plain binding of ``core`` (see :func:`_bind_plain`); for the
+    latter, return the kind's public kernel (see :func:`_public`)."""
+    entry = _RULES[kind] = _Kind(rule, core, parse, attrs)
     KINDS[kind] = OpKindSpec(kind, _check_by_rule(kind, n_in, rule),
-                             bind or _bind_plain(kind, rule, core, parse),
-                             crosses_location)
+                             bind or _bind_plain(kind, entry), crosses_location)
+    return None if bind else _public(kind, n_in, entry)
 
 
 def output_shapes(kind: str, in_shapes, attrs: dict) -> list[tuple[int, ...]]:
     """The output shapes the shape rule of ``kind`` gives for ``in_shapes``
     (``in_shapes`` must have the kind's arity)."""
-    return _RULES[kind](list(in_shapes), attrs)
+    return _RULES[kind].rule(list(in_shapes), attrs)
 
 
 def _conv_kw(attrs, out_shapes) -> dict:
@@ -960,31 +919,49 @@ def _gate(x, token):
     return x.copy()
 
 
-_register("fc_forward", 3, _fc_forward_shapes, _fc_forward)
-_register("fc_backward", 3, _fc_backward_shapes, _fc_backward)
-_register("fc_backward_data", 2, _fc_backward_data_shapes, _fc_backward_data)
-_register("fc_backward_weight", 2, _fc_backward_weight_shapes, _fc_backward_weight)
-_register("fc_backward_bias", 1, _fc_backward_bias_shapes, _fc_backward_bias)
-_register("conv2d_forward", 3, _conv2d_forward_shapes, _conv2d_forward,
-          lambda a, outs: {**_conv_kw(a, outs), "y_shape": outs[0]})
-_register("conv2d_backward", 3, _conv2d_backward_shapes, _conv2d_backward, _conv_kw)
-_register("conv2d_backward_data", 3, _conv2d_backward_data_shapes,
-          _conv2d_backward_data, _conv_kw)
-_register("conv2d_backward_weight", 3, _conv2d_backward_weight_shapes,
-          _conv2d_backward_weight, _conv_kw)
-_register("conv2d_backward_bias", 1, _conv2d_backward_bias_shapes,
-          _conv2d_backward_bias)
-_register("relu_forward", 1, _first_shape, _relu_forward)
-_register("relu_backward", 2, _relu_backward_shapes, _relu_backward)
-_register("flatten_forward", 1, _flatten_forward_shapes, _flatten_forward)
-_register("flatten_backward", 2, _flatten_backward_shapes, _flatten_backward)
-_register("softmax_xent", 2, _softmax_xent_shapes, _softmax_xent)
-_register("sgd_update", 2, _sgd_update_shapes, _sgd_update,
-          lambda a, outs: {"lr": np.float32(float(a["lr"]))})
-_register("aggregate", None, _aggregate_shapes, _aggregate,
-          lambda a, outs: {"mode": a.get("mode", "mean")})
+_CONV = ("stride", "pad")
+fc_forward = _register("fc_forward", 3, _fc_forward_shapes, _fc_forward)
+fc_backward = _register("fc_backward", 3, _fc_backward_shapes, _fc_backward)
+fc_backward_data = _register("fc_backward_data", 2, _fc_backward_data_shapes,
+                             _fc_backward_data)
+fc_backward_weight = _register("fc_backward_weight", 2, _fc_backward_weight_shapes,
+                               _fc_backward_weight)
+fc_backward_bias = _register("fc_backward_bias", 1, _fc_backward_bias_shapes,
+                             _fc_backward_bias)
+conv2d_forward = _register(
+    "conv2d_forward", 3, _conv2d_forward_shapes, _conv2d_forward,
+    lambda a, outs: {**_conv_kw(a, outs), "y_shape": outs[0]}, _CONV,
+)
+conv2d_backward = _register("conv2d_backward", 3, _conv2d_backward_shapes,
+                            _conv2d_backward, _conv_kw, _CONV)
+conv2d_backward_data = _register("conv2d_backward_data", 3,
+                                 _conv2d_backward_data_shapes,
+                                 _conv2d_backward_data, _conv_kw, _CONV)
+conv2d_backward_weight = _register("conv2d_backward_weight", 3,
+                                   _conv2d_backward_weight_shapes,
+                                   _conv2d_backward_weight, _conv_kw, _CONV)
+conv2d_backward_bias = _register("conv2d_backward_bias", 1,
+                                 _conv2d_backward_bias_shapes, _conv2d_backward_bias)
+relu_forward = _register("relu_forward", 1, _first_shape, _relu_forward)
+relu_backward = _register("relu_backward", 2, _relu_backward_shapes, _relu_backward)
+flatten_forward = _register("flatten_forward", 1, _flatten_forward_shapes,
+                            _flatten_forward)
+flatten_backward = _register("flatten_backward", 2, _flatten_backward_shapes,
+                             _flatten_backward)
+softmax_xent = _register("softmax_xent", 2, _softmax_xent_shapes, _softmax_xent)
+sgd_update = _register("sgd_update", 2, _sgd_update_shapes, _sgd_update,
+                       lambda a, outs: {"lr": np.float32(float(a["lr"]))}, ("lr",))
+_aggregate_arrays = _register("aggregate", None, _aggregate_shapes, _aggregate,
+                              lambda a, outs: {"mode": a.get("mode", "mean")},
+                              ("mode",))
 KINDS["swap"] = OpKindSpec("swap", _check_swap, _bind_swap)
 _register("copy", 1, _first_shape, np.ndarray.copy, crosses_location=True)
 _register("send", 1, _send_shapes, bind=_bind_send)
 KINDS["recv"] = OpKindSpec("recv", _check_recv, _bind_recv)
 _register("gate", 2, _first_shape, _gate)
+
+
+def aggregate(parts: list[np.ndarray], mode: str = "mean") -> np.ndarray:
+    """The ``aggregate`` kernel over the list ``parts``: their sum in list
+    (peer-rank) order, divided by their number for ``mode="mean"``."""
+    return _aggregate_arrays(*parts, mode=mode)

@@ -275,11 +275,12 @@ class Transport:
     other cannot deadlock; :meth:`recv` polls until its channel holds an
     item.  ``recv`` checks the frame's iteration tag against the caller's
     and raises on mismatch — a desynchronized peer is an error, not a hang.
-    A transport with routes checks each frame against its channel's route
-    once, when its header arrives (or, for a frame a host sends itself, in
-    ``send``): a channel it has no route for, a frame from a host other than
-    the channel's source, or a payload size other than the channel's tensor
-    is a malformed frame, rejected before any payload buffer is allocated.
+    A transport checks each frame against its channel's route once, when
+    its header arrives (or, for a frame a host sends itself, in ``send``):
+    a channel it has no route for, a frame from a host other than the
+    channel's source, or a payload size other than the channel's tensor is
+    a malformed frame, rejected before any payload buffer is allocated.
+    ``send`` or ``recv`` on a channel with no route raises at once.
     When the connection from a peer fails (a malformed frame, a reset, or
     the peer closing it), ``recv`` on that peer's channels raises at once,
     naming the fault, after the frames that arrived before it; on every
@@ -425,16 +426,15 @@ class Transport:
     def _on_header(self, inc: _Incoming) -> None:
         channel, iteration, length = HEADER.unpack(inc.view)
         _check_payload_length(length)
-        if self._route:
-            spec = self._route.get(channel)
-            if spec is None:
-                raise FrameError(f"channel {channel} has no route")
-            if spec.src_host != inc.peer:
-                raise FrameError(
-                    f"channel {channel} comes from {spec.src_host}, not {inc.peer}"
-                )
-            if length != self._nbytes[channel]:
-                raise FrameError(_size_fault(spec, length // 4))
+        spec = self._route.get(channel)
+        if spec is None:
+            raise FrameError(f"channel {channel} has no route")
+        if spec.src_host != inc.peer:
+            raise FrameError(
+                f"channel {channel} comes from {spec.src_host}, not {inc.peer}"
+            )
+        if length != self._nbytes[channel]:
+            raise FrameError(_size_fault(spec, length // 4))
         try:
             payload = np.empty(length // 4, dtype="<f4")
         except (MemoryError, ValueError):
@@ -568,7 +568,11 @@ class Transport:
     def recv(self, channel: int, iteration: int) -> np.ndarray:
         """Poll until ``channel`` holds an item, for up to the timeout, and
         take it.  On a transport that is closed or was never started, only
-        an item already queued can end it; else it raises at once."""
+        an item already queued can end it; else it raises at once, as it
+        does on a channel with no route."""
+        spec = self._route.get(channel)
+        if spec is None:
+            raise TransportError(f"channel {channel} has no route")
         frames = self._frames[channel]
         if not frames:
             deadline = time.monotonic() + self.timeout
@@ -586,9 +590,8 @@ class Transport:
                 f"channel {channel} out of sync: got iteration {got_iter}, "
                 f"expected {iteration}"
             )
-        spec = self._route.get(channel)
-        # a routed channel's frames were checked against its size on arrival
-        return arr if spec is None else arr.reshape(spec.shape)
+        # the channel's frames were checked against its size on arrival
+        return arr.reshape(spec.shape)
 
     def timed_out(self, channel: int) -> TransportError:
         """The error of a recv on ``channel`` that ends with no item: the

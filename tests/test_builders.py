@@ -171,12 +171,11 @@ def test_zero_delay_rerun_is_deterministic():
 # data parallelism
 
 
-def peers_plan(n, base=1):
+def peers_plan(n):
     return ParallelPlan(
         scheme="data",
         peers=tuple(Location("local", k) for k in range(n)),
         server=Location("local", n),
-        copy_thread_base=base,
     )
 
 
@@ -249,7 +248,7 @@ def test_aggregate_inputs_follow_peer_rank_order():
 
 
 def test_copy_lanes_are_distinct_from_compute():
-    seq = build_data_parallel(TWO_FC, peers_plan(2, base=1))
+    seq = build_data_parallel(TWO_FC, peers_plan(2))
     layout = seq.layout
     g = seq.graphs[0]
     assert layout.copy_threads == frozenset({1, 2, 3, 4, 5})

@@ -1,9 +1,12 @@
 """Command-line surface: exit codes, metric streams, throughput tables."""
 
 import json
+import math
+import re
 import socket
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,6 +409,48 @@ def test_train_rejects_iterations_below_one(tmp_path, count):
 
 
 @pytest.mark.parametrize(
+    "edit, argv, message",
+    [
+        ({"seed": -1}, (), "seed must be in [0, 2**64), got -1"),
+        ({"seed": 2**64}, (), f"seed must be in [0, 2**64), got {2**64}"),
+        ({}, ("--seed", "-1"), "seed must be in [0, 2**64), got -1"),
+        ({"data": {"kind": "synthetic", "spread": "wide"}}, (),
+         "data spread must be a finite number, got 'wide'"),
+        ({"data": {"kind": "synthetic", "spread": math.inf}}, (),
+         "data spread must be a finite number, got inf"),
+        ({"data": {"kind": "synthetic", "noise": math.nan}}, (),
+         "data noise must be a finite number, got nan"),
+        ({"data": {"kind": "synthetic", "noise": True}}, (),
+         "data noise must be a finite number, got True"),
+        ({"data": {"kind": "synthetic", "noise": 10**400}}, (),
+         f"data noise must be a finite number, got {10**400}"),
+    ],
+    ids=["seed-negative", "seed-2**64", "seed-override", "spread-str", "spread-inf",
+         "noise-nan", "noise-bool", "noise-huge-int"],
+)
+def test_train_rejects_a_bad_seed_spread_or_noise(tmp_path, edit, argv, message):
+    path = write_config(tmp_path, {**MLP_CONFIG, **edit})
+    r = cli("train", "--config", path, "--iterations", "2", *argv)
+    assert r.returncode == 2
+    assert r.stderr.splitlines() == [f"error: {message}"]
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "key, value", [("stride", 2.7), ("pad", 0.9), ("stride", True), ("kernel", 3.0),
+                   ("out", "2")],
+)
+def test_validate_rejects_a_layer_number_that_is_not_an_integer(tmp_path, key, value):
+    conv = {"kind": "conv", "out": 2, "kernel": 3, "pad": 1, key: value}
+    cfg = {**MLP_CONFIG, "net": {"input_shape": [1, 6, 6], "batch": 2,
+                                 "layers": [conv, {"kind": "fc", "out": 3}]}}
+    r = cli("validate", "--config", write_config(tmp_path, cfg))
+    assert r.returncode == 2
+    assert f"layer {key} must be an integer, got {value!r}" in r.stderr
+    assert len(r.stderr.splitlines()) == 1 and r.stdout == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("--copy-latency-us", "-5"),
@@ -494,3 +539,31 @@ def test_simulate_bad_input_is_usage_error(tmp_path, argv, message):
 def test_unknown_subcommand_is_usage_error():
     r = cli("frobnicate")
     assert r.returncode == 2
+
+
+# ---------------------------------------------------------------------------
+# the README's examples run
+
+
+def readme_block(lang):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(rf"^```{lang}\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 1, f"README has {len(blocks)} {lang} blocks"
+    return blocks[0]
+
+
+def test_readme_library_example_runs():
+    r = subprocess.run([sys.executable, "-c", readme_block("python")],
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0, r.stderr
+    assert math.isfinite(float(r.stdout))
+
+
+def test_readme_experiment_config_validates_and_trains(tmp_path):
+    path = tmp_path / "experiment.json"
+    path.write_text(readme_block("json"))
+    v = cli("validate", "--config", str(path))
+    assert v.returncode == 0, v.stderr
+    t = cli("train", "--config", str(path), "--iterations", "2")
+    assert t.returncode == 0, t.stderr
+    assert [line["iteration"] for line in json_lines(t.stdout)] == [0, 1]

@@ -1,6 +1,7 @@
 import hashlib
 import importlib
 import math
+import re
 import sys
 import threading
 import warnings
@@ -773,6 +774,52 @@ def test_public_kernel_matches_its_bound_step(kind):
     assert [(a.dtype, a.shape, a.tobytes()) for a in got] == [
         (a.dtype, a.shape, a.tobytes()) for a in bound
     ]
+
+
+def test_public_kernel_rejects_an_attr_it_does_not_read_or_a_wrong_arity():
+    x, w, b = (np.zeros(s, np.float32) for s in RULE_CASES["fc_forward"][0])
+    calls = [
+        lambda: fc_forward(x, w, b, stride=1),
+        lambda: fc_forward(x, w),
+        lambda: sgd_update(x, x, lr=0.1, mode="sum"),
+        lambda: conv2d_backward_bias(np.zeros((2, 4, 3, 4), np.float32), pad=0),
+        lambda: aggregate([x, x], lr=0.1),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+
+
+@pytest.mark.parametrize("kind", PUBLIC_KERNELS)
+def test_public_kernel_takes_its_name_and_doc_from_its_kind(kind):
+    kernel = getattr(ops, kind)
+    assert kernel.__name__ == kind and kind in ops.__all__
+    if kind != "aggregate":  # the list adapter has a docstring of its own
+        assert kernel.__doc__ == getattr(ops, f"_{kind}").__doc__
+    assert kernel.__doc__
+
+
+@pytest.mark.parametrize(
+    "attrs", [{"stride": 2.7}, {"pad": 0.9}, {"stride": True}, {"pad": False},
+              {"stride": 2.0}, {"pad": "1"}],
+    ids=["stride-2.7", "pad-0.9", "stride-true", "pad-false", "stride-2.0", "pad-str"],
+)
+def test_conv_stride_and_pad_must_be_integers(attrs):
+    in_shapes = RULE_CASES["conv2d_forward"][0]
+    (key,) = attrs
+    message = f"conv2d: {key} must be an integer, got {attrs[key]!r}"
+    with pytest.raises(KernelError, match=re.escape(message)):
+        output_shapes("conv2d_forward", in_shapes, attrs)
+    with pytest.raises(GraphError, match=re.escape(message)):
+        one_op_graph("conv2d_forward", in_shapes, [(2, 4, 2, 3)], attrs)
+    x, w, b = (np.zeros(s, np.float32) for s in in_shapes)
+    with pytest.raises(KernelError, match=re.escape(message)):
+        conv2d_forward(x, w, b, **attrs)
+    # numpy integers are integers
+    assert np.array_equal(
+        conv2d_forward(x, w, b, stride=np.int64(2), pad=np.int32(1)),
+        conv2d_forward(x, w, b, stride=2, pad=1),
+    )
 
 
 PERTURBED = [

@@ -312,6 +312,15 @@ def test_malformed_frame_is_named_in_recv_error():
         t.close()
 
 
+def test_recv_on_a_channel_with_no_route_fails_like_send():
+    with Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))],
+                   timeout=30).start() as t:
+        for call in (t.recv, lambda ch, it: t.send(ch, it, np.zeros(2))):
+            with pytest.raises(TransportError) as err:
+                call(99, 0)
+            assert str(err.value) == "channel 99 has no route"
+
+
 def hello(peer: str) -> bytes:
     return struct.pack("<I", len(peer)) + peer.encode()
 
