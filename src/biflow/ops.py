@@ -594,9 +594,9 @@ class _Kind(NamedTuple):
     the names of the attrs it reads."""
 
     rule: Callable[[list, dict], list]
-    core: Callable | None = None
-    parse: Callable[[dict, list], dict] | None = None
-    attrs: tuple[str, ...] = ()
+    core: Callable | None
+    parse: Callable[[dict, list], dict] | None
+    attrs: tuple[str, ...]
 
 
 def _planned(entry: _Kind, shapes: list, attrs: dict):
