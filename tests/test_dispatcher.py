@@ -1022,3 +1022,26 @@ def test_delayed_copies_match_serial_bitwise():
         params.append({n: store.array(n).copy() for n in seq.layout.canonical_params})
     for name in params[0]:
         assert np.array_equal(params[0][name], params[1][name]), name
+
+
+def one_conv_graph():
+    """y = conv2d_forward(x, w, b) at pad 1: x (1,1,8,8), w (1,1,3,3)."""
+    g = BiGraph()
+    ids = [g.add_tensor(n, s, LOC) for n, s in
+           (("x", (1, 1, 8, 8)), ("w", (1, 1, 3, 3)), ("b", (1,)), ("y", (1, 1, 8, 8)))]
+    g.add_operator("conv", "conv2d_forward", ids[:3], ids[3:], LOC, attrs={"pad": 1})
+    return g
+
+
+def test_an_attrs_edit_that_breaks_a_shape_rule_is_reported_and_fails_the_run():
+    g = one_conv_graph()
+    g.operator_named("conv").attrs["stride"] = 2  # 8 + 2 - 3 does not tile by 2
+    report = g.validate()
+    assert not report.ok
+    (violation,) = report.violations
+    assert "'conv'" in violation and "do not conform" in violation
+    store = TensorStore()
+    for name in ("x", "w", "b"):
+        store.set(name, np.zeros(g.tensor_named(name).shape, np.float32))
+    with pytest.raises(DispatchError, match=r"operator 'conv'.*do not conform"):
+        run(g, store)
