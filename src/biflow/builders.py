@@ -85,14 +85,15 @@ class NetSpec:
     @classmethod
     def from_config(cls, raw: dict) -> "NetSpec":
         """Every net ends in a softmax cross-entropy loss; a config that
-        names another ``loss`` is rejected."""
+        names another ``loss`` is rejected.  ``batch`` must be an integer
+        (else ``TypeError``), not truncated."""
         loss = raw.get("loss", "softmax_xent")
         if loss != "softmax_xent":
             raise GraphError(f"unsupported loss {loss!r}")
         return cls(
             input_shape=tuple(raw["input_shape"]),
             layers=tuple(LayerSpec.from_config(l) for l in raw["layers"]),
-            batch=int(raw.get("batch", 1)),
+            batch=as_index(raw.get("batch", 1), "batch"),
             lr=float(raw.get("lr", 0.01)),
         )
 
@@ -219,18 +220,20 @@ class ParallelPlan:
 
     @classmethod
     def from_config(cls, raw: dict) -> "ParallelPlan":
+        """A plan from its config entry; each ``device``, stage ``layers``
+        bound and ``replicas`` must be an integer (else ``TypeError``)."""
         def loc(d):
-            return Location(d.get("host", "local"), int(d.get("device", 0)))
+            return Location(d.get("host", "local"), as_index(d.get("device", 0), "device"))
+
+        def layers(s):
+            return tuple(as_index(s["layers"][i], "stage layers") for i in (0, 1))
 
         return cls(
             scheme=raw.get("scheme", "single"),
             peers=tuple(loc(p) for p in raw.get("peers", [])),
             server=loc(raw["server"]) if "server" in raw else None,
-            stages=tuple(
-                Stage((int(s["layers"][0]), int(s["layers"][1])), loc(s))
-                for s in raw.get("stages", [])
-            ),
-            replicas=int(raw.get("replicas", 1)),
+            stages=tuple(Stage(layers(s), loc(s)) for s in raw.get("stages", [])),
+            replicas=as_index(raw.get("replicas", 1), "replicas"),
         )
 
 

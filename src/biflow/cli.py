@@ -33,7 +33,7 @@ from .builders import (
 from .costsim import SimError, fit_two_point, throughput_model
 from .dispatcher import DispatchError, merged_trace, run_sequence
 from .graph import GraphError, Location, graph_from_json
-from .ops import KernelError, TensorStore, read_tensor_file
+from .ops import KernelError, TensorStore, as_index, read_tensor_file
 from .profiler import export_trace
 from .transport import (
     Transport,
@@ -109,8 +109,8 @@ class ExperimentConfig:
         try:
             net = NetSpec.from_config(raw["net"])
             plan = ParallelPlan.from_config(raw.get("plan", {}))
-            iterations = int(raw.get("iterations", 1))
-            seed = int(raw.get("seed", 0))
+            iterations = as_index(raw.get("iterations", 1), "iterations")
+            seed = as_index(raw.get("seed", 0), "seed")
             data = dict(raw.get("data", {"kind": "synthetic"}))
         except GraphError:
             raise

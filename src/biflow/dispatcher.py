@@ -3,9 +3,9 @@
 Execution is pure readiness propagation: an operator fires once every one of
 its input edges is satisfied, a tensor is ready once its producer (if any)
 has completed, and a run finishes when no operator is ready, waiting for a
-frame or delayed.  A validated graph is acyclic, so by then every operator
-has run exactly once.  There is no global schedule — concurrency falls out
-of operators landing on different lanes.
+frame or delayed.  A graph is acyclic by construction, so by then every
+operator has run exactly once.  There is no global schedule — concurrency
+falls out of operators landing on different lanes.
 
 A lane is the (host, device, thread) triple of an operator; each lane
 executes its operators one at a time in FIFO order of readiness: operators
@@ -52,10 +52,12 @@ tensors, evaluates its shape rule and parses its attrs, and returns a
 zero-argument step.  Every run then calls the step, so what each operator
 run costs besides its kernel is kept small: no name is looked up and no
 attr is parsed, and its span is one :class:`TraceRecord`, a named tuple; a
-run's trace is sorted by (start, end) once, when it ends.  The sources of a
-graph are checked against the store before its first run only: a store
-removes no name and changes no shape, so they pass before every later run
-too.
+run's trace is sorted by (start, end) once, when it ends.  No run re-checks
+a graph: its invariants held when its vertices were added, and the shape
+rule, which an ``attrs`` edit can break, runs at bind.  A graph's sources
+are checked against the store, and its recv channels against the routes,
+before its first run only: a store removes no name and changes no shape,
+and a transport's routes are fixed, so they pass before every later run.
 
 Each graph is compiled once, on its first run, into a :class:`GraphPlan`:
 the int-indexed scheduling facts of the graph.  Every run then copies the
@@ -259,10 +261,17 @@ class _GraphRunner:
         # each operator's step, bound on its first call
         self.steps: list = [None] * len(plan.ops)
         self.delays = tuple(int(d * 1e9) for d in plan.durations)  # ns
-        # without a transport a recv runs at once and fails for want of one
+        # without a transport a recv runs at once and fails for want of one;
+        # with one, a recv with no route fails here, not after the timeout
         self.channels = (
             plan.channels if ctx.transport is not None else (None,) * len(plan.ops)
         )
+        for op, channel in zip(plan.ops, self.channels):
+            if channel is not None:
+                try:
+                    ctx.transport.route(channel)
+                except RuntimeError as exc:  # a TransportError: it has no route
+                    raise DispatchError(f"operator {op.name!r} failed: {exc}") from exc
 
     def run(self, iteration: int, zero: int) -> list[TraceRecord]:
         plan = self.plan
@@ -409,15 +418,6 @@ def _check_sources(plan: GraphPlan, store: TensorStore) -> None:
             )
 
 
-def _validate(graphs) -> None:
-    for g in graphs:
-        report = g.validate()
-        if not report.ok:
-            raise DispatchError(
-                "graph failed validation: " + "; ".join(report.violations)
-            )
-
-
 def run(
     graph: BiGraph,
     store: TensorStore,
@@ -427,10 +427,12 @@ def run(
 ) -> RunReport:
     """Execute one graph to completion; returns its report.
 
-    Raises :class:`DispatchError` if the graph fails validation, a source
-    tensor is missing from the store, an operator kind is unknown to
-    ``ops.KINDS``, or a kernel fails (first error wins: the run stops
-    there, and the operators still ready, pending or delayed never run).
+    Raises :class:`DispatchError` if a source tensor is missing from the
+    store, a ``recv`` has no route on ``transport``, an operator kind is
+    unknown to ``ops.KINDS``, an operator's inputs do not conform to its
+    kind's shape rule when it is bound, or a kernel fails (first error
+    wins: the run stops there, and the operators still ready, pending or
+    delayed never run).
     """
     (report,) = run_sequence(
         GraphSequence([graph]), store, max_workers=max_workers, transport=transport
@@ -454,17 +456,14 @@ def run_sequence(
     merged trace is directly comparable across iterations.  The optional
     ``before_iteration(iteration, store)`` hook runs before each iteration's
     first graph (data feeding); ``after_graph(report, store)`` runs after each
-    graph completes (metric sampling).  The graphs are validated once, before
-    the first iteration, and each graph's sources are checked against the
-    store before its first run.  Every operator runs on the calling thread,
-    and no thread is started.  Raises :class:`DispatchError` when
-    ``iterations`` or ``max_workers`` is below 1.
+    graph completes (metric sampling).  Every operator runs on the calling
+    thread, and no thread is started.  Raises :class:`DispatchError` as
+    :func:`run` does, and when ``iterations`` or ``max_workers`` is below 1.
     """
     if iterations < 1:
         raise DispatchError(f"iterations must be >= 1, got {iterations}")
     if max_workers is not None and max_workers < 1:
         raise DispatchError(f"max_workers must be >= 1, got {max_workers}")
-    _validate(seq.graphs)
     runners: list[_GraphRunner | None] = [None] * len(seq.graphs)
     reports: list[RunReport] = []
     t0 = time.monotonic_ns()

@@ -3,12 +3,13 @@
 A :class:`BiGraph` holds two vertex classes: tensors (shaped buffers pinned
 to a location) and operators (kernel applications pinned to a location and a
 thread).  Edges run only between the classes: an operator's ``inputs`` are
-tensor ids it reads, its ``outputs`` tensor ids it writes.  Construction
-enforces the structural invariants incrementally — acyclicity, at most one
-producer per tensor, co-location of every non-copy operator with its
-tensors — so a graph assembled through the public API is valid by
-construction.  ``validate`` re-checks everything from scratch and reports
-sources and sinks.
+tensor ids it reads, its ``outputs`` tensor ids it writes.  Each structural
+invariant is checked once, where a vertex is added: known ids, tensor
+shapes, acyclicity, at most one producer per tensor, each known kind's shape
+rule, and co-location of every non-copy operator with its tensors.  Vertices
+are frozen, so no later edit can break these; the one mutable field is an
+operator's ``attrs`` dict, and editing it can break only its shape rule.
+So ``validate`` re-runs the shape rules alone, and reports sources and sinks.
 
 Tensor names are the cross-graph identity: two graphs in one sequence that
 name the same tensor share its buffer in the run's store.  Vertex ids are
@@ -61,7 +62,7 @@ class Location:
             raise GraphError(f"location device must be an int >= -1, got {self.device!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorVertex:
     id: int
     name: str
@@ -69,7 +70,7 @@ class TensorVertex:
     location: Location
 
 
-@dataclass
+@dataclass(frozen=True)
 class OperatorVertex:
     id: int
     name: str
@@ -241,16 +242,20 @@ class BiGraph:
 
     def add_operator_from(self, op: OperatorVertex, tensor_ids) -> int:
         """Re-add ``op`` of another graph here, with its tensor ids
-        translated through ``tensor_ids``: ``transport.partition_by_host``
-        moves each operator into its host's subgraph this way."""
-        return self.add_operator(
+        translated through ``tensor_ids`` onto tensors of the same shapes:
+        ``transport.partition_by_host`` moves each operator into its host's
+        subgraph this way.  Its shape rule held where it was added, and a
+        subset of an acyclic graph's edges closes no cycle, so only the
+        name, the producers and the co-location are checked (as for each
+        replica of :func:`replicate`)."""
+        return self._insert_operator(
             op.name,
             op.kind,
-            [tensor_ids[i] for i in op.inputs],
-            [tensor_ids[o] for o in op.outputs],
+            tuple(tensor_ids[i] for i in op.inputs),
+            tuple(tensor_ids[o] for o in op.outputs),
             op.location,
             op.thread,
-            op.attrs,
+            dict(op.attrs),
         )
 
     def _check_shapes(self, spec, name, inputs, outputs, attrs) -> None:
@@ -314,7 +319,8 @@ class BiGraph:
     # --- analysis ---------------------------------------------------------
 
     def toposort(self) -> list[int]:
-        """Operator ids in a dependency-respecting order (Kahn, stable)."""
+        """Operator ids in a dependency-respecting order (Kahn, stable).
+        The graph is acyclic by construction, so every operator is listed."""
         pending = {
             oid: sum(1 for t in op.inputs if t in self._producer)
             for oid, op in self.operators.items()
@@ -329,86 +335,28 @@ class BiGraph:
                     pending[cid] -= 1
                     if pending[cid] == 0:
                         ready.append(cid)
-        if len(order) != len(self.operators):
-            stuck = [
-                self.operators[oid].name for oid in self.insertion_order if pending[oid] > 0
-            ]
-            raise GraphError(f"graph is cyclic; operators on a cycle: {stuck}")
         return order
 
     def validate(self) -> ValidationReport:
-        """Full structural scan; never raises, reports violations instead."""
+        """Re-run each known kind's shape rule, which an ``attrs`` edit can
+        break, and list the sources and sinks; never raises, reports
+        violations instead.  Sources are the tensors with no producer and
+        the operators with no inputs; sinks, the tensors with no consumer
+        and the operators with no outputs."""
         violations: list[str] = []
-
-        producers: dict[int, list[int]] = {tid: [] for tid in self.tensors}
-        consumers: dict[int, int] = {tid: 0 for tid in self.tensors}
-        for oid in self.insertion_order:
-            op = self.operators[oid]
-            for tid in (*op.inputs, *op.outputs):
-                if tid not in self.tensors:
-                    violations.append(
-                        f"operator {op.name!r} references unknown vertex id {tid}"
-                    )
-            for tid in op.inputs:
-                if tid in consumers:
-                    consumers[tid] += 1
-            for tid in op.outputs:
-                if tid in producers:
-                    producers[tid].append(oid)
-
-        for tid, plist in producers.items():
-            if len(plist) > 1:
-                names = [self.operators[p].name for p in plist]
-                violations.append(
-                    f"tensor {self.tensors[tid].name!r} has {len(plist)} producers: {names}"
-                )
-
-        for oid in self.insertion_order:
-            op = self.operators[oid]
+        for op in self.operators_in_order():
             spec = _ops.KINDS.get(op.kind)
-            crosses = spec.crosses_location if spec is not None else False
-            if spec is not None and all(
-                t in self.tensors for t in (*op.inputs, *op.outputs)
-            ):
+            if spec is not None:
                 try:
                     self._check_shapes(spec, op.name, op.inputs, op.outputs, op.attrs)
                 except GraphError as exc:
                     violations.append(str(exc))
-            if not crosses:
-                for tid in (*op.inputs, *op.outputs):
-                    if tid in self.tensors and self.tensors[tid].location != op.location:
-                        violations.append(
-                            f"operator {op.name!r} is not co-located with tensor "
-                            f"{self.tensors[tid].name!r}"
-                        )
-
-        for t in self.tensors.values():
-            try:
-                _ops.check_shape(t.shape)
-            except _ops.KernelError as exc:
-                violations.append(str(exc))
-
-        try:
-            self.toposort()
-        except GraphError as exc:
-            violations.append(str(exc))
-
-        sources: list[int] = []
-        sinks: list[int] = []
-        for tid in self.tensors:
-            if not producers[tid]:
-                sources.append(tid)
-            if consumers[tid] == 0:
-                sinks.append(tid)
-        for oid in self.insertion_order:
-            op = self.operators[oid]
-            if not op.inputs:
-                sources.append(oid)
-            if not op.outputs:
-                sinks.append(oid)
-        sources.sort()
-        sinks.sort()
-        return ValidationReport(sources, sinks, not violations, violations)
+        ops = self.operators.items()
+        sources = [t for t in self.tensors if t not in self._producer]
+        sources += [oid for oid, op in ops if not op.inputs]
+        sinks = [t for t, users in self._consumers.items() if not users]
+        sinks += [oid for oid, op in ops if not op.outputs]
+        return ValidationReport(sorted(sources), sorted(sinks), not violations, violations)
 
     # --- misc -------------------------------------------------------------
 
@@ -533,6 +481,12 @@ def graph_to_json(graph: BiGraph) -> dict:
     }
 
 
+def _entry_location(entry: dict) -> Location:
+    # by as_index, not int(): a device of 0.7 is an error, not device 0
+    device = _ops.as_index(entry.get("device", HOST_CPU), "device")
+    return Location(entry["host"], device)
+
+
 def graph_from_json(obj: dict) -> BiGraph:
     """Parse the text graph-spec format produced by :func:`graph_to_json`."""
     if not isinstance(obj, dict) or "tensors" not in obj or "operators" not in obj:
@@ -540,11 +494,7 @@ def graph_from_json(obj: dict) -> BiGraph:
     g = BiGraph()
     for entry in obj["tensors"]:
         try:
-            g.add_tensor(
-                entry["name"],
-                entry["shape"],
-                Location(entry["host"], int(entry.get("device", HOST_CPU))),
-            )
+            g.add_tensor(entry["name"], entry["shape"], _entry_location(entry))
         except (KeyError, TypeError) as exc:
             raise GraphError(f"bad tensor entry {entry!r}: {exc}") from None
     for entry in obj["operators"]:
@@ -554,8 +504,8 @@ def graph_from_json(obj: dict) -> BiGraph:
                 entry["kind"],
                 [g.tensor_id(n) for n in entry.get("inputs", [])],
                 [g.tensor_id(n) for n in entry.get("outputs", [])],
-                Location(entry["host"], int(entry.get("device", HOST_CPU))),
-                int(entry.get("thread", 0)),
+                _entry_location(entry),
+                _ops.as_index(entry.get("thread", 0), "thread"),
                 dict(entry.get("attrs", {})),
             )
         except (KeyError, TypeError) as exc:

@@ -613,9 +613,9 @@ def _bind_plain(kind: str, entry: _Kind):
 
     The rule runs once, on the input shapes, and the attrs are parsed once;
     each call of the step checks that its input arrays still have those
-    shapes, then that each result has its output tensor's shape.  Inputs
-    are read as the store holds them, C-contiguous float32, and every core
-    returns C-contiguous float32.
+    shapes, then that each result has its output tensor's shape in the
+    graph.  Inputs are read as the store holds them, C-contiguous float32,
+    and every core returns C-contiguous float32.
     """
     rule = entry.rule
 
@@ -624,8 +624,10 @@ def _bind_plain(kind: str, entry: _Kind):
         in_names, out_names = ctx.graph.io_names(op)
         ins = [store.get(n) for n in in_names]
         shapes = [t.data.shape for t in ins]
-        out_shapes, fn = _planned(entry, shapes, attrs)
-        outs = [store.slot(n, s) for n, s in zip(out_names, out_shapes)]
+        fn = _planned(entry, shapes, attrs)[1]
+        # at the graph's shapes, so a result that an attrs edit reshaped fails
+        tensors = ctx.graph.tensors
+        outs = [store.slot(n, tensors[t].shape) for n, t in zip(out_names, op.outputs)]
         if len(outs) == 1:
             (out,), (name,) = outs, out_names
 

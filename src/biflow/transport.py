@@ -34,7 +34,7 @@ import numpy as np
 
 from . import _one_blas_thread
 from .dispatcher import run_sequence
-from .graph import BiGraph, GraphError, GraphSequence, Location
+from .graph import BiGraph, GraphSequence, Location
 from .ops import TensorStore
 
 if TYPE_CHECKING:  # imported when a run starts: it pulls in subprocess and more
@@ -121,22 +121,15 @@ class HostPartition:
     recvs: list[ChannelSpec] = field(default_factory=list)
 
 
-def _vertex_hosts(graph: BiGraph, op) -> set[str]:
-    hosts = {op.location.host}
-    for t in list(op.inputs) + list(op.outputs):
-        hosts.add(graph.tensors[t].location.host)
-    return hosts
-
-
 def partition_by_host(
     graph: BiGraph, first_channel: int = 1
 ) -> tuple[dict[str, HostPartition], int]:
     """Split a graph into per-host subgraphs.
 
-    Cross-host copies become send/recv pairs on a fresh channel; any other
-    operator touching two hosts is an error.  Returns the partitions and the
-    next unused channel number (so a sequence can keep ids unique across its
-    graphs).
+    Cross-host copies become send/recv pairs on a fresh channel (only a
+    copy can touch two hosts: ``BiGraph.add_operator`` checks that).
+    Returns the partitions and the next unused channel number (so a
+    sequence can keep ids unique across its graphs).
     """
     hosts = sorted(
         {t.location.host for t in graph.tensors.values()}
@@ -150,18 +143,12 @@ def partition_by_host(
     }
 
     channel = first_channel
-    for op in sorted(graph.operators.values(), key=lambda o: o.id):
-        spread = _vertex_hosts(graph, op)
-        if len(spread) == 1:
+    for op in graph.operators_in_order():
+        tensors = [graph.tensors[t] for t in (*op.inputs, *op.outputs)]
+        if all(t.location.host == op.location.host for t in tensors):
             parts[op.location.host].graph.add_operator_from(op, ids)
             continue
-        if op.kind != "copy":
-            raise GraphError(
-                f"operator {op.name!r} ({op.kind}) touches hosts "
-                f"{sorted(spread)}; only copies may cross hosts"
-            )
-        src = graph.tensors[op.inputs[0]]
-        dst = graph.tensors[op.outputs[0]]
+        src, dst = tensors  # only a copy crosses hosts: one input, one output
         spec = ChannelSpec(channel, op.name, src.location.host,
                            dst.location.host, src.shape,
                            op_location=op.location, op_thread=op.thread)
@@ -514,10 +501,15 @@ class Transport:
             sock.setblocking(False)
             return sock
 
-    def send(self, channel: int, iteration: int, array: np.ndarray) -> None:
+    def route(self, channel: int) -> ChannelSpec:
+        """The route of ``channel``; raises at once if it has none."""
         spec = self._route.get(channel)
         if spec is None:
             raise TransportError(f"channel {channel} has no route")
+        return spec
+
+    def send(self, channel: int, iteration: int, array: np.ndarray) -> None:
+        spec = self.route(channel)
         payload = np.ascontiguousarray(array, dtype="<f4")
         if spec.dst_host == self.host:  # loopback short-circuit
             if payload.nbytes != self._nbytes[channel]:
@@ -570,9 +562,7 @@ class Transport:
         take it.  On a transport that is closed or was never started, only
         an item already queued can end it; else it raises at once, as it
         does on a channel with no route."""
-        spec = self._route.get(channel)
-        if spec is None:
-            raise TransportError(f"channel {channel} has no route")
+        spec = self.route(channel)
         frames = self._frames[channel]
         if not frames:
             deadline = time.monotonic() + self.timeout
@@ -595,14 +585,15 @@ class Transport:
 
     def timed_out(self, channel: int) -> TransportError:
         """The error of a recv on ``channel`` that ends with no item: the
-        transport is closed, or the recv waited out the timeout."""
+        transport is closed, or the recv on the routed ``channel`` waited out
+        the timeout."""
         if self.closed:
             return TransportError(f"{self.host}: transport is closed")
-        spec = self._route.get(channel)
-        src = f" waiting for {spec.src_host}" if spec is not None else ""
+        src = self._route[channel].src_host
         detail = f" ({self._fault})" if self._fault else ""
         return TransportError(
-            f"recv on channel {channel} timed out after {self.timeout}s{src}{detail}"
+            f"recv on channel {channel} timed out after {self.timeout}s "
+            f"waiting for {src}{detail}"
         )
 
 

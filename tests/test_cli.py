@@ -142,6 +142,51 @@ def test_validate_fractional_dim_raw_graph_exits_one(tmp_path):
     assert "tensor 'a'" in r.stderr
 
 
+DATA_PLAN = {"scheme": "data", "server": {"host": "local", "device": 2},
+             "peers": [{"host": "local", "device": 0}, {"host": "local", "device": 1}]}
+MODEL_PLAN = {"scheme": "model", "replicas": 2, "stages": [
+    {"layers": [0, 2], "host": "local", "device": 0},
+    {"layers": [2, 3], "host": "local", "device": 1}]}
+
+
+@pytest.mark.parametrize("edit, what, value", [
+    ({"iterations": 2.9}, "iterations", 2.9),
+    ({"iterations": True}, "iterations", True),
+    ({"seed": 7.9}, "seed", 7.9),
+    ({"net": {**MLP_CONFIG["net"], "batch": 2.9}}, "batch", 2.9),
+    ({"plan": {**DATA_PLAN, "server": {"host": "local", "device": 0.7}}}, "device", 0.7),
+    ({"plan": {**MODEL_PLAN, "replicas": True}}, "replicas", True),
+    ({"plan": {**MODEL_PLAN, "stages": [
+        {"layers": [0, 2.0], "host": "local", "device": 0},
+        {"layers": [2, 3], "host": "local", "device": 1}]}}, "stage layers", 2.0),
+], ids=["iterations-float", "iterations-bool", "seed", "batch", "device", "replicas",
+        "stage-layers"])
+def test_validate_rejects_a_config_count_that_is_not_an_integer(tmp_path, edit, what, value):
+    r = cli("validate", "--config", write_config(tmp_path, {**MLP_CONFIG, **edit}))
+    assert r.returncode == 2
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("error: ") and f"{what} must be an integer, got {value!r}" in line
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("where, key, value", [
+    ("tensors", "device", 0.7), ("operators", "device", 0.7), ("operators", "thread", 1.5),
+])
+def test_validate_rejects_a_raw_graph_number_that_is_not_an_integer(
+        tmp_path, where, key, value):
+    raw = {
+        "tensors": [{"name": n, "shape": [2], "host": "local", "device": 0} for n in "ab"],
+        "operators": [{"name": "f", "kind": "relu_forward", "inputs": ["a"],
+                       "outputs": ["b"], "host": "local", "device": 0}],
+    }
+    raw[where][0][key] = value
+    r = cli("validate", "--config", write_config(tmp_path, raw))
+    assert r.returncode == 1
+    (line,) = r.stderr.splitlines()
+    assert line.startswith("invalid: ") and f"{key} must be an integer, got {value!r}" in line
+    assert r.stdout == ""
+
+
 def test_validate_unsupported_loss_exits_one(tmp_path):
     cfg = json.loads(json.dumps(MLP_CONFIG))
     cfg["net"]["loss"] = "mse"

@@ -26,6 +26,7 @@ from biflow.builders import (
     init_params,
 )
 from biflow.cli import _add_copy_latency
+from biflow.costsim import CostModel, simulate
 from biflow.dispatcher import (
     DispatchError,
     GraphPlan,
@@ -1033,15 +1034,32 @@ def one_conv_graph():
     return g
 
 
-def test_an_attrs_edit_that_breaks_a_shape_rule_is_reported_and_fails_the_run():
+@pytest.mark.parametrize("attr, value, cause", [
+    ("stride", 2, "do not conform"),  # 8 + 2 - 3 does not tile by 2
+    ("pad", 0, r"\(1, 1, 6, 6\)"),  # conforms, but y would be 6x6, not 8x8
+])
+def test_an_attrs_edit_that_breaks_a_shape_rule_is_reported_and_fails_the_run(
+        attr, value, cause):
     g = one_conv_graph()
-    g.operator_named("conv").attrs["stride"] = 2  # 8 + 2 - 3 does not tile by 2
+    g.operator_named("conv").attrs[attr] = value
     report = g.validate()
     assert not report.ok
     (violation,) = report.violations
-    assert "'conv'" in violation and "do not conform" in violation
+    assert re.search(f"'conv'.*{cause}", violation)
     store = TensorStore()
     for name in ("x", "w", "b"):
         store.set(name, np.zeros(g.tensor_named(name).shape, np.float32))
-    with pytest.raises(DispatchError, match=r"operator 'conv'.*do not conform"):
+    with pytest.raises(DispatchError, match=f"operator 'conv'.*{cause}"):
         run(g, store)
+    assert not store.has("y")
+
+
+def test_runs_and_simulations_do_not_call_validate(monkeypatch):
+    def refuse(self):
+        raise AssertionError("validate() called")
+
+    monkeypatch.setattr(BiGraph, "validate", refuse)
+    seq, store, feed = trained("conv-data2-split")
+    run_sequence(seq, store, before_iteration=feed, iterations=2)
+    costs = CostModel(kind_costs={kind: 1e-4 for kind in KINDS})
+    assert simulate(seq, costs, iterations=2).makespan > 0

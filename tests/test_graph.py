@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -181,6 +182,19 @@ def test_colocation_enforced_except_for_copy():
     with pytest.raises(GraphError):
         g.add_operator("r", "relu_forward", [x], [y], here)
     g.add_operator("c", "copy", [x], [y], here)  # copy may span locations
+    assert g.validate().ok
+
+
+def test_vertices_are_frozen_but_operator_attrs_stay_editable():
+    g = make_chain(1)
+    op, t = g.operator_named("op0"), g.tensor_named("t0")
+    for vertex, field, value in ((op, "outputs", (t.id,)),
+                                 (op, "location", Location("other", 0)),
+                                 (t, "shape", (4,))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(vertex, field, value)
+    op.attrs["delay_s"] = 0.001
+    assert g.operator_named("op0").attrs == {"delay_s": 0.001}
     assert g.validate().ok
 
 

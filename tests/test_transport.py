@@ -29,7 +29,7 @@ from biflow.builders import (
     init_params,
 )
 from biflow.dispatcher import DispatchError, run_sequence
-from biflow.graph import BiGraph, GraphError, GraphSequence, Location
+from biflow.graph import BiGraph, GraphSequence, Location
 from biflow.ops import KINDS, KernelError, OpKindSpec, TensorStore
 from biflow.transport import (
     _HELLO,
@@ -161,19 +161,6 @@ def test_cross_host_copy_becomes_matched_send_recv():
     # no vertex leaked across the cut
     assert all(t.location.host == "alpha" for t in alpha.graph.tensors.values())
     assert all(t.location.host == "beta" for t in beta.graph.tensors.values())
-
-
-def test_non_copy_cross_host_operator_is_an_error():
-    g = BiGraph()
-    g.add_tensor("x", (2,), Location("alpha", 0))
-    g.add_tensor("tmp", (2,), Location("alpha", 0))
-    g.add_tensor("y", (2,), Location("beta", 0))
-    # force the invalid edge in: bypass construction checks deliberately
-    gid = g.add_operator("bad", "relu_forward", [g.tensor_id("x")],
-                         [g.tensor_id("tmp")], Location("alpha", 0), thread=0)
-    g.operators[gid].outputs = (g.tensor_id("y"),)
-    with pytest.raises(GraphError):
-        partition_by_host(g)
 
 
 def test_recompose_inverts_partition():
@@ -319,6 +306,20 @@ def test_recv_on_a_channel_with_no_route_fails_like_send():
             with pytest.raises(TransportError) as err:
                 call(99, 0)
             assert str(err.value) == "channel 99 has no route"
+
+
+def test_graph_recv_on_a_channel_with_no_route_fails_before_it_waits():
+    # the 30 s timeout is a hang guard only: a recv that waited it out would
+    # raise the timeout message, so only the message is checked
+    loc = Location("b", 0)
+    g = BiGraph()
+    got = g.add_tensor("got", (2,), loc)
+    g.add_operator("wait", "recv", [], [got], loc, attrs={"channel": 99})
+    with Transport("b", {"b": ("127.0.0.1", 0)}, [spec(1, (2,))],
+                   timeout=30).start() as t:
+        with pytest.raises(DispatchError,
+                           match="^operator 'wait' failed: channel 99 has no route$"):
+            run_sequence(GraphSequence([g]), TensorStore(), transport=t)
 
 
 def hello(peer: str) -> bytes:
